@@ -1,16 +1,11 @@
 """Quantitative studies: witness sweeps, threshold bisection, the two-local
 depolarizing construction, and channel-set relation reports.
-
-Grid evaluations are embarrassingly parallel; the helper honoring the
-SCHMIDT_LENS_THREADS environment variable (0 or unset = auto) keeps the
-result ordering deterministic regardless of execution order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +28,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .schmidt import (
+    EVIDENCE_TOL,
     Verdict,
     _id_lambda_matrix,
     apply_id_lambda,
@@ -42,7 +38,6 @@ from .schmidt import (
 )
 from .states import DensityMatrix, PureState, isotropic_state
 
-EVIDENCE_TOL = 1e-9
 BISECTION_TOL = 1e-9
 
 FAMILIES = ("depolarizing", "dephasing", "custom")
@@ -70,25 +65,9 @@ class SnacRecord:
     q_star: tuple[Fraction, ...]
 
 
-def thread_count() -> int:
-    """Worker count from SCHMIDT_LENS_THREADS; 0, unset or garbage means auto."""
-    raw = os.environ.get("SCHMIDT_LENS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 8)
-    return n
-
-
 def _ordered_map(fn, items):
-    items = list(items)
-    workers = min(thread_count(), len(items)) or 1
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    # Kept as a named seam: perfbench/tracing.py wraps it for the sweep spans.
+    return [fn(x) for x in items]
 
 
 def _family_channel(family: str, d: int, parameter: float,
@@ -131,15 +110,18 @@ def bisect_crossing(f, lo: float, hi: float, tol: float = BISECTION_TOL) -> floa
     """Midpoint bisection of a sign change of ``f`` on [lo, hi].
 
     Requires f(lo) and f(hi) to have opposite signs; returns the bracket
-    midpoint once the bracket width is at most ``tol``.
+    midpoint once the bracket width is at most ``tol``, or once the
+    bracket is two adjacent floats when ``tol`` is below float spacing.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     f_lo, f_hi = f(lo), f(hi)
     if f_lo * f_hi >= 0:
         raise NoSignChangeError(f"f({lo})={f_lo} and f({hi})={f_hi} do not bracket a root")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid <= lo or mid >= hi:
+            break
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
@@ -191,13 +173,17 @@ def _as_simplex(q) -> np.ndarray:
     return q
 
 
+def _schmidt_amplitudes(q: np.ndarray) -> np.ndarray:
+    d = q.size
+    amp = np.zeros(d * d, dtype=complex)
+    amp[np.arange(d) * (d + 1)] = np.sqrt(q)
+    return amp
+
+
 def schmidt_vector_state(q) -> PureState:
     """Pure state sum_j sqrt(q_j) |jj> with computational Schmidt vectors."""
     q = _as_simplex(q)
-    d = q.size
-    amp = np.zeros(d * d, dtype=complex)
-    amp[np.arange(d) * d + np.arange(d)] = np.sqrt(q)
-    return PureState(amp, (d, d))
+    return PureState(_schmidt_amplitudes(q), (q.size, q.size))
 
 
 def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
@@ -244,11 +230,11 @@ def two_local_depolarizing_matrix(p: float, q) -> np.ndarray:
     return out
 
 
-def _pair_min_eig(pair: QuantumChannel, q, k: float) -> float:
-    d = int(round(np.sqrt(pair.d_in)))
-    rho = schmidt_vector_state(q).density().matrix
-    out = apply_matrix(pair, rho)
-    return float(np.linalg.eigvalsh(_id_lambda_matrix(out, d, d, k))[0])
+def _pair_min_eig(pair: QuantumChannel, q: np.ndarray, k: float) -> float:
+    """snac_min_eig on the precomputed pair channel, for a valid simplex point q."""
+    amp = _schmidt_amplitudes(q)
+    out = apply_matrix(pair, np.outer(amp, amp.conj()))
+    return float(np.linalg.eigvalsh(_id_lambda_matrix(out, q.size, q.size, k))[0])
 
 
 def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -129,8 +130,8 @@ def cmd_sweep(args) -> int:
 def cmd_threshold(args) -> int:
     if not 1 <= args.r < args.d:
         return _usage_error("need 1 <= r < d")
-    if args.tol <= 0:
-        return _usage_error("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        return _usage_error("--tol must be finite and positive")
     threshold = analysis.snbc_witness_threshold(args.family, args.d, args.r, tol=args.tol)
     if args.family == "depolarizing":
         exact = isotropic_sn_threshold(args.d, args.r)

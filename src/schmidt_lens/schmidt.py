@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, QuantumChannel, _kraus_from_choi_matrix
+from .channels import ChoiMatrix, QuantumChannel, _choi_array, _kraus_from_choi_matrix
 from .errors import DimensionMismatchError, InvalidRankError, NotHermitianError
 from .states import DensityMatrix, max_entangled
 
@@ -57,13 +57,19 @@ def _square_array(rho) -> np.ndarray:
 def witness_value(w: SNWitness, rho) -> float:
     """Tr(W rho); negative beyond tolerance certifies Schmidt number > r.
 
-    Accepts a DensityMatrix, a ChoiMatrix, or a raw d^2 x d^2 array.
+    Accepts a DensityMatrix, a ChoiMatrix, or a raw d^2 x d^2 array of
+    unit trace. Evaluated in closed form as 1 - (d/r) <phi+|rho|phi+>,
+    where d <phi+|rho|phi+> is the sum of the entries rho[ii, jj].
     """
     m = _square_array(rho)
     n = w.d * w.d
     if m.shape != (n, n):
         raise DimensionMismatchError(f"state shape {m.shape} != ({n}, {n})")
-    val = np.trace(w.matrix @ m)
+    diag = np.arange(w.d) * (w.d + 1)
+    # At a dyadic root the bisection lands exactly on a zero of this value and
+    # its rounding sign picks the reported threshold; this form and
+    # channels._choi_array keep the golden reports bit-exact.
+    val = 1.0 - m[np.ix_(diag, diag)].sum() / w.r
     if abs(val.imag) > 1e-10:
         raise NotHermitianError(f"witness value has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -171,11 +177,7 @@ def sn_upper_bound_via_kraus(ch: QuantumChannel) -> int:
     if not ch.is_square:
         raise DimensionMismatchError("Kraus-rank bound needs a square channel")
     d = ch.d_in
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        w = (k.T / np.sqrt(d)).reshape(-1)
-        c += np.outer(w, w.conj())
-    ops = _kraus_from_choi_matrix(c, d, d)
+    ops = _kraus_from_choi_matrix(_choi_array(ch), d, d)
     return max(linalg.matrix_rank(k) for k in ops)
 
 

@@ -32,6 +32,7 @@ from .channels import (
     tensor,
 )
 from .schmidt import (
+    EVIDENCE_TOL,
     Verdict,
     apply_id_lambda,
     certify_sn_above,
@@ -53,8 +54,6 @@ from .states import (
     schmidt_coefficients,
     schmidt_rank,
 )
-
-EVIDENCE_TOL = 1e-9
 
 
 @dataclass

@@ -136,6 +136,14 @@ class TestChoi:
             ref += np.outer(w, w.conj())
         np.testing.assert_allclose(c.matrix, ref, atol=1e-12)
 
+    def test_matches_lifted_channel_on_max_entangled(self, rng):
+        # reference route: (id ⊗ Φ) applied to |phi+><phi+| by lifted Kraus operators
+        cases = [random_channel(d, n, rng) for d in (2, 3, 4) for n in (1, d, d * d)]
+        cases += [depolarizing(9, 0.3), dephasing(9, 0.6)]
+        for ch in cases:
+            ref = apply_on_B(ch, max_entangled(ch.d_in).density()).matrix
+            assert np.max(np.abs(choi(ch).matrix - ref)) < 1e-13
+
     def test_unit_trace_and_marginal(self, rng):
         c = choi(random_channel(3, 6, rng))
         assert abs(np.trace(c.matrix) - 1.0) < 1e-10

@@ -68,6 +68,25 @@ class TestThresholdCommand:
         assert code == 2
         assert "r < d" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, tol, capsys):
+        code, out, err = run_cli(
+            ["threshold", "--family", "depolarizing", "--d", "3", "--r", "2", "--tol", tol],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    def test_tol_below_float_spacing_terminates(self, capsys):
+        code, out, _ = run_cli(
+            ["threshold", "--family", "depolarizing", "--d", "3", "--r", "2",
+             "--tol", "1e-300"],
+            capsys,
+        )
+        assert code == 0
+        assert abs(json.loads(out)["threshold"] - 0.625) <= 1e-15
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--family", "nonsense", "--d", "3", "--r", "2"])

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from schmidt_lens.channels import adjoint, choi, dephasing, depolarizing, identity_channel
+from schmidt_lens.channels import (
+    adjoint,
+    choi,
+    dephasing,
+    depolarizing,
+    identity_channel,
+    random_channel,
+)
 from schmidt_lens.errors import DimensionMismatchError, InvalidRankError
 from schmidt_lens.schmidt import (
     CertificationResult,
@@ -60,6 +67,17 @@ class TestWitness:
         for _ in range(200):
             rho = random_state_sn_at_most(3, 3, 2, terms=int(rng.integers(1, 5)), seed=rng)
             assert witness_value(w, rho) >= -1e-9
+
+    def test_closed_form_matches_trace_of_product(self, rng):
+        # reference route: Tr(W rho) with the stored witness matrix
+        for d in (2, 3, 4, 5):
+            states = [random_density(d * d, rng, (d, d)) for _ in range(3)]
+            states += [choi(random_channel(d, n, rng)) for n in (1, d, d * d)]
+            for r in range(1, d):
+                w = witness(d, r)
+                for rho in states:
+                    ref = np.trace(w.matrix @ rho.matrix).real
+                    assert abs(witness_value(w, rho) - ref) < 1e-13
 
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidRankError):
