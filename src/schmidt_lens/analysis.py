@@ -12,15 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .channels import (
-    QuantumChannel,
-    apply,
-    apply_matrix,
-    choi,
-    dephasing,
-    depolarizing,
-    tensor,
-)
+from .channels import QuantumChannel, choi, dephasing, depolarizing
 from .errors import (
     DimensionMismatchError,
     InvalidRankError,
@@ -39,6 +31,12 @@ from .schmidt import (
 from .states import DensityMatrix, PureState, isotropic_state
 
 BISECTION_TOL = 1e-9
+# Lattice values within this of the minimum tie (eigensolver rounding is ~1e-16).
+TIE_TOL = 1e-13
+# Simplex lattices above this many points are refused before any is built.
+MAX_LATTICE_POINTS = 10**6
+# Byte budget of the stacked d^2 x d^2 outputs evaluated at once.
+CHUNK_BYTES = 8 * 2**20
 
 FAMILIES = ("depolarizing", "dephasing", "custom")
 
@@ -147,13 +145,24 @@ def snbc_witness_threshold(family: str, d: int, r: int,
     return bisect_crossing(curve, 0.0, 1.0, tol)
 
 
+def check_lattice_size(n_subdiv: int, dims: int) -> int:
+    """Number of simplex lattice points; ValueError above MAX_LATTICE_POINTS."""
+    if n_subdiv < 1 or dims < 1:
+        raise ValueError("lattice needs n_subdiv >= 1 and dims >= 1")
+    size = math.comb(n_subdiv + dims - 1, dims - 1)
+    if size > MAX_LATTICE_POINTS:
+        raise ValueError(f"simplex lattice of {size} points exceeds the budget of "
+                         f"{MAX_LATTICE_POINTS} (lower the q grid or d)")
+    return size
+
+
 def simplex_lattice(n_subdiv: int, dims: int) -> list[tuple[int, ...]]:
     """All integer compositions (n_0, ..., n_{dims-1}) with sum n_subdiv.
 
     Lexicographic order; point (n_i) represents q_i = n_i / n_subdiv.
+    Lattices above MAX_LATTICE_POINTS raise ValueError.
     """
-    if n_subdiv < 1 or dims < 1:
-        raise ValueError("lattice needs n_subdiv >= 1 and dims >= 1")
+    check_lattice_size(n_subdiv, dims)
     pts = []
     for cuts in itertools.combinations(range(n_subdiv + dims - 1), dims - 1):
         prev = -1
@@ -173,17 +182,24 @@ def _as_simplex(q) -> np.ndarray:
     return q
 
 
-def _schmidt_amplitudes(q: np.ndarray) -> np.ndarray:
-    d = q.size
-    amp = np.zeros(d * d, dtype=complex)
-    amp[np.arange(d) * (d + 1)] = np.sqrt(q)
-    return amp
-
-
 def schmidt_vector_state(q) -> PureState:
     """Pure state sum_j sqrt(q_j) |jj> with computational Schmidt vectors."""
     q = _as_simplex(q)
-    return PureState(_schmidt_amplitudes(q), (q.size, q.size))
+    amp = np.zeros(q.size * q.size, dtype=complex)
+    amp[np.arange(q.size) * (q.size + 1)] = np.sqrt(q)
+    return PureState(amp, (q.size, q.size))
+
+
+def _two_local_array(ch: QuantumChannel, q: np.ndarray) -> np.ndarray:
+    """Unvalidated (Φ ⊗ Φ)|psi_q><psi_q| for each simplex point on q's last axis.
+
+    By linearity, sum_jl sqrt(q_j q_l) Φ(|j><l|) ⊗ Φ(|j><l|).
+    """
+    phi = np.einsum("aoj,apl->jlop", ch._stack, ch._stack.conj())
+    pair = np.einsum("jlop,jlrs->jlorps", phi, phi).reshape(ch.d_in ** 2, -1)
+    amp = np.sqrt(q)
+    weights = np.einsum("...j,...l->...jl", amp, amp).reshape(*q.shape[:-1], -1)
+    return (weights @ pair).reshape(*q.shape[:-1], ch.d_out ** 2, ch.d_out ** 2)
 
 
 def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
@@ -198,8 +214,7 @@ def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
         raise DimensionMismatchError(
             f"need a square channel of dimension {q.size}, got {ch!r}"
         )
-    out = apply(tensor(ch, ch), schmidt_vector_state(q).density())
-    return DensityMatrix(out.matrix, (ch.d_out, ch.d_out))
+    return DensityMatrix(_two_local_array(ch, q), (ch.d_out, ch.d_out))
 
 
 def two_local_depolarizing_matrix(p: float, q) -> np.ndarray:
@@ -230,13 +245,6 @@ def two_local_depolarizing_matrix(p: float, q) -> np.ndarray:
     return out
 
 
-def _pair_min_eig(pair: QuantumChannel, q: np.ndarray, k: float) -> float:
-    """snac_min_eig on the precomputed pair channel, for a valid simplex point q."""
-    amp = _schmidt_amplitudes(q)
-    out = apply_matrix(pair, np.outer(amp, amp.conj()))
-    return float(np.linalg.eigvalsh(_id_lambda_matrix(out, q.size, q.size, k))[0])
-
-
 def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
     """Minimum eigenvalue of (id ⊗ Lambda_k) applied to the two-local output."""
     if not 0.0 < k <= 1.0:
@@ -249,19 +257,23 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float,
                          n_subdiv: int) -> tuple[tuple[Fraction, ...], float]:
     """Minimize the annihilation certificate over the simplex lattice.
 
-    Returns the minimizing q (exact lattice fractions; first point in
-    lexicographic order on exact ties) and the minimum eigenvalue there.
+    Returns, as exact fractions, the first lattice point in lexicographic
+    order whose value is within TIE_TOL of the minimum, and that value.
     """
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k={k} outside (0, 1]")
-    pair = tensor(ch, ch)
-    lattice = simplex_lattice(n_subdiv, ch.d_in)
-    best_val, best_pt = np.inf, lattice[0]
-    for pt in lattice:
-        val = _pair_min_eig(pair, np.asarray(pt) / n_subdiv, k)
-        if val < best_val:
-            best_val, best_pt = val, pt
-    return tuple(Fraction(n, n_subdiv) for n in best_pt), best_val
+    if not ch.is_square:
+        raise DimensionMismatchError(f"need a square channel, got {ch!r}")
+    d = ch.d_in
+    lattice = simplex_lattice(n_subdiv, d)
+    rows = max(1, CHUNK_BYTES // (16 * d ** 4))
+    vals = np.concatenate([
+        np.linalg.eigvalsh(_id_lambda_matrix(
+            _two_local_array(ch, np.array(lattice[i:i + rows]) / n_subdiv), d, d, k))[:, 0]
+        for i in range(0, len(lattice), rows)
+    ])
+    best = int(np.argmax(vals <= vals.min() + TIE_TOL))
+    return tuple(Fraction(n, n_subdiv) for n in lattice[best]), float(vals[best])
 
 
 def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
@@ -276,6 +288,7 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     """
     if p_grid < 2 or q_grid < 2:
         raise ValueError("grids must have at least 2 points")
+    check_lattice_size(q_grid, d)
     if channel_factory is None:
         channel_factory = lambda p: depolarizing(d, p)
     params = np.linspace(0.0, 1.0, p_grid)

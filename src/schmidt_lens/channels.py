@@ -54,13 +54,14 @@ class QuantumChannel:
         self._stack = np.stack(ops)
         if check_tp:
             dev = self.trace_preservation_defect()
-            if dev > TP_TOL:
+            if not dev <= TP_TOL:  # a NaN defect (overflowed entries) fails too
                 raise NotTracePreservingError(
                     f"max |sum K†K - I| = {dev:.3e} exceeds {TP_TOL:.1e}"
                 )
 
     def trace_preservation_defect(self) -> float:
-        acc = np.tensordot(self._stack.conj(), self._stack, axes=([0, 1], [0, 1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/NaN
+            acc = np.tensordot(self._stack.conj(), self._stack, axes=([0, 1], [0, 1]))
         return float(np.max(np.abs(acc - np.eye(self.d_in))))
 
     @property
@@ -334,20 +335,31 @@ def channel_to_json(ch: QuantumChannel) -> str:
 
 
 def channel_from_json(text: str) -> QuantumChannel:
-    """Parse the wire format produced by :func:`channel_to_json`."""
-    payload = json.loads(text)
+    """Parse the wire format produced by :func:`channel_to_json`.
+
+    Every malformed document raises ValueError, the base of the library's
+    error types.
+    """
     try:
-        d_in = int(payload["d_in"])
-        d_out = int(payload["d_out"])
-        raw = payload["kraus"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed channel document: {exc}") from exc
+        payload = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("channel document is nested too deeply") from exc
+    if not isinstance(payload, dict) or not {"d_in", "d_out", "kraus"} <= payload.keys():
+        raise ValueError("a channel document is an object with d_in, d_out and kraus")
+    d_in, d_out, raw = payload["d_in"], payload["d_out"], payload["kraus"]
+    if not (all(type(n) is int and n >= 1 for n in (d_in, d_out)) and isinstance(raw, list)):
+        raise ValueError("d_in and d_out must be positive integers and kraus a list")
     ops = []
     for entries in raw:
-        if len(entries) != d_in * d_out:
+        if not isinstance(entries, list) or len(entries) != d_in * d_out:
             raise DimensionMismatchError(
-                f"Kraus entry count {len(entries)} != d_in*d_out = {d_in * d_out}"
+                f"each Kraus operator needs d_in*d_out = {d_in * d_out} entries"
             )
-        flat = np.array([complex(re, im) for re, im in entries])
-        ops.append(flat.reshape(d_out, d_in))
+        if not all(isinstance(z, list) and len(z) == 2
+                   and all(type(x) in (int, float) for x in z) for z in entries):
+            raise ValueError("Kraus entries must be [re, im] pairs of numbers")
+        flat = np.array(entries, dtype=float)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("Kraus entries must be finite")
+        ops.append(flat.view(complex).reshape(d_out, d_in))
     return QuantumChannel(ops)

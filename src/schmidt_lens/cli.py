@@ -95,7 +95,10 @@ def cmd_sweep(args) -> int:
     family = args.family
     if args.channel_file is not None:
         family = "custom"
-        channel = _load_channel(args.channel_file)
+        try:
+            channel = _load_channel(args.channel_file)
+        except ValueError as exc:
+            return _usage_error(f"malformed channel file: {exc}")
         if channel.d_in != args.d or channel.d_out != args.d:
             return _usage_error(
                 f"channel file is {channel.d_in}->{channel.d_out}, expected square d={args.d}"
@@ -161,9 +164,16 @@ def cmd_snac(args) -> int:
         return _usage_error("--p-grid and --q-grid must be at least 2")
     if not 0.0 < args.k <= 1.0:
         return _usage_error("--k must lie in (0, 1]")
+    try:
+        analysis.check_lattice_size(args.q_grid, args.d)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     factory = None
     if args.channel_file is not None:
-        fixed = _load_channel(args.channel_file)
+        try:
+            fixed = _load_channel(args.channel_file)
+        except ValueError as exc:
+            return _usage_error(f"malformed channel file: {exc}")
         if fixed.d_in != args.d or fixed.d_out != args.d:
             return _usage_error(
                 f"channel file is {fixed.d_in}->{fixed.d_out}, expected square d={args.d}"

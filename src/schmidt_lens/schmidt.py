@@ -104,12 +104,11 @@ def r_positivity_window(r: int) -> tuple[float, float]:
 
 
 def _id_lambda_matrix(m: np.ndarray, da: int, db: int, k: float) -> np.ndarray:
-    r4 = m.reshape(da, db, da, db)
-    block_traces = np.einsum("ibjb->ij", r4)
-    out = -k * r4.copy()
+    r4 = m.reshape(*m.shape[:-2], da, db, da, db)
+    out = -k * r4
     idx = np.arange(db)
-    out[:, idx, :, idx] += block_traces
-    return out.reshape(da * db, da * db)
+    out[..., :, idx, :, idx] += np.einsum("...ibjb->...ij", r4)
+    return out.reshape(*m.shape[:-2], da * db, da * db)
 
 
 def apply_id_lambda(rho: DensityMatrix, k: float) -> np.ndarray:

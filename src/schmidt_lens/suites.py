@@ -253,8 +253,8 @@ def suite_snac_two_local(seed: int = 0, n_p: int = 50) -> SuiteResult:
     """Two-local depolarizing construction against its closed forms.
 
     Checks, for the qutrit depolarizing family at uniform q:
-      * the generic tensor-channel output equals the entrywise matrix
-        to 1e-12 (independent oracle);
+      * the two-local output equals the entrywise matrix to 1e-12
+        (independent oracle);
       * min eig of (id ⊗ Lambda_k) at k = 1/2 equals (5 - 8 p^2)/18;
       * at the window endpoint k = 1 it equals (2 - 8 p^2)/9;
       * the value is unchanged under Haar-random local Schmidt bases.

@@ -65,6 +65,21 @@ def ref_id_lambda(m, da, db, k):
     return out
 
 
+def ref_two_local_min_eig(kraus, q, k):
+    """Minimum eigenvalue of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), by loops.
+
+    Builds the pair channel's Kraus set {K_a ⊗ K_b} explicitly, so it
+    shares no code with the library's two-local kernel.
+    """
+    d = len(q)
+    amp = np.zeros(d * d, dtype=complex)
+    for j in range(d):
+        amp[j * d + j] = np.sqrt(q[j])
+    pair = [np.kron(a, b) for a in kraus for b in kraus]
+    out = ref_apply_kraus(pair, np.outer(amp, amp.conj()))
+    return np.linalg.eigvalsh(ref_id_lambda(out, d, d, k))[0]
+
+
 def random_hermitian(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2.0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 from schmidt_lens import analysis, linalg
 from schmidt_lens.analysis import (
     bisect_crossing,
+    check_lattice_size,
     eb_ppt_threshold,
     relation_report,
     simplex_lattice,
+    snac_lattice_minimum,
     snac_min_eig,
     snac_sweep,
     snbc_witness_sweep,
@@ -16,8 +20,16 @@ from schmidt_lens.analysis import (
     two_local_depolarizing_matrix,
     two_local_output,
 )
-from schmidt_lens.channels import apply_matrix, depolarizing, identity_channel, tensor
+from schmidt_lens.channels import (
+    QuantumChannel,
+    apply_matrix,
+    depolarizing,
+    identity_channel,
+    random_channel,
+    tensor,
+)
 from schmidt_lens.errors import (
+    DimensionMismatchError,
     InvalidRankError,
     NoSignChangeError,
     UnknownFamilyError,
@@ -25,7 +37,7 @@ from schmidt_lens.errors import (
 from schmidt_lens.schmidt import Verdict, apply_id_lambda
 from schmidt_lens.states import DensityMatrix, haar_unitary, isotropic_state
 
-from conftest import ref_apply_kraus, ref_id_lambda
+from conftest import ref_apply_kraus, ref_id_lambda, ref_two_local_min_eig
 
 
 class TestWitnessSweep:
@@ -170,7 +182,7 @@ class TestTwoLocalOutput:
             assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
     def test_matches_entrywise_matrix(self, rng):
-        # generic tensor-channel application against the closed-form builder
+        # the two-local kernel against the closed-form entrywise builder
         for p in np.linspace(0.0, 1.0, 9):
             for q in (np.full(3, 1 / 3), np.array([0.5, 0.3, 0.2]), rng.dirichlet(np.ones(3))):
                 generic = two_local_output(depolarizing(3, float(p)), q).matrix
@@ -272,14 +284,64 @@ class TestSnacSweep:
             assert tuple(float(f) for f in rec.q_star) == (1 / 3, 1 / 3, 1 / 3)
 
     def test_records_actual_lattice_minimum(self):
-        # the sweep's raw-array kernel against the validated snac_min_eig path
+        # the batched kernel against the loop reference at every lattice point
         for d, q_grid in ((3, 6), (4, 3)):
             records = snac_sweep(d, 0.5, p_grid=3, q_grid=q_grid)
             lattice = simplex_lattice(q_grid, d)
             for rec in records:
-                ch = depolarizing(d, rec.parameter)
-                values = [snac_min_eig(ch, np.asarray(pt) / q_grid, 0.5) for pt in lattice]
+                kraus = depolarizing(d, rec.parameter).kraus
+                values = [ref_two_local_min_eig(kraus, np.asarray(pt) / q_grid, 0.5)
+                          for pt in lattice]
                 assert abs(min(values) - rec.value) < 1e-12
+
+    def test_non_covariant_channel(self):
+        ch = random_channel(3, 4, seed=7)
+        q_star, value = snac_lattice_minimum(ch, 0.5, 6)
+        values = [ref_two_local_min_eig(ch.kraus, np.asarray(pt) / 6, 0.5)
+                  for pt in simplex_lattice(6, 3)]
+        assert abs(min(values) - value) < 1e-12
+        at_star = ref_two_local_min_eig(ch.kraus, np.array([float(f) for f in q_star]), 0.5)
+        assert abs(at_star - value) < 1e-12
+
+    def test_lattice_larger_than_a_chunk(self):
+        # 165 points at d = 9 span three chunks of CHUNK_BYTES // (16 * 9**4) = 79 rows
+        ch = random_channel(9, 2, seed=3)
+        lattice = simplex_lattice(3, 9)
+        assert len(lattice) > analysis.CHUNK_BYTES // (16 * 9 ** 4)
+        values = np.array([snac_min_eig(ch, np.asarray(pt) / 3, 0.5) for pt in lattice])
+        q_star, value = snac_lattice_minimum(ch, 0.5, 3)
+        best = int(np.argmin(values))
+        assert q_star == tuple(Fraction(n, 3) for n in lattice[best])
+        assert abs(value - values[best]) < 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_ties_go_to_first_lexicographic_point(self, p):
+        # every corner ties (and at p = 0 every point: the output is I/9)
+        q_star, value = snac_lattice_minimum(depolarizing(3, p), 0.5, 30)
+        assert q_star == (0, 0, 1)
+        assert abs(value - (1 - p) * (5 - 2 * p) / 18) <= 1e-15
+
+    def test_rejects_non_square_or_mismatched_channel(self):
+        isometry = QuantumChannel([np.eye(3, 2)])
+        with pytest.raises(DimensionMismatchError):
+            snac_lattice_minimum(isometry, 0.5, 3)
+        with pytest.raises(DimensionMismatchError):
+            two_local_output(isometry, [0.5, 0.5])
+        with pytest.raises(DimensionMismatchError):
+            snac_min_eig(depolarizing(3, 0.5), np.full(4, 0.25), 0.5)
+
+    def test_lattice_budget(self):
+        assert check_lattice_size(30, 3) == 496
+        assert check_lattice_size(1, analysis.MAX_LATTICE_POINTS) == analysis.MAX_LATTICE_POINTS
+        calls = (
+            lambda: check_lattice_size(1, analysis.MAX_LATTICE_POINTS + 1),
+            lambda: simplex_lattice(30, 9),
+            lambda: snac_lattice_minimum(depolarizing(9, 0.5), 0.5, 30),
+            lambda: snac_sweep(9, 0.5, p_grid=2, q_grid=30),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="budget"):
+                call()
 
     def test_corner_minimizer_below_crossover(self):
         # below p = 7/10 the minimum migrates to a simplex corner

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidt_lens import linalg
 from schmidt_lens.channels import (
@@ -358,6 +362,24 @@ class TestIsCptp:
             assert is_cptp(random_channel(d, int(rng.integers(1, 6)), rng), 1e-9)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["d_in", "d_out", "kraus", "x"]), inner),
+    max_leaves=30,
+)
+# Objects shaped like the wire format, so that parsing reaches the Kraus entries.
+CHANNEL_DOCUMENTS = st.fixed_dictionaries({
+    "d_in": st.integers(-1, 3) | JSON_VALUES,
+    "d_out": st.integers(-1, 3),
+    "kraus": st.lists(st.lists(st.one_of(
+        st.tuples(st.floats(), st.floats()).map(list),
+        st.lists(st.floats(-1, 1), max_size=3),
+        JSON_VALUES,
+    ), max_size=9), max_size=3),
+})
+
+
 class TestJsonWireFormat:
     def test_roundtrip(self, rng):
         ch = random_channel(3, 4, rng)
@@ -379,3 +401,32 @@ class TestJsonWireFormat:
             channel_from_json('{"d_in": 2}')
         with pytest.raises(DimensionMismatchError):
             channel_from_json('{"d_in": 2, "d_out": 2, "kraus": [[[1, 0]]]}')
+        malformed = [
+            '{"d_in": 1, "d_out": 1, "kraus": [[1]]}',  # entries not [re, im] pairs
+            '{"d_in": 1, "d_out": 1, "kraus": [[[1, 0, 0]]]}',
+            '{"d_in": 1, "d_out": 1, "kraus": [[["1", 0]]]}',
+            '{"d_in": 1, "d_out": 1, "kraus": [[[true, 0]]]}',
+            '{"d_in": 1, "d_out": 1, "kraus": [[[NaN, 0]]]}',
+            '{"d_in": 1.5, "d_out": 1, "kraus": [[[1, 0]]]}',
+            '{"d_in": 0, "d_out": 1, "kraus": []}',
+            '{"d_in": 1, "d_out": 1, "kraus": []}',
+            '{"d_in": 1, "d_out": 1, "kraus": 5}',
+            '"a string"',
+            "[" * 100000 + "]" * 100000,
+            # K†K overflows to inf - inf = NaN off the diagonal
+            '{"d_in": 2, "d_out": 1, "kraus": [[[1e200, 0], [1e200, 0]], '
+            '[[1e200, 0], [-1e200, 0]]]}',
+        ]
+        for text in malformed:
+            with pytest.raises(ValueError):
+                channel_from_json(text)
+
+    @given(st.one_of(JSON_VALUES, CHANNEL_DOCUMENTS))
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_parses_or_is_rejected(self, value):
+        try:
+            ch = channel_from_json(json.dumps(value))
+        except ValueError:
+            return
+        assert isinstance(ch, QuantumChannel)
+        assert ch.trace_preservation_defect() <= 1e-9

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from schmidt_lens.channels import channel_to_json, identity_channel
 from schmidt_lens.cli import main, render_json, report_schema
+
+from conftest import ref_two_local_min_eig
 
 
 def run_cli(args, capsys):
@@ -180,7 +183,7 @@ class TestSnacCommand:
         assert rows[-1][3] == "1/3 1/3 1/3"
 
     def test_min_eig_column_is_lattice_minimum(self, capsys):
-        from schmidt_lens.analysis import simplex_lattice, snac_min_eig
+        from schmidt_lens.analysis import simplex_lattice
         from schmidt_lens.channels import depolarizing
 
         code, out, _ = run_cli(
@@ -189,11 +192,33 @@ class TestSnacCommand:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         for row in rows:
             p, got = float(row[0]), float(row[1])
+            kraus = depolarizing(3, p).kraus
             best = min(
-                snac_min_eig(depolarizing(3, p), np.asarray(pt) / 6, 0.5)
+                ref_two_local_min_eig(kraus, np.asarray(pt) / 6, 0.5)
                 for pt in simplex_lattice(6, 3)
             )
             assert abs(got - best) < 1e-12
+
+    def test_ties_report_first_lexicographic_point(self, capsys):
+        # up to p = 7/10 the minimum is shared by the three corners
+        code, out, _ = run_cli(
+            ["snac", "--d", "3", "--k", "0.5", "--p-grid", "21", "--q-grid", "30"], capsys
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        low = [row[3] for row in rows if float(row[0]) <= 0.7 + 1e-9]
+        assert len(low) == 15
+        assert set(low) == {"0 0 1"}
+
+    def test_lattice_budget_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["snac", "--d", "9", "--q-grid", "30", "--p-grid", "2"], capsys
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
     def test_json_output_validates(self, capsys):
         code, out, _ = run_cli(
@@ -205,6 +230,32 @@ class TestSnacCommand:
     def test_bad_k(self, capsys):
         code, _, _ = run_cli(["snac", "--k", "0.0", "--p-grid", "3", "--q-grid", "3"], capsys)
         assert code == 2
+
+
+MALFORMED_CHANNEL_FILES = {
+    "truncated": '{"d_in": 3, "d_out"',
+    "not an object": "[1, 2, 3]",
+    "entry count": '{"d_in": 3, "d_out": 3, "kraus": [[[1, 0], [0, 0]]]}',
+    "not pairs": '{"d_in": 3, "d_out": 3, "kraus": [[1, 0, 0, 0, 1, 0, 0, 0, 1]]}',
+    "not trace-preserving": json.dumps(
+        {"d_in": 3, "d_out": 3, "kraus": [[[2.0, 0.0] if i % 4 == 0 else [0.0, 0.0]
+                                           for i in range(9)]]}
+    ),
+}
+
+
+class TestMalformedChannelFile:
+    @pytest.mark.parametrize("command", [["sweep", "--r", "2"], ["snac", "--p-grid", "2"]])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHANNEL_FILES))
+    def test_usage_error(self, command, case, tmp_path, capsys):
+        path = tmp_path / "ch.json"
+        path.write_text(MALFORMED_CHANNEL_FILES[case])
+        code, out, err = run_cli(command + ["--d", "3", "--channel-file", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: malformed channel file")
+        assert "Traceback" not in err
 
 
 class TestVerifyCommand:
