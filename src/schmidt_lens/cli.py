@@ -76,14 +76,29 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_channel(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_json(fh.read())
+class _UsageError(Exception):
+    """Bad command-line input, found after parsing; ``main`` exits 2 on it."""
 
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _load_channel(path: str, d: int):
+    """The square d -> d channel stored in ``path``; raises _UsageError otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            channel = channel_from_json(fh.read())
+    except OSError as exc:
+        raise _UsageError(f"cannot read channel file: {exc}") from exc
+    except ValueError as exc:
+        raise _UsageError(f"malformed channel file: {exc}") from exc
+    if channel.d_in != d or channel.d_out != d:
+        raise _UsageError(
+            f"channel file is {channel.d_in}->{channel.d_out}, expected square d={d}"
+        )
+    return channel
 
 
 def cmd_sweep(args) -> int:
@@ -95,14 +110,7 @@ def cmd_sweep(args) -> int:
     family = args.family
     if args.channel_file is not None:
         family = "custom"
-        try:
-            channel = _load_channel(args.channel_file)
-        except ValueError as exc:
-            return _usage_error(f"malformed channel file: {exc}")
-        if channel.d_in != args.d or channel.d_out != args.d:
-            return _usage_error(
-                f"channel file is {channel.d_in}->{channel.d_out}, expected square d={args.d}"
-            )
+        channel = _load_channel(args.channel_file, args.d)
     elif family == "custom":
         return _usage_error("custom family needs --channel-file")
     records = analysis.snbc_witness_sweep(family, args.d, args.r, args.grid, channel=channel)
@@ -160,6 +168,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_snac(args) -> int:
+    if args.d < 2:
+        return _usage_error("--d must be at least 2")
     if args.p_grid < 2 or args.q_grid < 2:
         return _usage_error("--p-grid and --q-grid must be at least 2")
     if not 0.0 < args.k <= 1.0:
@@ -170,14 +180,7 @@ def cmd_snac(args) -> int:
         return _usage_error(str(exc))
     factory = None
     if args.channel_file is not None:
-        try:
-            fixed = _load_channel(args.channel_file)
-        except ValueError as exc:
-            return _usage_error(f"malformed channel file: {exc}")
-        if fixed.d_in != args.d or fixed.d_out != args.d:
-            return _usage_error(
-                f"channel file is {fixed.d_in}->{fixed.d_out}, expected square d={args.d}"
-            )
+        fixed = _load_channel(args.channel_file, args.d)
         factory = lambda p: fixed
     records = analysis.snac_sweep(args.d, args.k, args.p_grid, args.q_grid,
                                   channel_factory=factory)
@@ -219,6 +222,10 @@ def cmd_snac(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        return _usage_error("--seed must be non-negative")
+    if not 1 <= args.r < args.d:
+        return _usage_error("need 1 <= r < d for the relations suite")
     names = [args.suite] if args.suite else None
     results = suites.run_suites(names, seed=args.seed, d=args.d, r=args.r)
     all_passed = all(res.passed for res in results)
@@ -311,6 +318,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        return _usage_error(str(exc))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

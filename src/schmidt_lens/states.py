@@ -85,17 +85,7 @@ class DensityMatrix:
             raise InvalidDimensionError(f"unsupported dims {dims}")
         if m.shape[0] != int(np.prod(dims)):
             raise DimensionMismatchError(f"shape {m.shape} does not match dims {dims}")
-        deviation = np.max(np.abs(m - linalg.dagger(m)))
-        if deviation > PSD_TOL:
-            raise NotHermitianError(f"max |rho - rho†| = {deviation:.3e}")
-        m = (m + linalg.dagger(m)) / 2.0
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_TOL:
-            raise NotPSDError(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL}")
-        self.matrix = m
+        self.matrix = as_density_stack(m)
         self.dims = dims
 
     @property
@@ -134,13 +124,76 @@ def schmidt_rank(psi: PureState, tol: float = 1e-9) -> int:
     return int(np.count_nonzero(schmidt_coefficients(psi) > tol))
 
 
+def as_density_stack(m: np.ndarray) -> np.ndarray:
+    """Hermitian part of a D x D density matrix or of an (n, D, D) stack of them.
+
+    Every matrix must be finite and Hermitian within ``PSD_TOL`` entrywise,
+    have a trace within ``TRACE_TOL`` of 1 and no eigenvalue below ``-PSD_TOL``
+    (one stacked ``eigvalsh``). Each check runs on the whole stack, and
+    its error names the first failing state of a stack by index.
+    """
+
+    def at(i: int) -> str:
+        return f"state {i}: " if m.ndim == 3 else ""
+
+    dagger = np.swapaxes(m.conj(), -1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf reads as NaN
+        deviation = np.abs(m - dagger).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(deviation <= PSD_TOL))  # a NaN or inf entry fails here too
+    if bad.size:
+        raise NotHermitianError(f"{at(bad[0])}max |rho - rho†| = {deviation.flat[bad[0]]:.3e}")
+    h = m + dagger
+    h /= 2.0
+    tr = np.trace(h, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise ValueError(
+            f"{at(bad[0])}trace {tr.flat[bad[0]]!r} deviates from 1 beyond {TRACE_TOL}"
+        )
+    lo = np.linalg.eigvalsh(h)[..., 0]
+    bad = np.flatnonzero(lo < -PSD_TOL)
+    if bad.size:
+        raise NotPSDError(f"{at(bad[0])}minimum eigenvalue {lo.flat[bad[0]]:.3e} below -{PSD_TOL}")
+    return h
+
+
+def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices (..., d, d): QR, then fix R's phases."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-random d x d unitary via QR of a complex Gaussian matrix."""
     rng = np.random.default_rng(rng)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar_from_gaussian(z)
+
+
+def _check_rank(dA: int, dB: int, r: int) -> None:
+    if not 1 <= r <= min(dA, dB):
+        raise InvalidRankError(f"rank {r} not in [1, min({dA},{dB})]")
+
+
+def _schmidt_amplitudes(dA: int, dB: int, lam: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Amplitudes (T, dA*dB) of T Schmidt-rank-r pure states from their draws.
+
+    Row t of ``lam`` (T, r) holds the Dirichlet coefficients; row t of
+    ``g`` (T, 2*(dA^2 + dB^2)) the real then imaginary Gaussian parts of
+    the A basis and then of the B basis, in the order ``haar_unitary``
+    draws them.
+    """
+    lam = np.maximum(lam, COEFFICIENT_FLOOR)
+    lam = lam / lam.sum(axis=-1, keepdims=True)
+    r = lam.shape[-1]
+    bases = []
+    for d, part in ((dA, g[:, :2 * dA * dA]), (dB, g[:, 2 * dA * dA:])):
+        part = part.reshape(-1, 2, d, d)
+        z = (part[:, 0] + 1j * part[:, 1]) / np.sqrt(2.0)
+        bases.append(_haar_from_gaussian(z)[..., :r])
+    amp = np.einsum("ti,tai,tbi->tab", np.sqrt(lam), *bases)
+    return amp.reshape(len(lam), dA * dB)
 
 
 def random_pure_with_schmidt_rank(dA: int, dB: int, r: int, seed) -> PureState:
@@ -150,36 +203,79 @@ def random_pure_with_schmidt_rank(dA: int, dB: int, r: int, seed) -> PureState:
     ``COEFFICIENT_FLOOR`` and renormalized; the local bases are
     independent Haar-random unitaries.
     """
-    if not 1 <= r <= min(dA, dB):
-        raise InvalidRankError(f"rank {r} not in [1, min({dA},{dB})]")
+    _check_rank(dA, dB, r)
     rng = np.random.default_rng(seed)
     lam = rng.dirichlet(np.ones(r))
-    lam = np.maximum(lam, COEFFICIENT_FLOOR)
-    lam = lam / lam.sum()
-    u = haar_unitary(dA, rng)
-    v = haar_unitary(dB, rng)
-    amp = np.zeros(dA * dB, dtype=complex)
-    for i in range(r):
-        amp += np.sqrt(lam[i]) * np.kron(u[:, i], v[:, i])
-    return PureState(amp, (dA, dB))
+    g = rng.standard_normal(2 * (dA * dA + dB * dB))
+    return PureState(_schmidt_amplitudes(dA, dB, lam[None], g[None])[0], (dA, dB))
+
+
+def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
+                 draw_terms: bool = True) -> np.ndarray:
+    """Unvalidated (n, D, D) stack of mixtures of Schmidt-rank-r pure states.
+
+    Per state, in generator order: the term count (drawn from
+    1..max_terms, or ``max_terms`` itself when ``draw_terms`` is false),
+    the Dirichlet weights, then per term the draws of
+    ``random_pure_with_schmidt_rank``. Only these draws run per state.
+    Every term's norm is checked against ``NORM_TOL``. Each mixture is
+    the product of its ``sqrt(w)``-weighted amplitude rows, zero rows
+    filling the unused term slots; no per-term D x D matrix is formed.
+    """
+    weights = np.zeros((n, max_terms))
+    lam = np.empty((n, max_terms, r))
+    g = np.empty((n, max_terms, 2 * (dA * dA + dB * dB)))
+    used = np.zeros((n, max_terms), dtype=bool)
+    ones = np.ones(r)
+    for i in range(n):
+        terms = int(rng.integers(1, max_terms + 1)) if draw_terms else max_terms
+        weights[i, :terms] = rng.dirichlet(np.ones(terms))
+        used[i, :terms] = True
+        for t in range(terms):
+            lam[i, t] = rng.dirichlet(ones)
+            rng.standard_normal(out=g[i, t])
+    amp = _schmidt_amplitudes(dA, dB, lam[used], g[used])
+    norm = np.linalg.norm(amp, axis=-1)
+    bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
+    if bad.size:
+        state = np.nonzero(used)[0][bad[0]]
+        raise ValueError(
+            f"state {state}: term norm {norm[bad[0]]!r} deviates from 1 beyond {NORM_TOL}"
+        )
+    rows = np.zeros((n, max_terms, dA * dB), dtype=complex)
+    rows[used] = np.sqrt(weights[used])[:, None] * amp
+    return np.swapaxes(rows, -1, -2) @ rows.conj()
 
 
 def random_state_sn_at_most(dA: int, dB: int, r: int, terms: int, seed) -> DensityMatrix:
     """Convex mixture of ``terms`` random Schmidt-rank-<=r pure states.
 
-    By construction the output has Schmidt number at most ``r``.
+    By construction the output has Schmidt number at most ``r``. It is
+    the one-state case of ``random_states_sn_at_most`` with ``terms``
+    given instead of drawn.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if not 1 <= r <= min(dA, dB):
-        raise InvalidRankError(f"rank {r} not in [1, min({dA},{dB})]")
+    _check_rank(dA, dB, r)
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(terms))
-    rho = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for w in weights:
-        psi = random_pure_with_schmidt_rank(dA, dB, r, rng)
-        rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(rho, (dA, dB))
+    return DensityMatrix(_sn_mixtures(dA, dB, r, 1, terms, rng, draw_terms=False)[0], (dA, dB))
+
+
+def random_states_sn_at_most(dA: int, dB: int, r: int, n: int, max_terms: int,
+                             seed) -> np.ndarray:
+    """Validated (n, dA*dB, dA*dB) stack of states of Schmidt number at most ``r``.
+
+    State i is what ``random_state_sn_at_most(dA, dB, r, terms, rng)``
+    returns after ``terms = rng.integers(1, max_terms + 1)``, drawn in
+    the same order from the same generator, so a seeded generator ends
+    in the same state either way, and consecutive calls continue the
+    sequence of one call. The bases, amplitudes, mixtures and the
+    validation (``as_density_stack``) run on whole stacks.
+    """
+    if n < 1 or max_terms < 1:
+        raise ValueError("n and max_terms must be >= 1")
+    _check_rank(dA, dB, r)
+    return as_density_stack(_sn_mixtures(dA, dB, r, n, max_terms, np.random.default_rng(seed)))
 
 
 def random_density(d: int, seed, dims=None) -> DensityMatrix:

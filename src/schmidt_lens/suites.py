@@ -34,6 +34,7 @@ from .channels import (
 from .schmidt import (
     EVIDENCE_TOL,
     Verdict,
+    _id_lambda_matrix,
     apply_id_lambda,
     certify_sn_above,
     isotropic_sn_threshold,
@@ -50,10 +51,26 @@ from .states import (
     max_entangled,
     random_density,
     random_pure_with_schmidt_rank,
-    random_state_sn_at_most,
+    random_states_sn_at_most,
     schmidt_coefficients,
     schmidt_rank,
 )
+
+
+# Byte budget of one stack of generated states. A suite draws its states as
+# consecutive stacks of at most this size from one generator, which yields the
+# same states as one stack. One 1000-state stack of 16 x 16 matrices (4 MB,
+# plus its validation temporaries) raised the peak RSS of the verify-suites
+# benchmark from 42.5 to 59.8 MB; at this budget it stays level, at the same
+# speed.
+STACK_BYTES = 2**18
+
+
+def _sn_stacks(d: int, r: int, n: int, max_terms: int, rng):
+    """Yield (index of the first state, stack) over ``n`` generated d x d states."""
+    step = max(1, STACK_BYTES // (16 * d**4))
+    for start in range(0, n, step):
+        yield start, random_states_sn_at_most(d, d, r, min(step, n - start), max_terms, rng)
 
 
 @dataclass
@@ -158,10 +175,10 @@ def suite_schmidt_states(seed: int = 0, trials: int = 60) -> SuiteResult:
         if schmidt_rank(rotated) != r:
             failures.append(f"trial {trial}: rank not LU-invariant")
     # Separable mixtures stay PPT.
-    for trial in range(40):
-        rho = random_state_sn_at_most(3, 3, 1, terms=int(rng.integers(1, 6)), seed=rng)
-        pt = linalg.partial_transpose(rho.matrix, (3, 3), which=1)
-        if float(np.linalg.eigvalsh(pt)[0]) < -EVIDENCE_TOL:
+    separable = random_states_sn_at_most(3, 3, 1, 40, 5, rng)
+    pts = [linalg.partial_transpose(m, (3, 3), which=1) for m in separable]
+    for trial, lo in enumerate(np.linalg.eigvalsh(pts)[:, 0]):
+        if lo < -EVIDENCE_TOL:
             failures.append(f"ppt trial {trial}: separable state failed PPT")
     return _result("schmidt_states", failures, {"trials": trials})
 
@@ -201,12 +218,12 @@ def suite_witness_nonneg(seed: int = 0, n_states: int = 1000) -> SuiteResult:
     w = witness(3, 2)
     failures = []
     worst = np.inf
-    for trial in range(n_states):
-        rho = random_state_sn_at_most(3, 3, 2, terms=int(rng.integers(1, 6)), seed=rng)
-        val = witness_value(w, rho)
-        worst = min(worst, val)
-        if val < -EVIDENCE_TOL:
-            failures.append(f"trial {trial}: witness value {val:.3e}")
+    for start, states in _sn_stacks(3, 2, n_states, 5, rng):
+        for trial, rho in enumerate(states, start):
+            val = witness_value(w, rho)
+            worst = min(worst, val)
+            if val < -EVIDENCE_TOL:
+                failures.append(f"trial {trial}: witness value {val:.3e}")
     phi = max_entangled(3).density()
     res = certify_sn_above(phi, 2)
     if res.verdict is not Verdict.CERTIFIED_ABOVE:
@@ -221,10 +238,9 @@ def suite_lambda_window(seed: int = 0, n_states: int = 1000) -> SuiteResult:
     for r in (1, 2, 3):
         d = r + 1
         lo, hi = r_positivity_window(r)
-        for trial in range(n_states):
-            rho = random_state_sn_at_most(d, d, r, terms=int(rng.integers(1, 4)), seed=rng)
-            out = apply_id_lambda(rho, hi)
-            if float(np.linalg.eigvalsh(out)[0]) < -EVIDENCE_TOL:
+        for start, states in _sn_stacks(d, r, n_states, 3, rng):
+            mins = np.linalg.eigvalsh(_id_lambda_matrix(states, d, d, hi))[:, 0]
+            for trial in start + np.flatnonzero(mins < -EVIDENCE_TOL):
                 failures.append(f"r={r} trial {trial}: positivity failed at k=1/r")
         phi = max_entangled(r + 1).density()
         for k in (lo + 1e-6, (lo + hi) / 2.0, hi):

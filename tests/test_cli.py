@@ -258,6 +258,36 @@ class TestMalformedChannelFile:
         assert "Traceback" not in err
 
 
+class TestUnreadableChannelFile:
+    @pytest.mark.parametrize("command", [["sweep", "--r", "2"],
+                                         ["snac", "--p-grid", "2", "--q-grid", "2"]])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_usage_error(self, command, kind, tmp_path, capsys):
+        path = tmp_path if kind == "directory" else tmp_path / "absent.json"
+        code, out, err = run_cli(command + ["--d", "3", "--channel-file", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot read channel file: ")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["snac", "--d", "1", "--p-grid", "2", "--q-grid", "2"],
+        ["verify", "--suite", "relations", "--d", "3", "--r", "5"],
+        ["verify", "--suite", "relations", "--d", "3", "--r", "3"],
+        ["verify", "--suite", "relations", "--d", "3", "--r", "0"],
+        ["verify", "--d", "2", "--r", "2"],
+        ["verify", "--suite", "kron_rank", "--seed", "-1"],
+    ])
+    def test_exit_2_before_any_work(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "t4"], capsys)

@@ -8,18 +8,21 @@ from schmidt_lens.errors import (
     InvalidDimensionError,
     InvalidRankError,
     NotBipartiteError,
+    NotHermitianError,
     NotPSDError,
     ParamOutOfRangeError,
 )
 from schmidt_lens.states import (
     DensityMatrix,
     PureState,
+    as_density_stack,
     haar_unitary,
     isotropic_state,
     max_entangled,
     random_density,
     random_pure_with_schmidt_rank,
     random_state_sn_at_most,
+    random_states_sn_at_most,
     schmidt_coefficients,
     schmidt_rank,
 )
@@ -187,6 +190,70 @@ class TestRandomStateSnAtMost:
             random_state_sn_at_most(3, 3, 5, terms=2, seed=0)
         with pytest.raises(ValueError):
             random_state_sn_at_most(3, 3, 2, terms=0, seed=0)
+
+
+class TestRandomStatesSnAtMost:
+    @pytest.mark.parametrize("d, r", [(2, 1), (3, 2), (4, 3)])
+    def test_matches_loop_of_single_states(self, d, r):
+        loop_rng, stack_rng = np.random.default_rng(5), np.random.default_rng(5)
+        loop = np.array([
+            random_state_sn_at_most(d, d, r, int(loop_rng.integers(1, 5)), loop_rng).matrix
+            for _ in range(40)
+        ])
+        stack = random_states_sn_at_most(d, d, r, 40, 4, stack_rng)
+        assert stack.shape == (40, d * d, d * d)
+        assert np.max(np.abs(stack - loop)) <= 1e-15
+        assert loop_rng.bit_generator.state == stack_rng.bit_generator.state
+
+    def test_consecutive_stacks_continue_one_stack(self):
+        whole_rng, split_rng = np.random.default_rng(9), np.random.default_rng(9)
+        whole = random_states_sn_at_most(3, 3, 2, 30, 5, whole_rng)
+        split = np.concatenate([random_states_sn_at_most(3, 3, 2, n, 5, split_rng)
+                                for n in (12, 1, 17)])
+        assert np.max(np.abs(whole - split)) <= 1e-15
+        assert whole_rng.bit_generator.state == split_rng.bit_generator.state
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(InvalidRankError):
+            random_states_sn_at_most(3, 3, 4, 5, 2, seed=0)
+        with pytest.raises(ValueError):
+            random_states_sn_at_most(3, 3, 2, 0, 2, seed=0)
+        with pytest.raises(ValueError):
+            random_states_sn_at_most(3, 3, 2, 5, 0, seed=0)
+
+
+class TestAsDensityStack:
+    @pytest.fixture
+    def stack(self):
+        return random_states_sn_at_most(3, 3, 2, 6, 3, seed=1)
+
+    def test_returns_the_valid_stack(self, stack):
+        np.testing.assert_array_equal(as_density_stack(stack), stack)
+
+    def test_rejects_non_hermitian_entry(self, stack):
+        stack[4, 0, 1] += 1e-6
+        with pytest.raises(NotHermitianError, match="state 4"):
+            as_density_stack(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, stack, bad):
+        stack[1, 3, 3] = bad
+        with pytest.raises(NotHermitianError, match="state 1"):
+            as_density_stack(stack)
+
+    def test_rejects_off_trace_entry(self, stack):
+        stack[2, 5, 5] += 1e-6
+        with pytest.raises(ValueError, match="state 2: trace"):
+            as_density_stack(stack)
+
+    def test_rejects_non_psd_entry(self, stack):
+        stack[3] = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(NotPSDError, match="state 3"):
+            as_density_stack(stack)
+
+    def test_single_matrix_messages_name_no_state(self):
+        with pytest.raises(NotPSDError, match="^minimum eigenvalue"):
+            as_density_stack(np.diag([1.5, -0.5]).astype(complex))
 
 
 class TestIsotropicState:

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from schmidt_lens import suites
 from schmidt_lens.channels import choi, compose, dephasing, depolarizing, random_channel
 from schmidt_lens.schmidt import witness, witness_value
 from schmidt_lens.suites import SUITES, run_suites, theorem_suite
@@ -67,3 +70,24 @@ class TestRunSuites:
     def test_registry_is_callable(self):
         for name, fn in SUITES.items():
             assert callable(fn), name
+
+
+class TestFailureReporting:
+    # With a tolerance no state can meet, every generated state fails, so the
+    # detail shows which trial number each state is reported under. The counts
+    # span more than one stack of generated states in both suites.
+    def test_witness_names_every_trial_in_draw_order(self, monkeypatch):
+        monkeypatch.setattr(suites, "EVIDENCE_TOL", -1.0)
+        res = suites.suite_witness_nonneg(seed=0, n_states=210)
+        assert not res.passed
+        assert re.findall(r"(?:^|; )trial (\d+): witness value", res.detail) == [
+            str(i) for i in range(210)
+        ]
+
+    def test_lambda_window_names_every_trial_in_draw_order(self, monkeypatch):
+        monkeypatch.setattr(suites, "EVIDENCE_TOL", -1.0)
+        res = suites.suite_lambda_window(seed=0, n_states=70)
+        assert not res.passed
+        assert re.findall(r"r=(\d) trial (\d+): positivity failed", res.detail) == [
+            (str(r), str(i)) for r in (1, 2, 3) for i in range(70)
+        ]
