@@ -67,6 +67,7 @@ from .schmidt import (
     sn_upper_bound_via_kraus,
     witness,
     witness_value,
+    witness_values,
 )
 from .states import (
     DensityMatrix,

@@ -12,7 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .channels import QuantumChannel, choi, dephasing, depolarizing
+from .channels import (
+    MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
+    QuantumChannel,
+    choi,
+    dephasing,
+    depolarizing,
+)
 from .errors import (
     DimensionMismatchError,
     InvalidRankError,
@@ -35,6 +41,15 @@ BISECTION_TOL = 1e-9
 TIE_TOL = 1e-13
 # Simplex lattices above this many points are refused before any is built.
 MAX_LATTICE_POINTS = 10**6
+# MAX_KRAUS_STACK_BYTES, imported from channels, whose basis cache it bounds,
+# caps d: the named families refuse d whose d^2 x d x d Kraus stack exceeds it.
+# Parameter grids (sweep points, snac p points) above this size are refused.
+MAX_GRID_POINTS = 1001
+# snac studies needing more eigensolver work than this are refused before any
+# lattice is built: p points x lattice points x max(d, 4)^6, the n^3 sum over
+# the d^2 x d^2 certificate matrices diagonalized. Below d = 4 per-point
+# overhead, not the solve, sets the time, so such d count as 4.
+MAX_SNAC_EIG_WORK = 2 * 10**9
 # Byte budget of the stacked d^2 x d^2 outputs evaluated at once.
 CHUNK_BYTES = 8 * 2**20
 
@@ -88,10 +103,10 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
 
     For ``family="custom"`` the fixed ``channel`` is evaluated at every
     grid point (the witness value is then constant); for the named
-    families the parameter is the channel parameter in [0, 1].
+    families the parameter is the channel parameter in [0, 1]. A grid
+    outside [2, MAX_GRID_POINTS] raises ValueError.
     """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
+    check_grid_size(grid)
     w = witness(d, r)
     params = np.linspace(0.0, 1.0, grid)
 
@@ -143,6 +158,33 @@ def snbc_witness_threshold(family: str, d: int, r: int,
         return witness_value(w, choi(_family_channel(family, d, p, None)))
 
     return bisect_crossing(curve, 0.0, 1.0, tol)
+
+
+def check_grid_size(points: int) -> int:
+    """``points`` itself; ValueError outside [2, MAX_GRID_POINTS]."""
+    if points < 2:
+        raise ValueError("a parameter grid needs at least 2 points")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"a parameter grid of {points} points exceeds the budget of "
+                         f"{MAX_GRID_POINTS}")
+    return points
+
+
+def check_snac_size(d: int, p_grid: int, q_grid: int) -> int:
+    """Eigensolver work of a snac study; ValueError above any of its budgets.
+
+    Checks the p grid, the simplex lattice and MAX_SNAC_EIG_WORK, in that
+    order, without building anything.
+    """
+    check_grid_size(p_grid)
+    if q_grid < 2:
+        raise ValueError("the q grid needs at least 2 subdivisions")
+    work = p_grid * check_lattice_size(q_grid, d) * max(d, 4) ** 6
+    if work > MAX_SNAC_EIG_WORK:
+        raise ValueError(f"a snac study of {work} eigensolver work units (p points x "
+                         f"lattice points x max(d, 4)^6) exceeds the budget of "
+                         f"{MAX_SNAC_EIG_WORK} (lower the grids or d)")
+    return work
 
 
 def check_lattice_size(n_subdiv: int, dims: int) -> int:
@@ -284,11 +326,10 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     :func:`snac_min_eig` over the simplex lattice with ``q_grid``
     subdivisions and records the minimizing point and its value.
     ``channel_factory`` maps p to a channel; defaults to the
-    d-dimensional depolarizing family.
+    d-dimensional depolarizing family. Studies over the grid, lattice or
+    eigensolver-work budgets (``check_snac_size``) raise ValueError.
     """
-    if p_grid < 2 or q_grid < 2:
-        raise ValueError("grids must have at least 2 points")
-    check_lattice_size(q_grid, d)
+    check_snac_size(d, p_grid, q_grid)
     if channel_factory is None:
         channel_factory = lambda p: depolarizing(d, p)
     params = np.linspace(0.0, 1.0, p_grid)

@@ -8,7 +8,9 @@ than comparing Kraus operators.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
 import numpy as np
 
@@ -29,11 +31,18 @@ CHOI_MARGINAL_TOL = 1e-9
 # Relative eigenvalue cutoff used when recovering Kraus operators from a Choi
 # matrix; consistent with linalg.RANK_TOL scaled to eigenvalues.
 CANONICAL_EIG_TOL = 1e-10
+# Byte budget of the d^2 x d x d shift/clock Kraus stack of a named family
+# (16 d^4 bytes): d <= 13. Larger d is refused before anything is built.
+MAX_KRAUS_STACK_BYTES = 2**19
 
 
 class QuantumChannel:
-    """Completely positive map given by a list of d_out x d_in Kraus operators.
+    """Completely positive map given by d_out x d_in Kraus operators.
 
+    ``kraus`` is a list (or any iterable) of equal-shape matrices or one
+    ``(n, d_out, d_in)`` array. Either form is copied into one owned,
+    read-only complex stack, ``_stack``, which gets one finiteness scan and
+    one shape check; ``kraus`` is a tuple of read-only views of its rows.
     Trace preservation (sum K†K = I) is validated on construction unless
     ``check_tp=False``; the adjoint of a channel is completely positive
     and unital but generally not trace-preserving, so it is built with
@@ -41,17 +50,24 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus, check_tp: bool = True):
-        ops = [linalg.as_matrix(k) for k in kraus]
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        d_out, d_in = ops[0].shape
-        for k in ops:
-            if k.shape != (d_out, d_in):
+        if not isinstance(kraus, np.ndarray):
+            ops = [np.asarray(k, dtype=complex) for k in kraus]
+            if any(k.shape != ops[0].shape for k in ops):
                 raise DimensionMismatchError("Kraus operators must share one shape")
-        self.kraus = tuple(ops)
-        self.d_in = d_in
-        self.d_out = d_out
-        self._stack = np.stack(ops)
+            kraus = ops
+        stack = np.array(kraus, dtype=complex)
+        if stack.ndim >= 1 and len(stack) == 0:
+            raise ValueError("a channel needs at least one Kraus operator")
+        if stack.ndim != 3:
+            raise DimensionMismatchError(
+                f"expected a stack of Kraus matrices, got ndim={stack.ndim}"
+            )
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus entries must be finite (no NaN/Inf)")
+        stack.flags.writeable = False
+        self._stack = stack
+        self.kraus = tuple(stack)
+        self.d_out, self.d_in = stack.shape[1:]
         if check_tp:
             dev = self.trace_preservation_defect()
             if not dev <= TP_TOL:  # a NaN defect (overflowed entries) fails too
@@ -216,8 +232,7 @@ def adjoint(ch: QuantumChannel) -> QuantumChannel:
     return QuantumChannel([linalg.dagger(k) for k in ch.kraus], check_tp=False)
 
 
-def shift_clock_unitaries(d: int) -> list[np.ndarray]:
-    """The d^2 generalized Pauli unitaries X^a Z^b (identity first)."""
+def _shift_clock_products(d: int) -> list[np.ndarray]:
     x = np.zeros((d, d), dtype=complex)
     for j in range(d):
         x[(j + 1) % d, j] = 1.0
@@ -233,23 +248,50 @@ def shift_clock_unitaries(d: int) -> list[np.ndarray]:
     return ops
 
 
+def check_kraus_stack(d: int) -> int:
+    """Bytes of the d^2 x d x d shift/clock stack; ParamOutOfRangeError above the budget."""
+    size = 16 * d**4
+    if size > MAX_KRAUS_STACK_BYTES:
+        raise ParamOutOfRangeError(
+            f"d={d} needs a {size}-byte Kraus stack, over the budget of "
+            f"{MAX_KRAUS_STACK_BYTES} bytes "
+            f"(d <= {math.isqrt(math.isqrt(MAX_KRAUS_STACK_BYTES // 16))})"
+        )
+    return size
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_clock_stack(d: int) -> np.ndarray:
+    """Read-only (d^2, d, d) stack of the unitaries X^a Z^b, cached per d."""
+    check_kraus_stack(d)
+    stack = np.stack(_shift_clock_products(d))
+    stack.flags.writeable = False
+    return stack
+
+
+def shift_clock_unitaries(d: int) -> list[np.ndarray]:
+    """The d^2 generalized Pauli unitaries X^a Z^b (identity first), as fresh copies."""
+    return [u.copy() for u in _shift_clock_stack(d)]
+
+
 def depolarizing(d: int, p: float) -> QuantumChannel:
     """Depolarizing channel rho -> p rho + (1-p) Tr(rho) I/d.
 
     Kraus realization: the identity weighted sqrt(p + (1-p)/d^2) plus
     the remaining d^2 - 1 shift/clock unitaries each weighted
     sqrt((1-p)/d^2); the unitary twirl identity makes the action match
-    the formula exactly.
+    the formula exactly. The unitaries come from a per-d cached,
+    read-only stack, and the weights are broadcast into it, so each call
+    builds one array. d with a stack over ``MAX_KRAUS_STACK_BYTES`` raises
+    ParamOutOfRangeError.
     """
     if d < 2:
         raise ParamOutOfRangeError("depolarizing needs d >= 2")
     if not 0.0 <= p <= 1.0:
         raise ParamOutOfRangeError(f"p={p} outside [0, 1]")
-    ws = shift_clock_unitaries(d)
-    w_rest = np.sqrt((1.0 - p) / d**2)
-    ops = [np.sqrt(p + (1.0 - p) / d**2) * ws[0]]
-    ops.extend(w_rest * w for w in ws[1:])
-    return QuantumChannel(ops)
+    weights = np.full(d * d, np.sqrt((1.0 - p) / d**2))
+    weights[0] = np.sqrt(p + (1.0 - p) / d**2)
+    return QuantumChannel(weights[:, None, None] * _shift_clock_stack(d))
 
 
 def dephasing(d: int, v: float) -> QuantumChannel:
@@ -262,12 +304,11 @@ def dephasing(d: int, v: float) -> QuantumChannel:
         raise ParamOutOfRangeError("dephasing needs d >= 2")
     if not 0.0 <= v <= 1.0:
         raise ParamOutOfRangeError(f"v={v} outside [0, 1]")
-    ops = [np.sqrt(v) * np.eye(d, dtype=complex)]
-    for i in range(d):
-        proj = np.zeros((d, d), dtype=complex)
-        proj[i, i] = np.sqrt(1.0 - v)
-        ops.append(proj)
-    return QuantumChannel(ops)
+    idx = np.arange(d)
+    stack = np.zeros((d + 1, d, d), dtype=complex)
+    stack[0, idx, idx] = np.sqrt(v)
+    stack[idx + 1, idx, idx] = np.sqrt(1.0 - v)
+    return QuantumChannel(stack)
 
 
 def is_cptp(ch: QuantumChannel, tol: float = 1e-9) -> bool:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import analysis, suites
-from .channels import channel_from_json
+from .channels import channel_from_json, check_kraus_stack
 from .errors import SchmidtLensError
 from .schmidt import isotropic_sn_threshold
 
@@ -101,11 +101,22 @@ def _load_channel(path: str, d: int):
     return channel
 
 
+def _check_budgets(d: int, grid: int | None = None) -> None:
+    """Raise _UsageError for a --d or a parameter grid over its budget."""
+    try:
+        check_kraus_stack(d)
+        if grid is not None:
+            analysis.check_grid_size(grid)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         return _usage_error("--grid must be at least 2")
     if not 1 <= args.r < args.d:
         return _usage_error("need 1 <= r < d")
+    _check_budgets(args.d, args.grid)
     channel = None
     family = args.family
     if args.channel_file is not None:
@@ -143,6 +154,7 @@ def cmd_threshold(args) -> int:
         return _usage_error("need 1 <= r < d")
     if not (math.isfinite(args.tol) and args.tol > 0):
         return _usage_error("--tol must be finite and positive")
+    _check_budgets(args.d)
     threshold = analysis.snbc_witness_threshold(args.family, args.d, args.r, tol=args.tol)
     if args.family == "depolarizing":
         exact = isotropic_sn_threshold(args.d, args.r)
@@ -174,8 +186,9 @@ def cmd_snac(args) -> int:
         return _usage_error("--p-grid and --q-grid must be at least 2")
     if not 0.0 < args.k <= 1.0:
         return _usage_error("--k must lie in (0, 1]")
+    _check_budgets(args.d)
     try:
-        analysis.check_lattice_size(args.q_grid, args.d)
+        analysis.check_snac_size(args.d, args.p_grid, args.q_grid)
     except ValueError as exc:
         return _usage_error(str(exc))
     factory = None
@@ -226,6 +239,7 @@ def cmd_verify(args) -> int:
         return _usage_error("--seed must be non-negative")
     if not 1 <= args.r < args.d:
         return _usage_error("need 1 <= r < d for the relations suite")
+    _check_budgets(args.d)
     names = [args.suite] if args.suite else None
     results = suites.run_suites(names, seed=args.seed, d=args.d, r=args.r)
     all_passed = all(res.passed for res in results)
@@ -235,6 +249,9 @@ def cmd_verify(args) -> int:
         if res.name in ("t4", "relations") and res.passed:
             print(f"        {render_json(res.data)}")
     print(f"verify: {'all suites passed' if all_passed else 'FAILURES present'}")
+    if not all_passed:
+        failed = ", ".join(res.name for res in results if not res.passed)
+        print(f"error: suites failed: {failed}", file=sys.stderr)
     if args.output_path is not None:
         payload = {
             "command": "verify",

@@ -80,6 +80,42 @@ def ref_two_local_min_eig(kraus, q, k):
     return np.linalg.eigvalsh(ref_id_lambda(out, d, d, k))[0]
 
 
+def ref_shift_clock(d):
+    """The d^2 unitaries X^a Z^b, identity first, built one product at a time."""
+    x = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        x[(j + 1) % d, j] = 1.0
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = []
+    xa = np.eye(d, dtype=complex)
+    for _ in range(d):
+        zb = np.eye(d, dtype=complex)
+        for _ in range(d):
+            ops.append(xa @ zb)
+            zb = zb @ z
+        xa = xa @ x
+    return ops
+
+
+def ref_depolarizing_kraus(d, p):
+    """Per-operator depolarizing Kraus list: weighted identity, then the other unitaries."""
+    ws = ref_shift_clock(d)
+    w_rest = np.sqrt((1.0 - p) / d**2)
+    ops = [np.sqrt(p + (1.0 - p) / d**2) * ws[0]]
+    ops.extend(w_rest * w for w in ws[1:])
+    return ops
+
+
+def ref_dephasing_kraus(d, v):
+    """Per-operator dephasing Kraus list: sqrt(v) I, then sqrt(1-v) |i><i|."""
+    ops = [np.sqrt(v) * np.eye(d, dtype=complex)]
+    for i in range(d):
+        proj = np.zeros((d, d), dtype=complex)
+        proj[i, i] = np.sqrt(1.0 - v)
+        ops.append(proj)
+    return ops
+
+
 def random_hermitian(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2.0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from schmidt_lens import linalg
 from schmidt_lens.channels import (
+    MAX_KRAUS_STACK_BYTES,
     ChoiMatrix,
     QuantumChannel,
     action_distance,
@@ -27,6 +28,7 @@ from schmidt_lens.channels import (
     random_channel_with_kraus_rank,
     shift_clock_unitaries,
     tensor,
+    _shift_clock_stack,
 )
 from schmidt_lens.errors import (
     DimensionMismatchError,
@@ -37,7 +39,7 @@ from schmidt_lens.errors import (
 )
 from schmidt_lens.states import DensityMatrix, max_entangled, random_density
 
-from conftest import ref_apply_kraus
+from conftest import ref_apply_kraus, ref_dephasing_kraus, ref_depolarizing_kraus
 
 
 def matrix_units(d):
@@ -60,6 +62,36 @@ class TestQuantumChannel:
     def test_mixed_shapes(self):
         with pytest.raises(DimensionMismatchError):
             QuantumChannel([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+    def test_error_types_match_across_input_forms(self, make):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError):
+            QuantumChannel(make(np.zeros((0, 2, 2), dtype=complex)))
+        for bad in (np.nan, np.inf, complex(0, np.inf)):
+            ops = np.stack([eye, eye])
+            ops[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                QuantumChannel(make(ops))
+        with pytest.raises(NotTracePreservingError):
+            QuantumChannel(make(np.stack([eye, eye])))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2), (2,)])
+    def test_rejects_stacks_that_are_not_3d(self, shape):
+        ops = np.ones(shape, dtype=complex)
+        for kraus in (ops, list(ops)):
+            with pytest.raises(DimensionMismatchError):
+                QuantumChannel(kraus, check_tp=False)
+
+    def test_stack_is_owned_and_read_only(self):
+        ops = np.stack([np.eye(2, dtype=complex)])
+        ch = QuantumChannel(ops)
+        ops[0, 0, 0] = 5.0
+        assert ch._stack[0, 0, 0] == 1.0
+        assert not ch._stack.flags.writeable
+        assert all(not k.flags.writeable and k.base is ch._stack for k in ch.kraus)
+        with pytest.raises(ValueError):
+            ch.kraus[0][0, 0] = 2.0
 
 
 class TestApply:
@@ -323,6 +355,42 @@ class TestDepolarizing:
             depolarizing(3, -0.1)
         with pytest.raises(ParamOutOfRangeError):
             depolarizing(1, 0.5)
+
+    def test_cached_basis_is_read_only(self):
+        stack = _shift_clock_stack(3)
+        assert stack.shape == (9, 3, 3)
+        assert not stack.flags.writeable
+        assert _shift_clock_stack(3) is stack
+
+    def test_mutating_the_unitary_list_leaves_the_family(self):
+        before = depolarizing(3, 0.3)._stack.copy()
+        ws = shift_clock_unitaries(3)
+        for w in ws:
+            w[...] = 7.0
+        assert shift_clock_unitaries(3)[0][0, 0] == 1.0
+        assert np.array_equal(depolarizing(3, 0.3)._stack, before)
+
+    def test_cache_refuses_a_stack_over_the_budget(self):
+        d = 2
+        while 16 * (d + 1) ** 4 <= MAX_KRAUS_STACK_BYTES:
+            d += 1
+        assert _shift_clock_stack(d).nbytes <= MAX_KRAUS_STACK_BYTES
+        with pytest.raises(ParamOutOfRangeError, match="budget"):
+            depolarizing(d + 1, 0.5)
+        with pytest.raises(ParamOutOfRangeError, match="budget"):
+            _shift_clock_stack(d + 1)
+        assert _shift_clock_stack.cache_info().maxsize is not None
+
+
+FAMILY_DIMS = (2, 3, 4, 9)
+FAMILY_PARAMS = (0.0, 0.3, 0.5, 0.625, 1.0)
+
+
+@pytest.mark.parametrize("d", FAMILY_DIMS)
+@pytest.mark.parametrize("p", FAMILY_PARAMS)
+def test_family_stacks_are_bit_equal_to_the_loop_construction(d, p):
+    assert np.array_equal(depolarizing(d, p)._stack, np.stack(ref_depolarizing_kraus(d, p)))
+    assert np.array_equal(dephasing(d, p)._stack, np.stack(ref_dephasing_kraus(d, p)))
 
 
 class TestDephasing:

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import math
 import time
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from schmidt_lens.channels import channel_to_json, identity_channel
+from schmidt_lens import analysis
+from schmidt_lens.channels import MAX_KRAUS_STACK_BYTES, channel_to_json, identity_channel
 from schmidt_lens.cli import main, render_json, report_schema
+from schmidt_lens.suites import SUITES
 
 from conftest import ref_two_local_min_eig
 
@@ -287,6 +294,25 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        ["threshold", "--family", "depolarizing", "--d", "14", "--r", "2"],
+        ["threshold", "--family", "dephasing", "--d", "100", "--r", "2"],
+        ["sweep", "--d", "14", "--r", "2"],
+        ["sweep", "--d", "3", "--r", "2", "--grid", "1000000000"],
+        ["snac", "--d", "14", "--p-grid", "2", "--q-grid", "2"],
+        ["snac", "--d", "3", "--p-grid", "1000000000", "--q-grid", "2"],
+        ["snac", "--d", "9", "--p-grid", "11", "--q-grid", "8"],
+        ["verify", "--suite", "relations", "--d", "14", "--r", "2"],
+    ])
+    def test_over_budget_exits_2_at_once(self, args, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "budget" in err
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
@@ -300,6 +326,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "[PASS] relations" in out
         assert "0.625" in out
+
+    def test_failed_suite_exits_1_with_one_error_line(self, monkeypatch, capsys):
+        from schmidt_lens import suites
+
+        monkeypatch.setitem(suites.SUITES, "kron_rank",
+                            lambda seed=0: suites.SuiteResult("kron_rank", False, "planted"))
+        code, out, err = run_cli(["verify", "--suite", "kron_rank"], capsys)
+        assert code == 1
+        assert "[FAIL] kron_rank: planted" in out
+        assert err == "error: suites failed: kron_rank\n"
 
     def test_json_detail_validates(self, tmp_path, capsys):
         path = tmp_path / "verify.json"
@@ -322,3 +358,94 @@ class TestExitCodeContract:
             code = main(args)
             capsys.readouterr()
             assert code == want, args
+
+
+# The slowest inputs the budgets accept take about 15 s on 2 vCPUs (a snac
+# study at the eigensolver-work cap, d=4); the bound leaves room for a slow
+# machine while still catching an input that runs unbounded.
+EXAMPLE_SECONDS = 60.0
+MAX_D = math.isqrt(math.isqrt(MAX_KRAUS_STACK_BYTES // 16))
+
+
+def _flags(**values):
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+
+
+def command_lines(dim, grid, q_grid, seed, real):
+    """CLI argument lists whose values come from the given strategies.
+
+    ``dim`` draws --d and --r, ``grid`` draws --grid and --p-grid, and
+    ``real`` draws --tol and --k.
+    """
+    families = st.sampled_from(["depolarizing", "dephasing"])
+    suites = st.sampled_from([None, *sorted(SUITES)])
+    return st.one_of(
+        st.builds(lambda family, d, r, tol, seed: ["threshold", f"--family={family}"]
+                  + _flags(d=d, r=r, tol=tol, seed=seed),
+                  families, dim, dim, real, seed),
+        st.builds(lambda family, d, r, grid, seed: ["sweep", f"--family={family}"]
+                  + _flags(d=d, r=r, grid=grid, seed=seed),
+                  families, dim, dim, grid, seed),
+        st.builds(lambda d, k, p_grid, q_grid, seed: ["snac"]
+                  + _flags(d=d, k=k, p_grid=p_grid, q_grid=q_grid, seed=seed),
+                  dim, real, grid, q_grid, seed),
+        st.builds(lambda suite, d, r, seed: ["verify"]
+                  + (["--suite", suite] if suite else []) + _flags(d=d, r=r, seed=seed),
+                  suites, dim, dim, seed),
+    )
+
+
+# Every integer and every float, NaN, infinities and subnormals included.
+ANY_VALUE = command_lines(st.integers(), st.integers(), st.integers(), st.integers(),
+                          st.floats())
+# Small values, most of which are accepted and run to the end.
+SMALL_VALUES = command_lines(st.integers(1, 6), st.integers(2, 8), st.integers(2, 8),
+                             st.integers(0, 5), st.floats(0.0, 1.0))
+# Values from below each check up to twice its budget, where the slowest
+# accepted inputs lie.
+AROUND_THE_BUDGETS = command_lines(
+    st.integers(-1, 2 * MAX_D), st.integers(-1, 2 * analysis.MAX_GRID_POINTS),
+    st.integers(-1, 2 * analysis.MAX_GRID_POINTS), st.integers(-1, 5), st.floats(),
+)
+
+
+def run_main(args):
+    """Exit code, stdout and stderr of ``main(args)``; argparse's own exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(args):
+    start = time.perf_counter()
+    code, out, err = run_main(args)
+    elapsed = time.perf_counter() - start
+    event(f"{args[0]} exit {code}")
+    assert elapsed < EXAMPLE_SECONDS, (args, elapsed)
+    assert code in (0, 1, 2), (args, code)
+    assert "Traceback" not in err
+    if code != 0:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (args, err)
+    if code == 2:
+        assert out == "", args
+
+
+class TestArgumentRanges:
+    @settings(max_examples=200, deadline=None)
+    @given(ANY_VALUE)
+    def test_any_value_gets_a_classified_answer(self, args):
+        check_contract(args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SMALL_VALUES)
+    def test_small_values_get_a_classified_answer(self, args):
+        check_contract(args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(AROUND_THE_BUDGETS)
+    def test_values_around_the_budgets_get_a_classified_answer(self, args):
+        check_contract(args)

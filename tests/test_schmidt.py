@@ -21,6 +21,7 @@ from schmidt_lens.schmidt import (
     sn_upper_bound_via_kraus,
     witness,
     witness_value,
+    witness_values,
 )
 from schmidt_lens.states import (
     DensityMatrix,
@@ -29,6 +30,7 @@ from schmidt_lens.states import (
     max_entangled,
     random_density,
     random_state_sn_at_most,
+    random_states_sn_at_most,
 )
 
 from conftest import ref_id_lambda
@@ -78,6 +80,18 @@ class TestWitness:
                 for rho in states:
                     ref = np.trace(w.matrix @ rho.matrix).real
                     assert abs(witness_value(w, rho) - ref) < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_stacked_values_are_bit_equal_to_one_at_a_time(self, d, rng):
+        states = random_states_sn_at_most(d, d, 1, 300, 3, rng)
+        for r in range(1, d):
+            w = witness(d, r)
+            one_at_a_time = [witness_value(w, rho) for rho in states]
+            assert np.array_equal(witness_values(w, states), one_at_a_time)
+
+    def test_stacked_values_reject_a_wrong_shape(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            witness_values(witness(3, 2), np.zeros((2, 4, 4), dtype=complex))
 
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidRankError):
