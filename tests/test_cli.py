@@ -10,10 +10,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from schmidt_lens import analysis
+from schmidt_lens import analysis, suites
 from schmidt_lens.channels import MAX_KRAUS_STACK_BYTES, channel_to_json, identity_channel
 from schmidt_lens.cli import main, render_json, report_schema
-from schmidt_lens.suites import SUITES
 
 from conftest import ref_two_local_min_eig
 
@@ -328,8 +327,6 @@ class TestVerifyCommand:
         assert "0.625" in out
 
     def test_failed_suite_exits_1_with_one_error_line(self, monkeypatch, capsys):
-        from schmidt_lens import suites
-
         monkeypatch.setitem(suites.SUITES, "kron_rank",
                             lambda seed=0: suites.SuiteResult("kron_rank", False, "planted"))
         code, out, err = run_cli(["verify", "--suite", "kron_rank"], capsys)
@@ -378,7 +375,7 @@ def command_lines(dim, grid, q_grid, seed, real):
     ``real`` draws --tol and --k.
     """
     families = st.sampled_from(["depolarizing", "dephasing"])
-    suites = st.sampled_from([None, *sorted(SUITES)])
+    suite_names = st.sampled_from([None, *sorted(suites.SUITES)])
     return st.one_of(
         st.builds(lambda family, d, r, tol, seed: ["threshold", f"--family={family}"]
                   + _flags(d=d, r=r, tol=tol, seed=seed),
@@ -391,7 +388,7 @@ def command_lines(dim, grid, q_grid, seed, real):
                   dim, real, grid, q_grid, seed),
         st.builds(lambda suite, d, r, seed: ["verify"]
                   + (["--suite", suite] if suite else []) + _flags(d=d, r=r, seed=seed),
-                  suites, dim, dim, seed),
+                  suite_names, dim, dim, seed),
     )
 
 
