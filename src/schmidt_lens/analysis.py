@@ -4,7 +4,6 @@ depolarizing construction, and channel-set relation reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,12 +45,21 @@ MAX_LATTICE_POINTS = 10**6
 # Parameter grids (sweep points, snac p points) above this size are refused.
 MAX_GRID_POINTS = 1001
 # snac studies needing more eigensolver work than this are refused before any
-# lattice is built: p points x lattice points x max(d, 4)^6, the n^3 sum over
-# the d^2 x d^2 certificate matrices diagonalized. Below d = 4 per-point
-# overhead, not the solve, sets the time, so such d count as 4.
+# lattice is built. The dense kernel's work is p points x lattice points x
+# max(d, 4)^6, the n^3 sum over the d^2 x d^2 certificate matrices
+# diagonalized; below d = 4 per-point overhead, not the solve, sets the time,
+# so such d count as 4. The phase-covariant kernel's work is p points x lattice
+# points x d^2 against MAX_SNAC_REDUCED_WORK: a d x d solve and d^2 entries
+# per point, 80-320 ns a unit for d <= 13 on 2 vCPUs (the most at d = 2).
 MAX_SNAC_EIG_WORK = 2 * 10**9
-# Byte budget of the stacked d^2 x d^2 outputs evaluated at once.
+MAX_SNAC_REDUCED_WORK = 4 * 10**7
+# Byte budget of the stacked certificate matrices (d^2 x d^2 dense, d x d
+# reduced) evaluated at once.
 CHUNK_BYTES = 8 * 2**20
+# Largest |entry| of Φ(|j><l|) outside the phase-covariant pattern (see
+# phase_covariant_defect) for which the reduced two-local kernel is taken.
+# Depolarizing reaches 2.4e-16 (d <= 13, 1001 values of p) and dephasing 0.
+PHASE_COVARIANT_TOL = 1e-14
 
 FAMILIES = ("depolarizing", "dephasing", "custom")
 
@@ -170,20 +178,26 @@ def check_grid_size(points: int) -> int:
     return points
 
 
-def check_snac_size(d: int, p_grid: int, q_grid: int) -> int:
+def check_snac_size(d: int, p_grid: int, q_grid: int, reduced: bool = False) -> int:
     """Eigensolver work of a snac study; ValueError above any of its budgets.
 
-    Checks the p grid, the simplex lattice and MAX_SNAC_EIG_WORK, in that
-    order, without building anything.
+    Checks the p grid, the simplex lattice and the work budget of the
+    kernel the study takes, in that order, without building anything:
+    MAX_SNAC_REDUCED_WORK when ``reduced`` (phase-covariant channels),
+    else MAX_SNAC_EIG_WORK.
     """
     check_grid_size(p_grid)
     if q_grid < 2:
         raise ValueError("the q grid needs at least 2 subdivisions")
-    work = p_grid * check_lattice_size(q_grid, d) * max(d, 4) ** 6
-    if work > MAX_SNAC_EIG_WORK:
+    points = p_grid * check_lattice_size(q_grid, d)
+    if reduced:
+        work, budget, model = points * d ** 2, MAX_SNAC_REDUCED_WORK, "d^2"
+    else:
+        work, budget, model = points * max(d, 4) ** 6, MAX_SNAC_EIG_WORK, "max(d, 4)^6"
+    if work > budget:
         raise ValueError(f"a snac study of {work} eigensolver work units (p points x "
-                         f"lattice points x max(d, 4)^6) exceeds the budget of "
-                         f"{MAX_SNAC_EIG_WORK} (lower the grids or d)")
+                         f"lattice points x {model}) exceeds the budget of "
+                         f"{budget} (lower the grids or d)")
     return work
 
 
@@ -198,23 +212,26 @@ def check_lattice_size(n_subdiv: int, dims: int) -> int:
     return size
 
 
-def simplex_lattice(n_subdiv: int, dims: int) -> list[tuple[int, ...]]:
+def simplex_lattice(n_subdiv: int, dims: int) -> np.ndarray:
     """All integer compositions (n_0, ..., n_{dims-1}) with sum n_subdiv.
 
-    Lexicographic order; point (n_i) represents q_i = n_i / n_subdiv.
-    Lattices above MAX_LATTICE_POINTS raise ValueError.
+    One integer array of shape (points, dims), rows in lexicographic
+    order; row (n_i) represents q_i = n_i / n_subdiv. Lattices above
+    MAX_LATTICE_POINTS raise ValueError.
     """
     check_lattice_size(n_subdiv, dims)
-    pts = []
-    for cuts in itertools.combinations(range(n_subdiv + dims - 1), dims - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(n_subdiv + dims - 2 - prev)
-        pts.append(tuple(parts))
-    return pts
+    sums = np.arange(n_subdiv, -1, -1)
+    # tail: the compositions of every s = n_subdiv, ..., 0 into m parts, in
+    # blocks of descending s, each block lexicographic; m grows to dims - 1.
+    tail = sums[:, None]
+    for _ in range(dims - 2):
+        total = tail.sum(axis=1)
+        starts = np.searchsorted(-total, -sums)  # first row of each block
+        tail = np.concatenate([np.column_stack((s - total[i:], tail[i:]))
+                               for s, i in zip(sums.tolist(), starts.tolist())])
+    if dims == 1:
+        return tail[:1]
+    return np.column_stack((n_subdiv - tail.sum(axis=1), tail))
 
 
 def _as_simplex(q) -> np.ndarray:
@@ -232,16 +249,83 @@ def schmidt_vector_state(q) -> PureState:
     return PureState(amp, (q.size, q.size))
 
 
+def _unit_images(ch: QuantumChannel) -> np.ndarray:
+    """Φ(|j><l|) for every matrix unit, indexed [j, l, o, p] (o, p the output).
+
+    Entry sum_a K_a[o, j] conj(K_a[p, l]), as one matrix product over a.
+    """
+    d_out, d_in = ch.d_out, ch.d_in
+    flat = ch._stack.reshape(len(ch), -1)
+    return (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in).transpose(1, 3, 0, 2)
+
+
 def _two_local_array(ch: QuantumChannel, q: np.ndarray) -> np.ndarray:
     """Unvalidated (Φ ⊗ Φ)|psi_q><psi_q| for each simplex point on q's last axis.
 
     By linearity, sum_jl sqrt(q_j q_l) Φ(|j><l|) ⊗ Φ(|j><l|).
     """
-    phi = np.einsum("aoj,apl->jlop", ch._stack, ch._stack.conj())
+    phi = _unit_images(ch)
     pair = np.einsum("jlop,jlrs->jlorps", phi, phi).reshape(ch.d_in ** 2, -1)
     amp = np.sqrt(q)
     weights = np.einsum("...j,...l->...jl", amp, amp).reshape(*q.shape[:-1], -1)
     return (weights @ pair).reshape(*q.shape[:-1], ch.d_out ** 2, ch.d_out ** 2)
+
+
+def _pattern_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Split the unit images of a square channel into its phase-covariant parts.
+
+    Returns the populations D[j, a] = Re Φ(|j><j|)[a, a], the coherences
+    c[j, l] = Φ(|j><l|)[j, l] (j != l; 0 on the diagonal) and the defect:
+    the largest |entry| of any Φ(|j><l|) outside those two patterns, or
+    imaginary part of a population if larger.
+    """
+    d = phi.shape[0]
+    idx = np.arange(d)
+    populations = phi[idx[:, None], idx[:, None], idx, idx]
+    coherences = phi[idx[:, None], idx, idx[:, None], idx]
+    coherences[idx, idx] = 0.0
+    rest = phi.copy()
+    rest[idx[:, None], idx, idx[:, None], idx] = 0.0
+    rest[idx[:, None], idx[:, None], idx, idx] = 0.0
+    defect = max(np.max(np.abs(rest)), np.max(np.abs(populations.imag)))
+    return populations.real, coherences, float(defect)
+
+
+def phase_covariant_defect(ch: QuantumChannel) -> float:
+    """Largest |entry| of any Φ(|j><l|) outside the phase-covariant pattern.
+
+    A phase-covariant square channel maps |j><l| (j != l) to c_jl |j><l| and
+    each |j><j| to a real diagonal matrix, so the defect is 0; both named
+    families are such channels up to rounding. The imaginary parts of those
+    diagonal entries, rounding only, count towards the defect too.
+    ``snac_lattice_minimum`` takes its reduced kernel when the defect is at
+    most PHASE_COVARIANT_TOL.
+    """
+    if not ch.is_square:
+        raise DimensionMismatchError(f"need a square channel, got {ch!r}")
+    return _pattern_parts(_unit_images(ch))[2]
+
+
+def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarray,
+                      k: float) -> np.ndarray:
+    """Two-local certificate of a phase-covariant channel at each row of ``q``.
+
+    ``squares`` holds c_ab^2 (0 on the diagonal). The certificate is the
+    smaller of the minimum eigenvalue of the block on span{|aa>},
+    M_ab = delta_ab (T_a - k X_aa) - k sqrt(q_a q_b) c_ab^2, and the
+    diagonal entries T_a - k X_ab (a != b), where
+    X_ab = sum_j q_j D_j[a] D_j[b] and T_a = sum_b X_ab.
+    """
+    d = q.shape[-1]
+    idx = np.arange(d)
+    outer = populations[:, :, None] * populations[:, None, :]
+    x = (q @ outer.reshape(d, d * d)).reshape(-1, d, d)
+    diagonal = x.sum(axis=2)[:, :, None] - k * x
+    amp = np.sqrt(q)
+    block = (-k * amp[:, :, None] * amp[:, None, :]) * squares
+    block[:, idx, idx] = diagonal[:, idx, idx]
+    diagonal[:, idx, idx] = np.inf
+    return np.minimum(np.linalg.eigvalsh(block)[:, 0], diagonal.min(axis=(1, 2)))
 
 
 def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
@@ -250,6 +334,14 @@ def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
     Computational-basis Schmidt vectors suffice for the unitarily
     covariant families studied here; the covariance is asserted in the
     test suite rather than assumed silently.
+
+    For a phase-covariant Φ (``phase_covariant_defect`` 0: Φ(|j><l|) =
+    c_jl |j><l| for j != l, Φ(|j><j|) = diag(D_j)) the output is diagonal,
+    X_ab = sum_j q_j D_j[a] D_j[b] at |ab>, except for the d x d block on
+    span{|aa>} with off-diagonal entries sqrt(q_a q_b) c_ab^2. Its partial
+    trace over B is diagonal, so (id ⊗ Lambda_k) keeps that pattern; this is
+    the reduction ``snac_lattice_minimum`` uses. This function always builds
+    the full d^2 x d^2 output.
     """
     q = _as_simplex(q)
     if not ch.is_square or ch.d_in != q.size:
@@ -295,27 +387,55 @@ def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
     return float(np.linalg.eigvalsh(apply_id_lambda(out, k))[0])
 
 
-def snac_lattice_minimum(ch: QuantumChannel, k: float,
-                         n_subdiv: int) -> tuple[tuple[Fraction, ...], float]:
+def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
+                         lattice: np.ndarray | None = None
+                         ) -> tuple[tuple[Fraction, ...], float]:
     """Minimize the annihilation certificate over the simplex lattice.
 
     Returns, as exact fractions, the first lattice point in lexicographic
     order whose value is within TIE_TOL of the minimum, and that value.
+    ``lattice`` is ``simplex_lattice(n_subdiv, d)`` when the caller has
+    built it already.
+
+    The kernel is decided once per channel. When every entry of every
+    Φ(|j><l|) outside the phase-covariant pattern (see
+    :func:`two_local_output`) is at most PHASE_COVARIANT_TOL = δ, each
+    point costs one d x d eigensolve plus d^2 - d diagonal entries
+    (:func:`_reduced_min_eigs`), formed from the O(d^4) entries of the
+    Φ(|j><l|) only. Dropping the off-pattern entries moves each
+    Φ(|j><l|) by at most dδ in operator norm, the two-local output by at
+    most d^2 δ (2 + dδ) and, since ||id ⊗ Lambda_k|| <= d + k, its image
+    by (d + 1) d^2 δ (2 + dδ). By Weyl's inequality that bounds the change
+    of the minimum eigenvalue: 4.8e-11 at d = 13, far below EVIDENCE_TOL.
+    Every other channel takes the dense kernel, a stacked d^2 x d^2
+    eigensolve per point. Both kernels run in chunks of CHUNK_BYTES of
+    certificate matrices.
     """
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k={k} outside (0, 1]")
     if not ch.is_square:
         raise DimensionMismatchError(f"need a square channel, got {ch!r}")
     d = ch.d_in
-    lattice = simplex_lattice(n_subdiv, d)
-    rows = max(1, CHUNK_BYTES // (16 * d ** 4))
-    vals = np.concatenate([
-        np.linalg.eigvalsh(_id_lambda_matrix(
-            _two_local_array(ch, np.array(lattice[i:i + rows]) / n_subdiv), d, d, k))[:, 0]
-        for i in range(0, len(lattice), rows)
-    ])
+    if lattice is None:
+        lattice = simplex_lattice(n_subdiv, d)
+    populations, coherences, defect = _pattern_parts(_unit_images(ch))
+    if defect <= PHASE_COVARIANT_TOL:
+        size = d
+        squares = coherences * coherences
+
+        def certificate(q):
+            return _reduced_min_eigs(populations, squares, q, k)
+    else:
+        size = d * d
+
+        def certificate(q):
+            return np.linalg.eigvalsh(_id_lambda_matrix(_two_local_array(ch, q), d, d, k))[:, 0]
+
+    rows = max(1, CHUNK_BYTES // (16 * size ** 2))
+    vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)
+                           for i in range(0, len(lattice), rows)])
     best = int(np.argmax(vals <= vals.min() + TIE_TOL))
-    return tuple(Fraction(n, n_subdiv) for n in lattice[best]), float(vals[best])
+    return tuple(Fraction(n, n_subdiv) for n in lattice[best].tolist()), float(vals[best])
 
 
 def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
@@ -324,18 +444,23 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
 
     For each p on a uniform grid in [0, 1], minimizes
     :func:`snac_min_eig` over the simplex lattice with ``q_grid``
-    subdivisions and records the minimizing point and its value.
-    ``channel_factory`` maps p to a channel; defaults to the
-    d-dimensional depolarizing family. Studies over the grid, lattice or
-    eigensolver-work budgets (``check_snac_size``) raise ValueError.
+    subdivisions and records the minimizing point and its value. The
+    lattice is built once for the whole grid. ``channel_factory`` maps p
+    to a channel; defaults to the d-dimensional depolarizing family.
+    Studies over the grid, lattice or eigensolver-work budgets
+    (``check_snac_size``) raise ValueError: the default family, which is
+    phase-covariant, is held to the reduced kernel's work budget and any
+    other factory to the dense one.
     """
-    check_snac_size(d, p_grid, q_grid)
+    check_snac_size(d, p_grid, q_grid, reduced=channel_factory is None)
     if channel_factory is None:
         channel_factory = lambda p: depolarizing(d, p)
     params = np.linspace(0.0, 1.0, p_grid)
+    lattice = simplex_lattice(q_grid, d)
 
     def record(p: float) -> SnacRecord:
-        q_star, best_val = snac_lattice_minimum(channel_factory(float(p)), k, q_grid)
+        q_star, best_val = snac_lattice_minimum(channel_factory(float(p)), k, q_grid,
+                                                lattice=lattice)
         return SnacRecord(float(p), best_val, q_star)
 
     return _ordered_map(record, params)

@@ -188,7 +188,10 @@ def cmd_snac(args) -> int:
         return _usage_error("--k must lie in (0, 1]")
     _check_budgets(args.d)
     try:
-        analysis.check_snac_size(args.d, args.p_grid, args.q_grid)
+        # the depolarizing family takes the phase-covariant kernel; a channel
+        # file is held to the dense kernel's budget whatever it holds
+        analysis.check_snac_size(args.d, args.p_grid, args.q_grid,
+                                 reduced=args.channel_file is None)
     except ValueError as exc:
         return _usage_error(str(exc))
     factory = None

@@ -65,19 +65,22 @@ def ref_id_lambda(m, da, db, k):
     return out
 
 
-def ref_two_local_min_eig(kraus, q, k):
-    """Minimum eigenvalue of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), by loops.
+def ref_two_local_output(kraus, q):
+    """(Φ ⊗ Φ)|psi_q><psi_q| by a loop over the Kraus pairs (K_a, K_b).
 
-    Builds the pair channel's Kraus set {K_a ⊗ K_b} explicitly, so it
-    shares no code with the library's two-local kernel.
+    K_a ⊗ K_b maps sum_j sqrt(q_j) |jj> to the vector v_ab of K_a diag(sqrt(q)) K_b^T,
+    and the output is sum_ab v_ab v_ab†. So the pair channel is never held in
+    memory, and the loop shares no code with the library's two-local kernels.
     """
+    scaled = [a * np.sqrt(np.asarray(q, dtype=float)) for a in kraus]  # K_a diag(sqrt(q))
+    vecs = np.array([(left @ b.T).reshape(-1) for left in scaled for b in kraus])
+    return vecs.T @ vecs.conj()
+
+
+def ref_two_local_min_eig(kraus, q, k):
+    """Minimum eigenvalue of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), by loops."""
     d = len(q)
-    amp = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        amp[j * d + j] = np.sqrt(q[j])
-    pair = [np.kron(a, b) for a in kraus for b in kraus]
-    out = ref_apply_kraus(pair, np.outer(amp, amp.conj()))
-    return np.linalg.eigvalsh(ref_id_lambda(out, d, d, k))[0]
+    return np.linalg.eigvalsh(ref_id_lambda(ref_two_local_output(kraus, q), d, d, k))[0]
 
 
 def ref_shift_clock(d):

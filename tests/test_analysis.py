@@ -23,6 +23,9 @@ from schmidt_lens.analysis import (
 from schmidt_lens.channels import (
     QuantumChannel,
     apply_matrix,
+    channel_from_json,
+    channel_to_json,
+    dephasing,
     depolarizing,
     identity_channel,
     random_channel,
@@ -37,7 +40,12 @@ from schmidt_lens.errors import (
 from schmidt_lens.schmidt import Verdict, apply_id_lambda
 from schmidt_lens.states import DensityMatrix, haar_unitary, isotropic_state
 
-from conftest import ref_apply_kraus, ref_id_lambda, ref_two_local_min_eig
+from conftest import (
+    ref_apply_kraus,
+    ref_id_lambda,
+    ref_two_local_min_eig,
+    ref_two_local_output,
+)
 
 
 class TestWitnessSweep:
@@ -150,22 +158,26 @@ class TestEbPptThreshold:
 class TestSimplexLattice:
     def test_count_and_membership(self):
         pts = simplex_lattice(30, 3)
-        assert len(pts) == 496  # C(32, 2)
-        assert (10, 10, 10) in pts
-        assert all(sum(pt) == 30 for pt in pts)
-        assert all(min(pt) >= 0 for pt in pts)
+        assert pts.shape == (496, 3)  # C(32, 2)
+        assert [10, 10, 10] in pts.tolist()
+        assert (pts.sum(axis=1) == 30).all()
+        assert pts.min() >= 0
 
     def test_deterministic_order(self):
-        assert simplex_lattice(2, 2) == [(0, 2), (1, 1), (2, 0)]
+        pts = simplex_lattice(2, 2)
+        assert pts.dtype.kind == "i"
+        assert pts.tolist() == [[0, 2], [1, 1], [2, 0]]
 
     @given(n=st.integers(min_value=1, max_value=12), dims=st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
     def test_composition_count(self, n, dims):
         import math
 
-        pts = simplex_lattice(n, dims)
+        pts = [tuple(pt) for pt in simplex_lattice(n, dims).tolist()]
         assert len(pts) == math.comb(n + dims - 1, dims - 1)
         assert len(set(pts)) == len(pts)
+        assert pts == sorted(pts)
+        assert all(sum(pt) == n for pt in pts)
 
 
 class TestTwoLocalOutput:
@@ -348,6 +360,107 @@ class TestSnacSweep:
         records = snac_sweep(3, 0.5, p_grid=2, q_grid=6,
                              channel_factory=lambda p: depolarizing(3, 0.3))
         assert sorted(float(f) for f in records[0].q_star) == [0.0, 0.0, 1.0]
+
+
+def _reduced_value(ch, k, point):
+    """The certificate at one lattice point, through snac_lattice_minimum."""
+    point = np.asarray(point)
+    return snac_lattice_minimum(ch, k, int(point.sum()), lattice=point[None, :])[1]
+
+
+def _dense_calls(monkeypatch):
+    """Count the dense kernel's calls of _two_local_array from here on."""
+    calls = []
+    dense = analysis._two_local_array
+    monkeypatch.setattr(analysis, "_two_local_array",
+                        lambda ch, q: calls.append(len(q)) or dense(ch, q))
+    return calls
+
+
+class TestPhaseCovariantKernel:
+    # lattice points per d: all of q-grid 2 up to d = 5, and two points at d = 9
+    POINTS = {d: simplex_lattice(2, d) for d in (2, 3, 4, 5)}
+    POINTS[9] = np.array([[1] * 9, [3, 2, 1, 1, 1, 1, 0, 0, 0]])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("family", [depolarizing, dephasing])
+    def test_matches_the_loop_reference(self, d, family, monkeypatch):
+        dense = _dense_calls(monkeypatch)
+        for p in (0.0, 0.3, 0.5, 0.7, 1.0):
+            ch = family(d, p)
+            assert analysis.phase_covariant_defect(ch) <= analysis.PHASE_COVARIANT_TOL
+            for point in self.POINTS[d]:
+                q = point / point.sum()
+                out = ref_two_local_output(ch.kraus, q)
+                for k in (1 / 3, 1 / 2, 1.0):
+                    want = np.linalg.eigvalsh(ref_id_lambda(out, d, d, k))[0]
+                    assert abs(_reduced_value(ch, k, point) - want) <= 1e-14, (p, point, k)
+        assert dense == []
+
+    def test_named_families_sit_well_inside_the_tolerance(self):
+        # measured: at most 2.4e-16 for depolarizing (d <= 13), exactly 0 for dephasing
+        for d in range(2, 14):
+            for p in np.linspace(0.0, 1.0, 11):
+                assert analysis.phase_covariant_defect(depolarizing(d, p)) <= 1e-15
+                assert analysis.phase_covariant_defect(dephasing(d, p)) == 0.0
+
+    def test_rejects_a_random_channel(self, monkeypatch):
+        ch = random_channel(3, 4, seed=7)
+        assert analysis.phase_covariant_defect(ch) > 0.1
+        dense = _dense_calls(monkeypatch)
+        snac_lattice_minimum(ch, 0.5, 4)
+        assert dense == [15]
+
+    def test_rejects_a_nudged_depolarizing_stack(self, monkeypatch):
+        stack = depolarizing(3, 0.5)._stack.copy()
+        stack[0, 1, 0] += 1e-9  # Φ(|0><0|) gets an off-diagonal entry 1e-9 sqrt(0.5 + 0.5/9)
+        ch = QuantumChannel(stack)
+        assert analysis.PHASE_COVARIANT_TOL < analysis.phase_covariant_defect(ch) < 1e-9
+        dense = _dense_calls(monkeypatch)
+        q_star, value = snac_lattice_minimum(ch, 0.5, 4)
+        assert dense == [15]
+        want = ref_two_local_min_eig(ch.kraus, np.array([float(f) for f in q_star]), 0.5)
+        assert abs(value - want) < 1e-12
+
+    def test_channel_file_round_trip_is_reduced(self, monkeypatch):
+        original = depolarizing(4, 0.6)
+        ch = channel_from_json(channel_to_json(original))
+        assert analysis.phase_covariant_defect(ch) <= analysis.PHASE_COVARIANT_TOL
+        dense_calls = _dense_calls(monkeypatch)
+        q_star, value = snac_lattice_minimum(ch, 0.5, 4)
+        assert dense_calls == []
+        monkeypatch.undo()
+        lattice = simplex_lattice(4, 4)
+        dense = [snac_min_eig(ch, pt / 4, 0.5) for pt in lattice]
+        best = int(np.argmax(dense <= np.min(dense) + analysis.TIE_TOL))
+        assert q_star == tuple(Fraction(int(n), 4) for n in lattice[best])
+        assert abs(value - dense[best]) <= 1e-14
+        assert (q_star, value) == snac_lattice_minimum(original, 0.5, 4)
+
+    def test_chunks_give_the_unchunked_result(self, monkeypatch):
+        ch = depolarizing(3, 0.8)
+        whole = snac_lattice_minimum(ch, 0.5, 30)
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", 16 * 3 ** 2 * 7)  # 7 points a chunk
+        q_star, value = snac_lattice_minimum(ch, 0.5, 30)
+        assert q_star == whole[0]
+        assert abs(value - whole[1]) <= 1e-15
+
+    def test_sweep_builds_the_lattice_once(self, monkeypatch):
+        built = []
+        lattice = analysis.simplex_lattice
+        monkeypatch.setattr(analysis, "simplex_lattice",
+                            lambda n, dims: built.append((n, dims)) or lattice(n, dims))
+        snac_sweep(3, 0.5, p_grid=4, q_grid=6)
+        assert built == [(6, 3)]
+
+    def test_work_budgets_per_kernel(self):
+        # snac --d 9 --q-grid 8 --p-grid 11: within the reduced budget only
+        assert analysis.check_snac_size(9, 11, 8, reduced=True) == 11 * 12870 * 81
+        with pytest.raises(ValueError, match="budget"):
+            analysis.check_snac_size(9, 11, 8)
+        with pytest.raises(ValueError, match="budget"):
+            analysis.check_snac_size(9, 39, 8, reduced=True)
+        assert analysis.check_snac_size(9, 38, 8, reduced=True) == 38 * 12870 * 81
 
 
 class TestRelationReport:

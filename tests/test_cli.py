@@ -11,7 +11,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from schmidt_lens import analysis, suites
-from schmidt_lens.channels import MAX_KRAUS_STACK_BYTES, channel_to_json, identity_channel
+from schmidt_lens.channels import (
+    MAX_KRAUS_STACK_BYTES,
+    channel_to_json,
+    depolarizing,
+    identity_channel,
+)
 from schmidt_lens.cli import main, render_json, report_schema
 
 from conftest import ref_two_local_min_eig
@@ -190,7 +195,6 @@ class TestSnacCommand:
 
     def test_min_eig_column_is_lattice_minimum(self, capsys):
         from schmidt_lens.analysis import simplex_lattice
-        from schmidt_lens.channels import depolarizing
 
         code, out, _ = run_cli(
             ["snac", "--d", "3", "--k", "0.5", "--p-grid", "3", "--q-grid", "6"], capsys
@@ -225,6 +229,20 @@ class TestSnacCommand:
         assert code == 2
         assert out == ""
         assert "budget" in err
+
+    def test_channel_file_keeps_the_dense_budget(self, tmp_path, capsys):
+        # the depolarizing family takes the reduced kernel's budget at
+        # d=9, q-grid 8, p-grid 11; the same study from a file takes the dense one
+        assert analysis.check_snac_size(9, 11, 8, reduced=True) == 11 * 12870 * 81
+        path = tmp_path / "ch.json"
+        path.write_text(channel_to_json(depolarizing(9, 0.5)))
+        start = time.perf_counter()
+        code, out, err = run_cli(["snac", "--d", "9", "--p-grid", "11", "--q-grid", "8",
+                                  "--channel-file", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
 
     def test_json_output_validates(self, capsys):
         code, out, _ = run_cli(
@@ -300,7 +318,7 @@ class TestUsageErrors:
         ["sweep", "--d", "3", "--r", "2", "--grid", "1000000000"],
         ["snac", "--d", "14", "--p-grid", "2", "--q-grid", "2"],
         ["snac", "--d", "3", "--p-grid", "1000000000", "--q-grid", "2"],
-        ["snac", "--d", "9", "--p-grid", "11", "--q-grid", "8"],
+        ["snac", "--d", "9", "--p-grid", "39", "--q-grid", "8"],  # just over the reduced work
         ["verify", "--suite", "relations", "--d", "14", "--r", "2"],
     ])
     def test_over_budget_exits_2_at_once(self, args, capsys):
