@@ -259,16 +259,25 @@ def _unit_images(ch: QuantumChannel) -> np.ndarray:
     return (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in).transpose(1, 3, 0, 2)
 
 
-def _two_local_array(ch: QuantumChannel, q: np.ndarray) -> np.ndarray:
+def _pair_tensor(phi: np.ndarray) -> np.ndarray:
+    """Row jl holds Φ(|j><l|) ⊗ Φ(|j><l|), flattened: a (d_in^2, d_out^4) array.
+
+    ``phi`` is ``_unit_images(ch)``; the result has d_in^2 d_out^4 entries.
+    """
+    d_in = phi.shape[0]
+    return np.einsum("jlop,jlrs->jlorps", phi, phi).reshape(d_in * d_in, -1)
+
+
+def _two_local_array(pair: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Unvalidated (Φ ⊗ Φ)|psi_q><psi_q| for each simplex point on q's last axis.
 
-    By linearity, sum_jl sqrt(q_j q_l) Φ(|j><l|) ⊗ Φ(|j><l|).
+    By linearity, sum_jl sqrt(q_j q_l) Φ(|j><l|) ⊗ Φ(|j><l|), with those
+    products the rows of ``pair`` (``_pair_tensor``).
     """
-    phi = _unit_images(ch)
-    pair = np.einsum("jlop,jlrs->jlorps", phi, phi).reshape(ch.d_in ** 2, -1)
     amp = np.sqrt(q)
     weights = np.einsum("...j,...l->...jl", amp, amp).reshape(*q.shape[:-1], -1)
-    return (weights @ pair).reshape(*q.shape[:-1], ch.d_out ** 2, ch.d_out ** 2)
+    n = math.isqrt(pair.shape[1])
+    return (weights @ pair).reshape(*q.shape[:-1], n, n)
 
 
 def _pattern_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -348,7 +357,8 @@ def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
         raise DimensionMismatchError(
             f"need a square channel of dimension {q.size}, got {ch!r}"
         )
-    return DensityMatrix(_two_local_array(ch, q), (ch.d_out, ch.d_out))
+    return DensityMatrix(_two_local_array(_pair_tensor(_unit_images(ch)), q),
+                         (ch.d_out, ch.d_out))
 
 
 def two_local_depolarizing_matrix(p: float, q) -> np.ndarray:
@@ -408,7 +418,8 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     by (d + 1) d^2 δ (2 + dδ). By Weyl's inequality that bounds the change
     of the minimum eigenvalue: 4.8e-11 at d = 13, far below EVIDENCE_TOL.
     Every other channel takes the dense kernel, a stacked d^2 x d^2
-    eigensolve per point. Both kernels run in chunks of CHUNK_BYTES of
+    eigensolve per point, whose d^6-entry pair tensor (``_pair_tensor``) is
+    built once per call. Both kernels run in chunks of CHUNK_BYTES of
     certificate matrices.
     """
     if not 0.0 < k <= 1.0:
@@ -418,7 +429,8 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     d = ch.d_in
     if lattice is None:
         lattice = simplex_lattice(n_subdiv, d)
-    populations, coherences, defect = _pattern_parts(_unit_images(ch))
+    phi = _unit_images(ch)
+    populations, coherences, defect = _pattern_parts(phi)
     if defect <= PHASE_COVARIANT_TOL:
         size = d
         squares = coherences * coherences
@@ -427,9 +439,10 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
             return _reduced_min_eigs(populations, squares, q, k)
     else:
         size = d * d
+        pair = _pair_tensor(phi)
 
         def certificate(q):
-            return np.linalg.eigvalsh(_id_lambda_matrix(_two_local_array(ch, q), d, d, k))[:, 0]
+            return np.linalg.eigvalsh(_id_lambda_matrix(_two_local_array(pair, q), d, d, k))[:, 0]
 
     rows = max(1, CHUNK_BYTES // (16 * size ** 2))
     vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)

@@ -42,7 +42,8 @@ class QuantumChannel:
     ``kraus`` is a list (or any iterable) of equal-shape matrices or one
     ``(n, d_out, d_in)`` array. Either form is copied into one owned,
     read-only complex stack, ``_stack``, which gets one finiteness scan and
-    one shape check; ``kraus`` is a tuple of read-only views of its rows.
+    one shape check; ``kraus`` is a tuple of read-only views of its rows,
+    built on first access and cached.
     Trace preservation (sum K†K = I) is validated on construction unless
     ``check_tp=False``; the adjoint of a channel is completely positive
     and unital but generally not trace-preserving, so it is built with
@@ -66,7 +67,6 @@ class QuantumChannel:
             raise ValueError("Kraus entries must be finite (no NaN/Inf)")
         stack.flags.writeable = False
         self._stack = stack
-        self.kraus = tuple(stack)
         self.d_out, self.d_in = stack.shape[1:]
         if check_tp:
             dev = self.trace_preservation_defect()
@@ -80,19 +80,31 @@ class QuantumChannel:
             acc = np.tensordot(self._stack.conj(), self._stack, axes=([0, 1], [0, 1]))
         return float(np.max(np.abs(acc - np.eye(self.d_in))))
 
+    @functools.cached_property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._stack)
+
     @property
     def is_square(self) -> bool:
         return self.d_in == self.d_out
 
     def __len__(self):
-        return len(self.kraus)
+        return len(self._stack)
 
     def __repr__(self):
-        return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, n_kraus={len(self.kraus)})"
+        return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, n_kraus={len(self)})"
 
 
 class ChoiMatrix:
-    """Normalized Choi state of a channel: (id ⊗ Φ) |phi+><phi+|."""
+    """Normalized Choi state of a channel: (id ⊗ Φ) |phi+><phi+|.
+
+    The matrix must be finite and square with unit trace (``CHOI_TRACE_TOL``),
+    its Hermitian part PSD and its input marginal I/d_in
+    (``CHOI_MARGINAL_TOL``). Positivity is decided by a Cholesky
+    factorization of the Hermitian part plus ``CHOI_PSD_TOL`` I
+    (``linalg.psd_minima``); ``eigvalsh`` runs only to report a minimum
+    eigenvalue below ``-CHOI_PSD_TOL``. ``matrix`` keeps the input entries.
+    """
 
     def __init__(self, matrix, d_in: int, d_out: int):
         m = linalg.as_matrix(matrix, square=True)
@@ -103,10 +115,12 @@ class ChoiMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > CHOI_TRACE_TOL:
             raise ValueError(f"Choi trace {tr!r} deviates from 1")
-        lo = float(np.linalg.eigvalsh((m + linalg.dagger(m)) / 2.0)[0])
-        if lo < -CHOI_PSD_TOL:
-            raise NotPSDError(f"Choi minimum eigenvalue {lo:.3e}; map is not CP")
-        marg = linalg.partial_trace(m, (d_in, d_out), keep=0)
+        h = m + linalg.dagger(m)
+        h /= 2.0
+        lo = linalg.psd_minima(h, CHOI_PSD_TOL)
+        if lo is not None and lo < -CHOI_PSD_TOL:
+            raise NotPSDError(f"Choi minimum eigenvalue {float(lo):.3e}; map is not CP")
+        marg = np.einsum("ikjk->ij", m.reshape(d_in, d_out, d_in, d_out))
         dev = np.max(np.abs(marg - np.eye(d_in) / d_in))
         if dev > CHOI_MARGINAL_TOL:
             raise NotTracePreservingError(
@@ -202,9 +216,9 @@ def canonical_kraus(c: ChoiMatrix) -> QuantumChannel:
     input to about 1e-8 for any Choi state satisfying the class
     invariants.
     """
-    lo = float(np.linalg.eigvalsh(c.matrix)[0])
-    if lo < -CHOI_PSD_TOL:
-        raise NotPSDError(f"Choi minimum eigenvalue {lo:.3e}")
+    lo = linalg.psd_minima(c.matrix, CHOI_PSD_TOL)
+    if lo is not None and lo < -CHOI_PSD_TOL:
+        raise NotPSDError(f"Choi minimum eigenvalue {float(lo):.3e}")
     marg = linalg.partial_trace(c.matrix, c.dims, keep=0)
     if np.max(np.abs(marg - np.eye(c.d_in) / c.d_in)) > CHOI_MARGINAL_TOL:
         raise NotTracePreservingError("Choi input marginal deviates from I/d")
@@ -312,10 +326,14 @@ def dephasing(d: int, v: float) -> QuantumChannel:
 
 
 def is_cptp(ch: QuantumChannel, tol: float = 1e-9) -> bool:
-    """True iff the Kraus set is trace-preserving and its Choi-like matrix is PSD."""
-    if ch.trace_preservation_defect() > tol:
+    """True iff the Kraus set is trace-preserving and its Choi-like matrix is PSD.
+
+    A NaN defect (overflowed Kraus products) is not trace-preserving.
+    """
+    if not ch.trace_preservation_defect() <= tol:
         return False
-    return float(np.linalg.eigvalsh(_choi_array(ch))[0]) >= -tol
+    lo = linalg.psd_minima(_choi_array(ch), tol)
+    return lo is None or bool(lo >= -tol)
 
 
 def action_distance(a: QuantumChannel, b: QuantumChannel) -> float:

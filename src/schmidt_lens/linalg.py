@@ -73,6 +73,27 @@ def min_eigenvalue(h) -> float:
     return float(hermitian_eig(h).eigenvalues[0])
 
 
+def psd_minima(h: np.ndarray, tol: float) -> np.ndarray | None:
+    """None when no matrix of ``h`` has an eigenvalue at or below ``-tol``.
+
+    ``h`` is one Hermitian matrix or an (n, D, D) stack of them; only lower
+    triangles are read. The test is one Cholesky factorization of
+    ``h + tol * I``, which exists exactly when every eigenvalue exceeds
+    ``-tol``. Only when it fails (or its diagonal is not finite, as NaN
+    input makes it), the minimum eigenvalue of every matrix comes from one
+    stacked ``eigvalsh`` (a 0-d array for one matrix), so the caller
+    decides and reports a failure as an eigensolve would.
+    """
+    shifted = h + tol * np.eye(h.shape[-1])
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        factor = None
+    if factor is None or not np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1)).all():
+        return np.linalg.eigvalsh(h)[..., 0]
+    return None
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values, descending, all nonnegative."""
     return np.linalg.svd(as_matrix(a), compute_uv=False)

@@ -128,9 +128,11 @@ def as_density_stack(m: np.ndarray) -> np.ndarray:
     """Hermitian part of a D x D density matrix or of an (n, D, D) stack of them.
 
     Every matrix must be finite and Hermitian within ``PSD_TOL`` entrywise,
-    have a trace within ``TRACE_TOL`` of 1 and no eigenvalue below ``-PSD_TOL``
-    (one stacked ``eigvalsh``). Each check runs on the whole stack, and
-    its error names the first failing state of a stack by index.
+    have a trace within ``TRACE_TOL`` of 1 and no eigenvalue below ``-PSD_TOL``,
+    decided by one stacked Cholesky factorization of h + ``PSD_TOL`` I
+    (``linalg.psd_minima``); a stacked ``eigvalsh`` runs only to report a
+    failure. Each check runs on the whole stack, and its error names the
+    first failing state of a stack by index.
     """
 
     def at(i: int) -> str:
@@ -150,10 +152,13 @@ def as_density_stack(m: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"{at(bad[0])}trace {tr.flat[bad[0]]!r} deviates from 1 beyond {TRACE_TOL}"
         )
-    lo = np.linalg.eigvalsh(h)[..., 0]
-    bad = np.flatnonzero(lo < -PSD_TOL)
-    if bad.size:
-        raise NotPSDError(f"{at(bad[0])}minimum eigenvalue {lo.flat[bad[0]]:.3e} below -{PSD_TOL}")
+    lo = linalg.psd_minima(h, PSD_TOL)
+    if lo is not None:
+        bad = np.flatnonzero(lo < -PSD_TOL)
+        if bad.size:
+            raise NotPSDError(
+                f"{at(bad[0])}minimum eigenvalue {lo.flat[bad[0]]:.3e} below -{PSD_TOL}"
+            )
     return h
 
 

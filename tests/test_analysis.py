@@ -373,7 +373,7 @@ def _dense_calls(monkeypatch):
     calls = []
     dense = analysis._two_local_array
     monkeypatch.setattr(analysis, "_two_local_array",
-                        lambda ch, q: calls.append(len(q)) or dense(ch, q))
+                        lambda pair, q: calls.append(len(q)) or dense(pair, q))
     return calls
 
 
@@ -444,6 +444,18 @@ class TestPhaseCovariantKernel:
         q_star, value = snac_lattice_minimum(ch, 0.5, 30)
         assert q_star == whole[0]
         assert abs(value - whole[1]) <= 1e-15
+
+    def test_dense_chunks_share_one_pair_tensor(self, monkeypatch):
+        ch = random_channel(3, 4, seed=7)
+        whole = snac_lattice_minimum(ch, 0.5, 6)
+        built = []
+        pair_tensor = analysis._pair_tensor
+        monkeypatch.setattr(analysis, "_pair_tensor",
+                            lambda phi: built.append(1) or pair_tensor(phi))
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", 16 * 9 ** 2 * 5)  # 5 points a chunk
+        dense = _dense_calls(monkeypatch)
+        assert snac_lattice_minimum(ch, 0.5, 6) == whole
+        assert dense == [5, 5, 5, 5, 5, 3] and built == [1]
 
     def test_sweep_builds_the_lattice_once(self, monkeypatch):
         built = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schmidt_lens import linalg
+from schmidt_lens.analysis import snbc_witness_threshold
 from schmidt_lens.channels import (
     MAX_KRAUS_STACK_BYTES,
     ChoiMatrix,
@@ -92,6 +93,56 @@ class TestQuantumChannel:
         assert all(not k.flags.writeable and k.base is ch._stack for k in ch.kraus)
         with pytest.raises(ValueError):
             ch.kraus[0][0, 0] = 2.0
+
+
+    def test_kraus_is_a_lazy_cached_tuple_of_read_only_views(self):
+        ch = depolarizing(3, 0.4)
+        assert len(ch) == 9
+        assert repr(ch) == "QuantumChannel(d_in=3, d_out=3, n_kraus=9)"
+        assert "kraus" not in vars(ch)  # len and repr read the stack
+        assert isinstance(ch.kraus, tuple) and ch.kraus is ch.kraus
+        assert len(ch.kraus) == 9
+        assert all(not k.flags.writeable and k.base is ch._stack for k in ch.kraus)
+        assert np.array_equal(np.stack(ch.kraus), ch._stack)
+
+
+def counted_eigvalsh(monkeypatch):
+    """Record the shape of every np.linalg.eigvalsh operand from here on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kwargs: calls.append(np.shape(a))
+                        or eigvalsh(a, *args, **kwargs))
+    return calls
+
+
+class TestPositivityWithoutEigensolve:
+    def test_threshold_bisection_takes_no_eigensolve(self, monkeypatch):
+        calls = counted_eigvalsh(monkeypatch)
+        assert abs(snbc_witness_threshold("depolarizing", 9, 2) - 17 / 80) <= 1e-8
+        assert calls == []
+
+    def test_non_psd_choi_takes_one_eigensolve(self, monkeypatch):
+        bad = 1.5 * max_entangled(2).density().matrix - 0.5 * np.eye(4) / 4
+        calls = counted_eigvalsh(monkeypatch)
+        with pytest.raises(NotPSDError,
+                           match=r"^Choi minimum eigenvalue -1\.250e-01; map is not CP$"):
+            ChoiMatrix(bad, 2, 2)
+        assert calls == [(4, 4)]
+
+    def test_canonical_kraus_checks_psd_before_the_marginal(self):
+        c = ChoiMatrix(np.eye(4) / 4, 2, 2)
+        c.matrix = np.diag([1.25, 0.25, -0.25, -0.25]).astype(complex)  # not PSD, bad marginal
+        with pytest.raises(NotPSDError, match=r"^Choi minimum eigenvalue -2\.500e-01$"):
+            canonical_kraus(c)
+        c.matrix = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)  # PSD, bad marginal
+        with pytest.raises(NotTracePreservingError):
+            canonical_kraus(c)
+
+    def test_is_cptp_takes_no_eigensolve(self, monkeypatch):
+        calls = counted_eigvalsh(monkeypatch)
+        assert is_cptp(depolarizing(9, 0.3))
+        assert calls == []
 
 
 class TestApply:
@@ -419,6 +470,12 @@ class TestIsCptp:
     def test_rejects_scaled_identity(self):
         ch = QuantumChannel([np.sqrt(2.0) * np.eye(2)], check_tp=False)
         assert not is_cptp(ch, 1e-9)
+
+    def test_rejects_overflowing_kraus_products(self):
+        # K†K overflows to NaN; the NaN defect fails before any positivity test
+        ch = QuantumChannel([(1e200 + 1e200j) * np.eye(2)], check_tp=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not is_cptp(ch, 1e-9)
 
     def test_depolarizing_grid(self):
         for p in np.linspace(0.0, 1.0, 11):

@@ -95,6 +95,71 @@ class TestHermitianEig:
         np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-15)
 
 
+def planted_hermitian(dim, lowest, rng, n=None):
+    """Random Hermitian matrix (or an (n, dim, dim) stack) with minimum eigenvalue ``lowest``.
+
+    The other eigenvalues are drawn from [0.01, 1]; a ``lowest`` of 0 makes
+    the matrix rank-deficient.
+    """
+    shape = () if n is None else (n,)
+    g = rng.standard_normal((*shape, dim, dim)) + 1j * rng.standard_normal((*shape, dim, dim))
+    u, _ = np.linalg.qr(g)
+    vals = rng.uniform(0.01, 1.0, (*shape, dim))
+    vals[..., 0] = lowest
+    h = (u * vals[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+    return (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
+
+
+PSD_TOL = 1e-9
+# planted minimum eigenvalue -> whether "no eigenvalue below -PSD_TOL" holds
+PLANTED = {
+    -PSD_TOL * (1 - 1e-3): True,
+    -PSD_TOL * (1 + 1e-3): False,
+    0.0: True,
+    -1e-3: False,
+    1e-3: True,
+}
+
+
+class TestPsdMinima:
+    """psd_minima decides, indexes and reports as a stacked eigvalsh would."""
+
+    @staticmethod
+    def assert_matches_eigvalsh(h, expected_pass):
+        ref = np.linalg.eigvalsh(h)[..., 0]
+        ref_bad = np.flatnonzero(ref < -PSD_TOL)
+        lo = linalg.psd_minima(h, PSD_TOL)
+        bad = np.flatnonzero(lo < -PSD_TOL) if lo is not None else np.array([], dtype=int)
+        assert (bad.size == 0) == (ref_bad.size == 0) == expected_pass
+        np.testing.assert_array_equal(bad, ref_bad)  # the same first failing index
+        if lo is not None:
+            assert lo.shape == ref.shape
+            np.testing.assert_array_equal(lo, ref)  # the same reported values
+
+    @pytest.mark.parametrize("dim", [4, 9, 16, 81])
+    @pytest.mark.parametrize("lowest", list(PLANTED), ids=lambda v: f"{v:.4g}")
+    def test_single_matrix(self, dim, lowest, rng):
+        self.assert_matches_eigvalsh(planted_hermitian(dim, lowest, rng), PLANTED[lowest])
+
+    @pytest.mark.parametrize("dim", [4, 9, 16, 81])
+    @pytest.mark.parametrize("lowest", list(PLANTED), ids=lambda v: f"{v:.4g}")
+    def test_stack(self, dim, lowest, rng):
+        h = planted_hermitian(dim, 1e-3, rng, n=5)
+        h[2] = planted_hermitian(dim, lowest, rng)
+        h[4] = planted_hermitian(dim, lowest, rng)
+        self.assert_matches_eigvalsh(h, PLANTED[lowest])
+        self.assert_matches_eigvalsh(planted_hermitian(dim, lowest, rng, n=3), PLANTED[lowest])
+
+    def test_passing_input_takes_no_eigensolve(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        assert linalg.psd_minima(planted_hermitian(9, 0.0, rng, n=4), PSD_TOL) is None
+        assert calls == []
+        assert linalg.psd_minima(planted_hermitian(9, -1e-3, rng, n=4), PSD_TOL).shape == (4,)
+        assert calls == [1]
+
+
 class TestSingularValues:
     def test_identity(self):
         np.testing.assert_allclose(linalg.singular_values(np.eye(2)), [1.0, 1.0])
