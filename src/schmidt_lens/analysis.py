@@ -262,7 +262,7 @@ def _unit_images(ch: QuantumChannel) -> np.ndarray:
 def _pair_tensor(phi: np.ndarray) -> np.ndarray:
     """Row jl holds Φ(|j><l|) ⊗ Φ(|j><l|), flattened: a (d_in^2, d_out^4) array.
 
-    ``phi`` is ``_unit_images(ch)``; the result has d_in^2 d_out^4 entries.
+    ``phi`` is ``_unit_images(ch)``.
     """
     d_in = phi.shape[0]
     return np.einsum("jlop,jlrs->jlorps", phi, phi).reshape(d_in * d_in, -1)
