@@ -459,7 +459,9 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     :func:`snac_min_eig` over the simplex lattice with ``q_grid``
     subdivisions and records the minimizing point and its value. The
     lattice is built once for the whole grid. ``channel_factory`` maps p
-    to a channel; defaults to the d-dimensional depolarizing family.
+    to a channel; defaults to the d-dimensional depolarizing family. When
+    it returns the same channel object for consecutive p (a fixed
+    ``--channel-file`` channel), the minimum is computed once and reused.
     Studies over the grid, lattice or eigensolver-work budgets
     (``check_snac_size``) raise ValueError: the default family, which is
     phase-covariant, is held to the reduced kernel's work budget and any
@@ -470,10 +472,14 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
         channel_factory = lambda p: depolarizing(d, p)
     params = np.linspace(0.0, 1.0, p_grid)
     lattice = simplex_lattice(q_grid, d)
+    last: dict = {}  # the last channel and its minimum; held, so its id stays unique
 
     def record(p: float) -> SnacRecord:
-        q_star, best_val = snac_lattice_minimum(channel_factory(float(p)), k, q_grid,
-                                                lattice=lattice)
+        ch = channel_factory(float(p))
+        if last.get("channel") is not ch:
+            last["channel"] = ch
+            last["minimum"] = snac_lattice_minimum(ch, k, q_grid, lattice=lattice)
+        q_star, best_val = last["minimum"]
         return SnacRecord(float(p), best_val, q_star)
 
     return _ordered_map(record, params)

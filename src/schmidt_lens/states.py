@@ -181,6 +181,21 @@ def _check_rank(dA: int, dB: int, r: int) -> None:
         raise InvalidRankError(f"rank {r} not in [1, min({dA},{dB})]")
 
 
+def _flat_dirichlet(e: np.ndarray) -> np.ndarray:
+    """Rows of standard exponential draws ``e`` (..., k) normalized to the simplex.
+
+    ``rng.dirichlet(np.ones(k))`` draws ``standard_gamma(1.0)``, which is
+    ``standard_exponential()``, k times in order, sums them left to right
+    from 0.0 and multiplies each by the reciprocal of that sum. The
+    sequential ``cumsum`` and the same multiply repeat that arithmetic, so a
+    row of ``rng.standard_exponential(k)`` gives the Dirichlet row bit for
+    bit and leaves the generator in the same state, without the Python-level
+    argument checks of one ``dirichlet`` call per row. Zero padding at the
+    end of a row changes neither its sum nor its entries.
+    """
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
+
+
 def _schmidt_amplitudes(dA: int, dB: int, lam: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Amplitudes (T, dA*dB) of T Schmidt-rank-r pure states from their draws.
 
@@ -204,13 +219,14 @@ def _schmidt_amplitudes(dA: int, dB: int, lam: np.ndarray, g: np.ndarray) -> np.
 def random_pure_with_schmidt_rank(dA: int, dB: int, r: int, seed) -> PureState:
     """Random bipartite pure state with Schmidt rank exactly ``r``.
 
-    Coefficients are sampled uniformly on the simplex, floored at
-    ``COEFFICIENT_FLOOR`` and renormalized; the local bases are
+    Coefficients are sampled uniformly on the simplex (the bits of
+    ``rng.dirichlet(np.ones(r))``, see :func:`_flat_dirichlet`), floored
+    at ``COEFFICIENT_FLOOR`` and renormalized; the local bases are
     independent Haar-random unitaries.
     """
     _check_rank(dA, dB, r)
     rng = np.random.default_rng(seed)
-    lam = rng.dirichlet(np.ones(r))
+    lam = _flat_dirichlet(rng.standard_exponential(r))
     g = rng.standard_normal(2 * (dA * dA + dB * dB))
     return PureState(_schmidt_amplitudes(dA, dB, lam[None], g[None])[0], (dA, dB))
 
@@ -223,6 +239,11 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
     1..max_terms, or ``max_terms`` itself when ``draw_terms`` is false),
     the Dirichlet weights, then per term the draws of
     ``random_pure_with_schmidt_rank``. Only these draws run per state.
+    Both Dirichlet draws are their standard exponential rows, written in
+    place and normalized after the loop by :func:`_flat_dirichlet`, which
+    reproduces ``rng.dirichlet(np.ones(k))`` bit for bit and leaves the
+    generator where it would; the weights are normalized with zeros in the
+    unused slots, the coefficients only in the used ones.
     Every term's norm is checked against ``NORM_TOL``. Each mixture is
     the product of its ``sqrt(w)``-weighted amplitude rows, zero rows
     filling the unused term slots; no per-term D x D matrix is formed.
@@ -231,15 +252,15 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
     lam = np.empty((n, max_terms, r))
     g = np.empty((n, max_terms, 2 * (dA * dA + dB * dB)))
     used = np.zeros((n, max_terms), dtype=bool)
-    ones = np.ones(r)
     for i in range(n):
         terms = int(rng.integers(1, max_terms + 1)) if draw_terms else max_terms
-        weights[i, :terms] = rng.dirichlet(np.ones(terms))
+        rng.standard_exponential(out=weights[i, :terms])
         used[i, :terms] = True
         for t in range(terms):
-            lam[i, t] = rng.dirichlet(ones)
+            rng.standard_exponential(out=lam[i, t])
             rng.standard_normal(out=g[i, t])
-    amp = _schmidt_amplitudes(dA, dB, lam[used], g[used])
+    weights = _flat_dirichlet(weights)
+    amp = _schmidt_amplitudes(dA, dB, _flat_dirichlet(lam[used]), g[used])
     norm = np.linalg.norm(amp, axis=-1)
     bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
     if bad.size:
@@ -275,7 +296,12 @@ def random_states_sn_at_most(dA: int, dB: int, r: int, n: int, max_terms: int,
     the same order from the same generator, so a seeded generator ends
     in the same state either way, and consecutive calls continue the
     sequence of one call. The bases, amplitudes, mixtures and the
-    validation (``as_density_stack``) run on whole stacks.
+    validation (``as_density_stack``) run on whole stacks. The mixture
+    weights and Schmidt coefficients are drawn as standard exponential
+    rows and normalized together after the per-state loop; numpy's
+    ``dirichlet`` with unit parameters does the same arithmetic on the
+    same draws (see ``_flat_dirichlet``), so the states are bit-identical
+    to per-state ``rng.dirichlet`` calls.
     """
     if n < 1 or max_terms < 1:
         raise ValueError("n and max_terms must be >= 1")

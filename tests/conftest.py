@@ -119,6 +119,41 @@ def ref_dephasing_kraus(d, v):
     return ops
 
 
+def ref_pure_with_schmidt_rank(dA, dB, r, rng):
+    """Amplitudes of ``random_pure_with_schmidt_rank`` drawn with ``rng.dirichlet``.
+
+    This and ``ref_sn_mixtures`` keep the per-call ``Generator.dirichlet``
+    draws the library replaced by normalized exponential rows. They share
+    the library's amplitude arithmetic, so only the draws are under test
+    and the results must agree bit for bit.
+    """
+    from schmidt_lens.states import _schmidt_amplitudes
+
+    lam = rng.dirichlet(np.ones(r))
+    g = rng.standard_normal(2 * (dA * dA + dB * dB))
+    return _schmidt_amplitudes(dA, dB, lam[None], g[None])[0]
+
+
+def ref_sn_mixtures(dA, dB, r, n, max_terms, rng):
+    """The stack of ``random_states_sn_at_most``, drawing each state with ``rng.dirichlet``."""
+    from schmidt_lens.states import _schmidt_amplitudes, as_density_stack
+
+    weights = np.zeros((n, max_terms))
+    lam = np.empty((n, max_terms, r))
+    g = np.empty((n, max_terms, 2 * (dA * dA + dB * dB)))
+    used = np.zeros((n, max_terms), dtype=bool)
+    for i in range(n):
+        terms = int(rng.integers(1, max_terms + 1))
+        weights[i, :terms] = rng.dirichlet(np.ones(terms))
+        used[i, :terms] = True
+        for t in range(terms):
+            lam[i, t] = rng.dirichlet(np.ones(r))
+            rng.standard_normal(out=g[i, t])
+    rows = np.zeros((n, max_terms, dA * dB), dtype=complex)
+    rows[used] = np.sqrt(weights[used])[:, None] * _schmidt_amplitudes(dA, dB, lam[used], g[used])
+    return as_density_stack(np.swapaxes(rows, -1, -2) @ rows.conj())
+
+
 def random_hermitian(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2.0

@@ -465,6 +465,28 @@ class TestPhaseCovariantKernel:
         snac_sweep(3, 0.5, p_grid=4, q_grid=6)
         assert built == [(6, 3)]
 
+    def test_fixed_channel_is_minimized_once(self, monkeypatch):
+        # a channel file gives every p the same channel object
+        ch = random_channel(3, 4, seed=7)
+        q_star, value = snac_lattice_minimum(ch, 0.5, 6)
+        built = []
+        pair_tensor = analysis._pair_tensor
+        monkeypatch.setattr(analysis, "_pair_tensor",
+                            lambda phi: built.append(1) or pair_tensor(phi))
+        records = snac_sweep(3, 0.5, p_grid=4, q_grid=6, channel_factory=lambda p: ch)
+        assert built == [1]
+        assert [(r.parameter, r.value, r.q_star) for r in records] == [
+            (p, value, q_star) for p in np.linspace(0.0, 1.0, 4).tolist()]
+
+    def test_new_channel_objects_are_each_minimized(self, monkeypatch):
+        built = []
+        pair_tensor = analysis._pair_tensor
+        monkeypatch.setattr(analysis, "_pair_tensor",
+                            lambda phi: built.append(1) or pair_tensor(phi))
+        snac_sweep(3, 0.5, p_grid=3, q_grid=4,
+                   channel_factory=lambda p: random_channel(3, 4, seed=7))
+        assert built == [1, 1, 1]
+
     def test_work_budgets_per_kernel(self):
         # snac --d 9 --q-grid 8 --p-grid 11: within the reduced budget only
         assert analysis.check_snac_size(9, 11, 8, reduced=True) == 11 * 12870 * 81

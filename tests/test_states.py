@@ -14,6 +14,7 @@ from schmidt_lens.errors import (
 )
 from schmidt_lens.states import (
     DensityMatrix,
+    _flat_dirichlet,
     PureState,
     as_density_stack,
     haar_unitary,
@@ -26,6 +27,8 @@ from schmidt_lens.states import (
     schmidt_coefficients,
     schmidt_rank,
 )
+
+from conftest import ref_pure_with_schmidt_rank, ref_sn_mixtures
 
 
 class TestMaxEntangled:
@@ -166,11 +169,40 @@ class TestRandomPureWithSchmidtRank:
         np.testing.assert_allclose(amp, rotated, atol=1e-12)
         assert schmidt_rank(PureState(amp, (d, d))) == d
 
+    @pytest.mark.parametrize("d, r", [(2, 1), (3, 2), (4, 3), (4, 2)])
+    def test_bit_equal_to_dirichlet_draws(self, d, r):
+        for seed in range(20):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            psi = random_pure_with_schmidt_rank(d, d, r, rng)
+            assert np.array_equal(psi.amplitudes, ref_pure_with_schmidt_rank(d, d, r, ref_rng))
+            assert ref_rng.bit_generator.state == rng.bit_generator.state
+
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidRankError):
             random_pure_with_schmidt_rank(3, 3, 4, 0)
         with pytest.raises(InvalidRankError):
             random_pure_with_schmidt_rank(3, 3, 0, 0)
+
+
+class TestFlatDirichlet:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bit_equal_to_generator_dirichlet(self, k):
+        # catches a numpy release that changes how dirichlet draws or normalizes
+        for seed in range(200):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = ref_rng.dirichlet(np.ones(k))
+            assert np.array_equal(_flat_dirichlet(rng.standard_exponential(k)), want), seed
+            assert ref_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_rows_and_zero_padding(self):
+        rng = np.random.default_rng(3)
+        e = np.zeros((4, 5))
+        for i, k in enumerate((1, 3, 5, 2)):
+            rng.standard_exponential(out=e[i, :k])
+        rows = _flat_dirichlet(e)
+        for i, k in enumerate((1, 3, 5, 2)):
+            assert np.array_equal(rows[i, :k], _flat_dirichlet(e[i, :k]))
+            assert not rows[i, k:].any()
 
 
 class TestRandomStateSnAtMost:
@@ -204,6 +236,13 @@ class TestRandomStatesSnAtMost:
         assert stack.shape == (40, d * d, d * d)
         assert np.max(np.abs(stack - loop)) <= 1e-15
         assert loop_rng.bit_generator.state == stack_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d, r, max_terms", [(2, 1, 4), (3, 2, 5), (4, 3, 3)])
+    def test_bit_equal_to_dirichlet_draws(self, d, r, max_terms):
+        ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+        want = ref_sn_mixtures(d, d, r, 60, max_terms, ref_rng)
+        assert np.array_equal(random_states_sn_at_most(d, d, r, 60, max_terms, rng), want)
+        assert ref_rng.bit_generator.state == rng.bit_generator.state
 
     def test_consecutive_stacks_continue_one_stack(self):
         whole_rng, split_rng = np.random.default_rng(9), np.random.default_rng(9)

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from schmidt_lens import suites
@@ -70,6 +71,17 @@ class TestRunSuites:
     def test_registry_is_callable(self):
         for name, fn in SUITES.items():
             assert callable(fn), name
+
+
+class TestLambdaWindow:
+    def test_passing_stacks_take_no_eigensolve(self, monkeypatch):
+        # each stack is decided by one Cholesky; only the 3 r x 3 k window checks
+        # on the maximally entangled state call eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+        res = suites.suite_lambda_window(seed=0)
+        assert res.passed and len(calls) == 9
 
 
 class TestFailureReporting:
