@@ -472,7 +472,7 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
         channel_factory = lambda p: depolarizing(d, p)
     params = np.linspace(0.0, 1.0, p_grid)
     lattice = simplex_lattice(q_grid, d)
-    last: dict = {}  # the last channel and its minimum; held, so its id stays unique
+    last: dict = {}  # the last channel and its minimum; held, so no new channel reuses its identity
 
     def record(p: float) -> SnacRecord:
         ch = channel_factory(float(p))

@@ -194,16 +194,6 @@ class TestFlatDirichlet:
             assert np.array_equal(_flat_dirichlet(rng.standard_exponential(k)), want), seed
             assert ref_rng.bit_generator.state == rng.bit_generator.state
 
-    def test_rows_and_zero_padding(self):
-        rng = np.random.default_rng(3)
-        e = np.zeros((4, 5))
-        for i, k in enumerate((1, 3, 5, 2)):
-            rng.standard_exponential(out=e[i, :k])
-        rows = _flat_dirichlet(e)
-        for i, k in enumerate((1, 3, 5, 2)):
-            assert np.array_equal(rows[i, :k], _flat_dirichlet(e[i, :k]))
-            assert not rows[i, k:].any()
-
 
 class TestRandomStateSnAtMost:
     def test_single_product_term_is_pure(self):
