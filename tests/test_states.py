@@ -14,8 +14,8 @@ from schmidt_lens.errors import (
 )
 from schmidt_lens.states import (
     DensityMatrix,
-    _flat_dirichlet,
     PureState,
+    _flat_dirichlet,
     as_density_stack,
     haar_unitary,
     isotropic_state,
