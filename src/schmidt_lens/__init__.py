@@ -51,7 +51,6 @@ from .linalg import (
     hermitian_eig,
     kron,
     matrix_rank,
-    min_eigenvalue,
     partial_trace,
     partial_transpose,
     singular_values,

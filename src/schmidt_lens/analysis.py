@@ -14,6 +14,8 @@ from . import linalg
 from .channels import (
     MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
     QuantumChannel,
+    _choi_array,
+    _unit_images,
     choi,
     dephasing,
     depolarizing,
@@ -45,12 +47,12 @@ MAX_LATTICE_POINTS = 10**6
 # Parameter grids (sweep points, snac p points) above this size are refused.
 MAX_GRID_POINTS = 1001
 # snac studies needing more eigensolver work than this are refused before any
-# lattice is built. The dense kernel's work is p points x lattice points x
-# max(d, 4)^6, the n^3 sum over the d^2 x d^2 certificate matrices
-# diagonalized; below d = 4 per-point overhead, not the solve, sets the time,
-# so such d count as 4. The phase-covariant kernel's work is p points x lattice
-# points x d^2 against MAX_SNAC_REDUCED_WORK: a d x d solve and d^2 entries
-# per point, 80-320 ns a unit for d <= 13 on 2 vCPUs (the most at d = 2).
+# lattice is built. Each lattice minimized is charged (one per p for the
+# depolarizing family, one for a given channel): lattice points x max(d, 4)^6
+# for the dense kernel, the n^3 sum over the d^2 x d^2 matrices diagonalized
+# (below d = 4 per-point overhead, not the solve, sets the time), and lattice
+# points x d^2 against MAX_SNAC_REDUCED_WORK for the phase-covariant one: a
+# d x d solve and d^2 entries per point, 80-320 ns a unit for d <= 13 on 2 vCPUs.
 MAX_SNAC_EIG_WORK = 2 * 10**9
 MAX_SNAC_REDUCED_WORK = 4 * 10**7
 # Byte budget of the stacked certificate matrices (d^2 x d^2 dense, d x d
@@ -91,16 +93,11 @@ def _ordered_map(fn, items):
     return [fn(x) for x in items]
 
 
-def _family_channel(family: str, d: int, parameter: float,
-                    channel: QuantumChannel | None) -> QuantumChannel:
+def _family_channel(family: str, d: int, parameter: float) -> QuantumChannel:
     if family == "depolarizing":
         return depolarizing(d, parameter)
     if family == "dephasing":
         return dephasing(d, parameter)
-    if family == "custom":
-        if channel is None:
-            raise UnknownFamilyError("custom family needs an explicit channel")
-        return channel
     raise UnknownFamilyError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -109,18 +106,23 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
                        tol: float = EVIDENCE_TOL) -> list[SweepRecord]:
     """Witness value on the family's Choi state over a uniform parameter grid.
 
-    For ``family="custom"`` the fixed ``channel`` is evaluated at every
-    grid point (the witness value is then constant); for the named
-    families the parameter is the channel parameter in [0, 1]. A grid
+    For ``family="custom"`` the fixed ``channel`` is validated and
+    evaluated once; for the named families, whose Kraus sets are CPTP by
+    construction, the parameter is the channel parameter in [0, 1]. A grid
     outside [2, MAX_GRID_POINTS] raises ValueError.
     """
     check_grid_size(grid)
     w = witness(d, r)
     params = np.linspace(0.0, 1.0, grid)
+    fixed = None
+    if family == "custom":
+        if channel is None:
+            raise UnknownFamilyError("custom family needs an explicit channel")
+        fixed = witness_value(w, choi(channel))
 
     def record(p: float) -> SweepRecord:
-        ch = _family_channel(family, d, float(p), channel)
-        val = witness_value(w, choi(ch))
+        val = fixed if fixed is not None else witness_value(
+            w, _choi_array(_family_channel(family, d, float(p))))
         verdict = Verdict.CERTIFIED_ABOVE if val < -tol else Verdict.CONSISTENT_WITH_AT_MOST
         return SweepRecord(float(p), val, verdict)
 
@@ -163,7 +165,7 @@ def snbc_witness_threshold(family: str, d: int, r: int,
     w = witness(d, r)
 
     def curve(p: float) -> float:
-        return witness_value(w, choi(_family_channel(family, d, p, None)))
+        return witness_value(w, _choi_array(_family_channel(family, d, p)))
 
     return bisect_crossing(curve, 0.0, 1.0, tol)
 
@@ -178,26 +180,35 @@ def check_grid_size(points: int) -> int:
     return points
 
 
-def check_snac_size(d: int, p_grid: int, q_grid: int, reduced: bool = False) -> int:
-    """Eigensolver work of a snac study; ValueError above any of its budgets.
+def check_snac_size(d: int, p_grid: int, q_grid: int,
+                    channel: QuantumChannel | None = None) -> int:
+    """Eigensolver work of ``snac_sweep(d, k, p_grid, q_grid, channel)``.
 
     Checks the p grid, the simplex lattice and the work budget of the
-    kernel the study takes, in that order, without building anything:
-    MAX_SNAC_REDUCED_WORK when ``reduced`` (phase-covariant channels),
-    else MAX_SNAC_EIG_WORK.
+    kernel the study takes, in that order, without building any lattice;
+    ValueError above any of them. One lattice is charged per p for the
+    depolarizing family, one in all for a given channel (square of
+    dimension d, else DimensionMismatchError), against
+    MAX_SNAC_REDUCED_WORK when it takes the reduced kernel of
+    ``snac_lattice_minimum``, else against MAX_SNAC_EIG_WORK.
     """
+    lattices, charged, reduced = p_grid, "p points x lattice points", True
+    if channel is not None:
+        if not channel.is_square or channel.d_in != d:
+            raise DimensionMismatchError(f"need a square channel of dimension {d}, got {channel!r}")
+        lattices, charged = 1, "lattice points"
+        reduced = _reduced_parts(_unit_images(channel)) is not None
     check_grid_size(p_grid)
     if q_grid < 2:
         raise ValueError("the q grid needs at least 2 subdivisions")
-    points = p_grid * check_lattice_size(q_grid, d)
+    points = lattices * check_lattice_size(q_grid, d)
     if reduced:
         work, budget, model = points * d ** 2, MAX_SNAC_REDUCED_WORK, "d^2"
     else:
         work, budget, model = points * max(d, 4) ** 6, MAX_SNAC_EIG_WORK, "max(d, 4)^6"
     if work > budget:
-        raise ValueError(f"a snac study of {work} eigensolver work units (p points x "
-                         f"lattice points x {model}) exceeds the budget of "
-                         f"{budget} (lower the grids or d)")
+        raise ValueError(f"a snac study of {work} eigensolver work units ({charged} x "
+                         f"{model}) exceeds the budget of {budget} (lower the grids or d)")
     return work
 
 
@@ -249,16 +260,6 @@ def schmidt_vector_state(q) -> PureState:
     return PureState(amp, (q.size, q.size))
 
 
-def _unit_images(ch: QuantumChannel) -> np.ndarray:
-    """Φ(|j><l|) for every matrix unit, indexed [j, l, o, p] (o, p the output).
-
-    Entry sum_a K_a[o, j] conj(K_a[p, l]), as one matrix product over a.
-    """
-    d_out, d_in = ch.d_out, ch.d_in
-    flat = ch._stack.reshape(len(ch), -1)
-    return (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in).transpose(1, 3, 0, 2)
-
-
 def _pair_tensor(phi: np.ndarray) -> np.ndarray:
     """Row jl holds Φ(|j><l|) ⊗ Φ(|j><l|), flattened: a (d_in^2, d_out^4) array.
 
@@ -298,6 +299,19 @@ def _pattern_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     rest[idx[:, None], idx[:, None], idx, idx] = 0.0
     defect = max(np.max(np.abs(rest)), np.max(np.abs(populations.imag)))
     return populations.real, coherences, float(defect)
+
+
+def _reduced_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The reduced kernel's rule, for ``snac_lattice_minimum`` and its budget.
+
+    Populations and squared coherences of a square channel's ``phi =
+    _unit_images(ch)`` when its phase-covariant defect is at most
+    PHASE_COVARIANT_TOL, else None.
+    """
+    populations, coherences, defect = _pattern_parts(phi)
+    if defect > PHASE_COVARIANT_TOL:
+        return None
+    return populations, coherences * coherences
 
 
 def phase_covariant_defect(ch: QuantumChannel) -> float:
@@ -430,10 +444,10 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     if lattice is None:
         lattice = simplex_lattice(n_subdiv, d)
     phi = _unit_images(ch)
-    populations, coherences, defect = _pattern_parts(phi)
-    if defect <= PHASE_COVARIANT_TOL:
+    parts = _reduced_parts(phi)
+    if parts is not None:
         size = d
-        squares = coherences * coherences
+        populations, squares = parts
 
         def certificate(q):
             return _reduced_min_eigs(populations, squares, q, k)
@@ -452,34 +466,26 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
 
 
 def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
-               channel_factory=None) -> list[SnacRecord]:
+               channel: QuantumChannel | None = None) -> list[SnacRecord]:
     """Lattice-minimized annihilation certificate over a parameter grid.
 
-    For each p on a uniform grid in [0, 1], minimizes
+    For each p on a uniform grid in [0, 1], records the minimum of
     :func:`snac_min_eig` over the simplex lattice with ``q_grid``
-    subdivisions and records the minimizing point and its value. The
-    lattice is built once for the whole grid. ``channel_factory`` maps p
-    to a channel; defaults to the d-dimensional depolarizing family. When
-    it returns the same channel object for consecutive p (a fixed
-    ``--channel-file`` channel), the minimum is computed once and reused.
-    Studies over the grid, lattice or eigensolver-work budgets
-    (``check_snac_size``) raise ValueError: the default family, which is
-    phase-covariant, is held to the reduced kernel's work budget and any
-    other factory to the dense one.
+    subdivisions (``snac_lattice_minimum``) and the minimizing point. The
+    lattice is built once for the whole grid. With no ``channel`` the
+    d-dimensional depolarizing family is minimized at every p; a given
+    channel, square of dimension d, is minimized once and its minimum
+    recorded at every p. Studies over the grid, lattice or
+    eigensolver-work budgets (``check_snac_size``) raise ValueError.
     """
-    check_snac_size(d, p_grid, q_grid, reduced=channel_factory is None)
-    if channel_factory is None:
-        channel_factory = lambda p: depolarizing(d, p)
+    check_snac_size(d, p_grid, q_grid, channel)
     params = np.linspace(0.0, 1.0, p_grid)
     lattice = simplex_lattice(q_grid, d)
-    last: dict = {}  # the last channel and its minimum; held, so no new channel reuses its identity
+    fixed = None if channel is None else snac_lattice_minimum(channel, k, q_grid, lattice=lattice)
 
     def record(p: float) -> SnacRecord:
-        ch = channel_factory(float(p))
-        if last.get("channel") is not ch:
-            last["channel"] = ch
-            last["minimum"] = snac_lattice_minimum(ch, k, q_grid, lattice=lattice)
-        q_star, best_val = last["minimum"]
+        q_star, best_val = fixed or snac_lattice_minimum(
+            depolarizing(d, float(p)), k, q_grid, lattice=lattice)
         return SnacRecord(float(p), best_val, q_star)
 
     return _ordered_map(record, params)

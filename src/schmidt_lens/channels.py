@@ -186,6 +186,16 @@ def _choi_array(ch: QuantumChannel) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
+def _unit_images(ch: QuantumChannel) -> np.ndarray:
+    """Φ(|j><l|) for every matrix unit, indexed [j, l, o, p] (o, p the output).
+
+    Entry sum_a K_a[o, j] conj(K_a[p, l]), as one matrix product over a.
+    """
+    d_out, d_in = ch.d_out, ch.d_in
+    flat = ch._stack.reshape(len(ch), -1)
+    return (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in).transpose(1, 3, 0, 2)
+
+
 def choi(ch: QuantumChannel) -> ChoiMatrix:
     """Choi state (id ⊗ Φ)|phi+><phi+| of a square channel."""
     if not ch.is_square:
@@ -340,14 +350,7 @@ def action_distance(a: QuantumChannel, b: QuantumChannel) -> float:
     """Max entrywise difference of the two channel actions over all matrix units."""
     if (a.d_in, a.d_out) != (b.d_in, b.d_out):
         raise DimensionMismatchError("channels act on different spaces")
-    d = a.d_in
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            worst = max(worst, float(np.max(np.abs(apply_matrix(a, unit) - apply_matrix(b, unit)))))
-    return worst
+    return float(np.max(np.abs(_unit_images(a) - _unit_images(b))))
 
 
 def random_channel(d: int, n_kraus: int, seed) -> QuantumChannel:

@@ -187,19 +187,14 @@ def cmd_snac(args) -> int:
     if not 0.0 < args.k <= 1.0:
         return _usage_error("--k must lie in (0, 1]")
     _check_budgets(args.d)
+    channel = None
+    if args.channel_file is not None:
+        channel = _load_channel(args.channel_file, args.d)
     try:
-        # the depolarizing family takes the phase-covariant kernel; a channel
-        # file is held to the dense kernel's budget whatever it holds
-        analysis.check_snac_size(args.d, args.p_grid, args.q_grid,
-                                 reduced=args.channel_file is None)
+        analysis.check_snac_size(args.d, args.p_grid, args.q_grid, channel)
     except ValueError as exc:
         return _usage_error(str(exc))
-    factory = None
-    if args.channel_file is not None:
-        fixed = _load_channel(args.channel_file, args.d)
-        factory = lambda p: fixed
-    records = analysis.snac_sweep(args.d, args.k, args.p_grid, args.q_grid,
-                                  channel_factory=factory)
+    records = analysis.snac_sweep(args.d, args.k, args.p_grid, args.q_grid, channel)
 
     def reference(p: float) -> float:
         # the k = 1 closed form of the qutrit depolarizing study, reported

@@ -68,11 +68,6 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs)
 
 
-def min_eigenvalue(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eig(h).eigenvalues[0])
-
-
 def psd_minima(h: np.ndarray, tol: float) -> np.ndarray | None:
     """None when no matrix of ``h`` has an eigenvalue at or below ``-tol``.
 

@@ -290,10 +290,9 @@ class TestSnacMinEig:
 class TestSnacSweep:
     def test_minimizer_in_detection_regime(self):
         # uniform q is the strict lattice minimizer for p > 7/10 at k = 1/2
-        records = snac_sweep(3, 0.5, p_grid=5, q_grid=6,
-                             channel_factory=lambda p: depolarizing(3, 0.75 + 0.25 * p))
-        for rec in records:
-            assert tuple(float(f) for f in rec.q_star) == (1 / 3, 1 / 3, 1 / 3)
+        for p in 0.75 + 0.25 * np.linspace(0.0, 1.0, 5):
+            q_star, _ = snac_lattice_minimum(depolarizing(3, p), 0.5, 6)
+            assert tuple(float(f) for f in q_star) == (1 / 3, 1 / 3, 1 / 3)
 
     def test_records_actual_lattice_minimum(self):
         # the batched kernel against the loop reference at every lattice point
@@ -357,8 +356,7 @@ class TestSnacSweep:
 
     def test_corner_minimizer_below_crossover(self):
         # below p = 7/10 the minimum migrates to a simplex corner
-        records = snac_sweep(3, 0.5, p_grid=2, q_grid=6,
-                             channel_factory=lambda p: depolarizing(3, 0.3))
+        records = snac_sweep(3, 0.5, p_grid=2, q_grid=6, channel=depolarizing(3, 0.3))
         assert sorted(float(f) for f in records[0].q_star) == [0.0, 0.0, 1.0]
 
 
@@ -466,35 +464,57 @@ class TestPhaseCovariantKernel:
         assert built == [(6, 3)]
 
     def test_fixed_channel_is_minimized_once(self, monkeypatch):
-        # a channel file gives every p the same channel object
+        # a channel file fixes one channel for every p
         ch = random_channel(3, 4, seed=7)
         q_star, value = snac_lattice_minimum(ch, 0.5, 6)
         built = []
         pair_tensor = analysis._pair_tensor
         monkeypatch.setattr(analysis, "_pair_tensor",
                             lambda phi: built.append(1) or pair_tensor(phi))
-        records = snac_sweep(3, 0.5, p_grid=4, q_grid=6, channel_factory=lambda p: ch)
+        records = snac_sweep(3, 0.5, p_grid=4, q_grid=6, channel=ch)
         assert built == [1]
         assert [(r.parameter, r.value, r.q_star) for r in records] == [
             (p, value, q_star) for p in np.linspace(0.0, 1.0, 4).tolist()]
 
-    def test_new_channel_objects_are_each_minimized(self, monkeypatch):
-        built = []
-        pair_tensor = analysis._pair_tensor
-        monkeypatch.setattr(analysis, "_pair_tensor",
-                            lambda phi: built.append(1) or pair_tensor(phi))
-        snac_sweep(3, 0.5, p_grid=3, q_grid=4,
-                   channel_factory=lambda p: random_channel(3, 4, seed=7))
-        assert built == [1, 1, 1]
+    def test_default_family_is_minimized_at_every_p(self, monkeypatch):
+        minimized = []
+        minimum = analysis.snac_lattice_minimum
+        monkeypatch.setattr(analysis, "snac_lattice_minimum",
+                            lambda ch, *a, **kw: minimized.append(ch) or minimum(ch, *a, **kw))
+        records = snac_sweep(3, 0.5, p_grid=3, q_grid=4)
+        assert [np.array_equal(ch._stack, depolarizing(3, p)._stack)
+                for ch, p in zip(minimized, (0.0, 0.5, 1.0))] == [True] * 3
+        assert [(r.q_star, r.value) for r in records] == [
+            minimum(depolarizing(3, p), 0.5, 4) for p in (0.0, 0.5, 1.0)]
 
     def test_work_budgets_per_kernel(self):
-        # snac --d 9 --q-grid 8 --p-grid 11: within the reduced budget only
-        assert analysis.check_snac_size(9, 11, 8, reduced=True) == 11 * 12870 * 81
+        # the family is charged a reduced-kernel lattice per p: snac --d 9
+        # --q-grid 8 runs up to --p-grid 38
+        assert analysis.check_snac_size(9, 11, 8) == 11 * 12870 * 81
+        assert analysis.check_snac_size(9, 38, 8) == 38 * 12870 * 81
         with pytest.raises(ValueError, match="budget"):
-            analysis.check_snac_size(9, 11, 8)
+            analysis.check_snac_size(9, 39, 8)
+        # a given channel is charged one lattice of the kernel it takes
+        for ch in (depolarizing(9, 0.5), dephasing(9, 0.3)):
+            assert analysis.check_snac_size(9, 1001, 8, ch) == 12870 * 81
+        dense = random_channel(9, 4, seed=7)
         with pytest.raises(ValueError, match="budget"):
-            analysis.check_snac_size(9, 39, 8, reduced=True)
-        assert analysis.check_snac_size(9, 38, 8, reduced=True) == 38 * 12870 * 81
+            analysis.check_snac_size(9, 2, 8, dense)  # 12870 x 9^6
+        assert analysis.check_snac_size(9, 1001, 3, dense) == 165 * 9 ** 6
+        # the dense cap at d = 4 and d = 3 (max(d, 4)^6 = 4096 per point)
+        ch4, ch3 = random_channel(4, 4, seed=7), random_channel(3, 4, seed=7)
+        assert analysis.check_snac_size(4, 1001, 141, ch4) == 487344 * 4 ** 6
+        with pytest.raises(ValueError, match="budget"):
+            analysis.check_snac_size(4, 2, 142, ch4)
+        assert analysis.check_snac_size(3, 1001, 986, ch3) == 487578 * 4 ** 6
+        with pytest.raises(ValueError, match="budget"):
+            analysis.check_snac_size(3, 2, 987, ch3)
+
+    def test_budget_rejects_a_channel_of_another_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            analysis.check_snac_size(4, 2, 2, random_channel(3, 4, seed=7))
+        with pytest.raises(DimensionMismatchError):
+            snac_sweep(4, 0.5, 2, 2, channel=random_channel(3, 4, seed=7))
 
 
 class TestRelationReport:

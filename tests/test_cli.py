@@ -11,11 +11,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from schmidt_lens import analysis, suites
+from schmidt_lens.analysis import snac_lattice_minimum
 from schmidt_lens.channels import (
     MAX_KRAUS_STACK_BYTES,
     channel_to_json,
+    dephasing,
     depolarizing,
     identity_channel,
+    random_channel,
 )
 from schmidt_lens.cli import main, render_json, report_schema
 
@@ -230,11 +233,41 @@ class TestSnacCommand:
         assert out == ""
         assert "budget" in err
 
-    def test_channel_file_keeps_the_dense_budget(self, tmp_path, capsys):
-        # the depolarizing family is within the reduced kernel's budget at
-        # d=9, q-grid 8, p-grid 11; the same study from a file takes the dense one
+    def test_channel_file_is_charged_one_lattice(self, tmp_path, capsys):
+        # 1001 p points x 560 lattice points x 4^6 would exceed the dense budget
+        ch = random_channel(4, 4, seed=7)
+        path = tmp_path / "ch.json"
+        path.write_text(channel_to_json(ch))
+        code, out, _ = run_cli(["snac", "--d", "4", "--p-grid", "1001", "--q-grid", "13",
+                                "--channel-file", str(path)], capsys)
+        assert code == 0
+        q_star, value = snac_lattice_minimum(ch, 0.5, 13)
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 1001
+        assert {(row[1], row[3]) for row in rows} == {
+            (format(value, ".17g"), " ".join(str(f) for f in q_star))}
+
+    def test_phase_covariant_file_takes_the_reduced_budget(self, tmp_path, capsys):
+        # the file's study is the family's p = 0.5 row at every p
         path = tmp_path / "ch.json"
         path.write_text(channel_to_json(depolarizing(9, 0.5)))
+        args = ["snac", "--d", "9", "--p-grid", "11", "--q-grid", "8"]
+        code, out, _ = run_cli(args + ["--channel-file", str(path)], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 11
+        assert {(row[1], row[3]) for row in rows} == {
+            ("-0.011959876543209933", "0 " + " ".join(["1/8"] * 8))}
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        half = out.strip().split("\n")[6].split(",")
+        assert half[0] == "0.5" and (half[1], half[3]) == (rows[0][1], rows[0][3])
+
+    def test_channel_file_keeps_the_dense_budget(self, tmp_path, capsys):
+        # a random channel at the sizes of the test above takes the dense kernel:
+        # 12870 lattice points x 9^6 is over its budget
+        path = tmp_path / "ch.json"
+        path.write_text(channel_to_json(random_channel(9, 4, seed=7)))
         start = time.perf_counter()
         code, out, err = run_cli(["snac", "--d", "9", "--p-grid", "11", "--q-grid", "8",
                                   "--channel-file", str(path)], capsys)
@@ -374,11 +407,18 @@ class TestExitCodeContract:
             assert code == want, args
 
 
-# The slowest inputs the budgets accept take about 15 s on 2 vCPUs (a snac
-# study at the eigensolver-work cap, d=4); the bound leaves room for a slow
-# machine while still catching an input that runs unbounded.
+# The slowest inputs the budgets accept take about 14 s on 2 vCPUs with one
+# BLAS thread: a snac --channel-file study at the dense eigensolver-work cap,
+# d=4 (--q-grid 141); at d=3 (--q-grid 986) it takes 6 s, and
+# sweep --d 13 --grid 1001 3 s. The bound leaves room for a slow machine while
+# still catching an input that runs unbounded.
 EXAMPLE_SECONDS = 60.0
 MAX_D = math.isqrt(math.isqrt(MAX_KRAUS_STACK_BYTES // 16))
+
+
+# --d and channel of each snac --channel-file line: a dense qutrit channel and
+# a phase-covariant ququart one.
+CHANNEL_FILES = {"dense": (3, random_channel(3, 4, seed=7)), "covariant": (4, dephasing(4, 0.3))}
 
 
 def _flags(**values):
@@ -389,9 +429,12 @@ def command_lines(dim, grid, q_grid, seed, real):
     """CLI argument lists whose values come from the given strategies.
 
     ``dim`` draws --d and --r, ``grid`` draws --grid and --p-grid, and
-    ``real`` draws --tol and --k.
+    ``real`` draws --tol and --k. The snac --channel-file lines keep their
+    file's --d and small grids; their ``@name`` placeholder stands for the
+    path of the CHANNEL_FILES entry.
     """
     families = st.sampled_from(["depolarizing", "dephasing"])
+    small = st.integers(1, 12)
     suite_names = st.sampled_from([None, *sorted(suites.SUITES)])
     return st.one_of(
         st.builds(lambda family, d, r, tol, seed: ["threshold", f"--family={family}"]
@@ -403,6 +446,10 @@ def command_lines(dim, grid, q_grid, seed, real):
         st.builds(lambda d, k, p_grid, q_grid, seed: ["snac"]
                   + _flags(d=d, k=k, p_grid=p_grid, q_grid=q_grid, seed=seed),
                   dim, real, grid, q_grid, seed),
+        st.builds(lambda name, k, p_grid, q_grid, seed:
+                  ["snac", f"--d={CHANNEL_FILES[name][0]}", f"--channel-file=@{name}"]
+                  + _flags(k=k, p_grid=p_grid, q_grid=q_grid, seed=seed),
+                  st.sampled_from(sorted(CHANNEL_FILES)), real, small, small, seed),
         st.builds(lambda suite, d, r, seed: ["verify"]
                   + (["--suite", suite] if suite else []) + _flags(d=d, r=r, seed=seed),
                   suite_names, dim, dim, seed),
@@ -434,11 +481,24 @@ def run_main(args):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_contract(args):
+@pytest.fixture(scope="module")
+def channel_paths(tmp_path_factory):
+    """Each ``--channel-file=@name`` placeholder mapped to the written file's flag."""
+    paths = {}
+    for name, (_, ch) in CHANNEL_FILES.items():
+        path = tmp_path_factory.mktemp("channels") / f"{name}.json"
+        path.write_text(channel_to_json(ch))
+        paths[f"--channel-file=@{name}"] = f"--channel-file={path}"
+    return paths
+
+
+def check_contract(args, channel_paths):
+    files = [arg.split("=")[0] for arg in args if arg in channel_paths]
+    args = [channel_paths.get(arg, arg) for arg in args]
     start = time.perf_counter()
     code, out, err = run_main(args)
     elapsed = time.perf_counter() - start
-    event(f"{args[0]} exit {code}")
+    event(" ".join([args[0], *files, f"exit {code}"]))
     assert elapsed < EXAMPLE_SECONDS, (args, elapsed)
     assert code in (0, 1, 2), (args, code)
     assert "Traceback" not in err
@@ -450,16 +510,16 @@ def check_contract(args):
 
 class TestArgumentRanges:
     @settings(max_examples=200, deadline=None)
-    @given(ANY_VALUE)
-    def test_any_value_gets_a_classified_answer(self, args):
-        check_contract(args)
+    @given(args=ANY_VALUE)
+    def test_any_value_gets_a_classified_answer(self, args, channel_paths):
+        check_contract(args, channel_paths)
 
     @settings(max_examples=40, deadline=None)
-    @given(SMALL_VALUES)
-    def test_small_values_get_a_classified_answer(self, args):
-        check_contract(args)
+    @given(args=SMALL_VALUES)
+    def test_small_values_get_a_classified_answer(self, args, channel_paths):
+        check_contract(args, channel_paths)
 
     @settings(max_examples=40, deadline=None)
-    @given(AROUND_THE_BUDGETS)
-    def test_values_around_the_budgets_get_a_classified_answer(self, args):
-        check_contract(args)
+    @given(args=AROUND_THE_BUDGETS)
+    def test_values_around_the_budgets_get_a_classified_answer(self, args, channel_paths):
+        check_contract(args, channel_paths)
