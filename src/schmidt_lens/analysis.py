@@ -192,11 +192,11 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
     MAX_SNAC_REDUCED_WORK when it takes the reduced kernel of
     ``snac_lattice_minimum``, else against MAX_SNAC_EIG_WORK.
     """
-    lattices, charged, reduced = p_grid, "p points x lattice points", True
+    lattices, charged, lower, reduced = p_grid, "p points x lattice points", "the grids or d", True
     if channel is not None:
         if not channel.is_square or channel.d_in != d:
             raise DimensionMismatchError(f"need a square channel of dimension {d}, got {channel!r}")
-        lattices, charged = 1, "lattice points"
+        lattices, charged, lower = 1, "lattice points", "the q grid"
         reduced = _reduced_parts(_unit_images(channel)) is not None
     check_grid_size(p_grid)
     if q_grid < 2:
@@ -208,7 +208,7 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
         work, budget, model = points * max(d, 4) ** 6, MAX_SNAC_EIG_WORK, "max(d, 4)^6"
     if work > budget:
         raise ValueError(f"a snac study of {work} eigensolver work units ({charged} x "
-                         f"{model}) exceeds the budget of {budget} (lower the grids or d)")
+                         f"{model}) exceeds the budget of {budget} (lower {lower})")
     return work
 
 
