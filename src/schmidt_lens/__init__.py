@@ -62,6 +62,7 @@ from .schmidt import (
     Verdict,
     apply_id_lambda,
     certify_sn_above,
+    channel_witness_value,
     isotropic_sn_threshold,
     r_positivity_window,
     sn_upper_bound_via_kraus,

@@ -14,7 +14,6 @@ from . import linalg
 from .channels import (
     MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
     QuantumChannel,
-    _choi_array,
     _unit_images,
     choi,
     dephasing,
@@ -31,6 +30,7 @@ from .schmidt import (
     Verdict,
     _id_lambda_matrix,
     apply_id_lambda,
+    channel_witness_value,
     isotropic_sn_threshold,
     witness,
     witness_value,
@@ -38,6 +38,11 @@ from .schmidt import (
 from .states import DensityMatrix, PureState, isotropic_state
 
 BISECTION_TOL = 1e-9
+# bisect_crossing takes |f| <= ROOT_REL_TOL * max(|f(lo)|, |f(hi)|) for a root
+# (8 eps). At their closed-form roots the witness curves of both named families
+# leave at most 3.4 eps of that scale (d <= 13, every r), the partial-transpose
+# curve of eb_ppt_threshold 0.6 eps.
+ROOT_REL_TOL = 8.0 * float(np.finfo(float).eps)
 # Lattice values within this of the minimum tie (eigensolver rounding is ~1e-16).
 TIE_TOL = 1e-13
 # Simplex lattices above this many points are refused before any is built.
@@ -106,10 +111,12 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
                        tol: float = EVIDENCE_TOL) -> list[SweepRecord]:
     """Witness value on the family's Choi state over a uniform parameter grid.
 
-    For ``family="custom"`` the fixed ``channel`` is validated and
-    evaluated once; for the named families, whose Kraus sets are CPTP by
-    construction, the parameter is the channel parameter in [0, 1]. A grid
-    outside [2, MAX_GRID_POINTS] raises ValueError.
+    Each value is ``channel_witness_value``, read off the Kraus traces. For
+    ``family="custom"`` the fixed ``channel`` is validated once by
+    ``choi`` and evaluated once; for the named families the parameter is
+    the channel parameter in [0, 1], and each point builds its channel
+    with the trace-preservation check. A grid outside [2, MAX_GRID_POINTS]
+    raises ValueError.
     """
     check_grid_size(grid)
     w = witness(d, r)
@@ -118,11 +125,12 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     if family == "custom":
         if channel is None:
             raise UnknownFamilyError("custom family needs an explicit channel")
-        fixed = witness_value(w, choi(channel))
+        choi(channel)  # validates the channel: square, CP and trace-preserving
+        fixed = channel_witness_value(w, channel)
 
     def record(p: float) -> SweepRecord:
-        val = fixed if fixed is not None else witness_value(
-            w, _choi_array(_family_channel(family, d, float(p))))
+        val = fixed if fixed is not None else channel_witness_value(
+            w, _family_channel(family, d, float(p)))
         verdict = Verdict.CERTIFIED_ABOVE if val < -tol else Verdict.CONSISTENT_WITH_AT_MOST
         return SweepRecord(float(p), val, verdict)
 
@@ -132,26 +140,35 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
 def bisect_crossing(f, lo: float, hi: float, tol: float = BISECTION_TOL) -> float:
     """Midpoint bisection of a sign change of ``f`` on [lo, hi].
 
-    Requires f(lo) and f(hi) to have opposite signs; returns the bracket
-    midpoint once the bracket width is at most ``tol``, or once the
-    bracket is two adjacent floats when ``tol`` is below float spacing.
+    A value with |f| <= ROOT_REL_TOL * max(|f(lo)|, |f(hi)|) (the finite
+    ones) is rounding noise around zero and counts as a root, at either
+    endpoint and at every midpoint; that point is returned. Otherwise
+    f(lo) and f(hi) must have opposite signs, NaN having none (else
+    NoSignChangeError), and the bracket midpoint is returned once the
+    bracket width is at most ``tol``, or once the bracket is two adjacent
+    floats when ``tol`` is below float spacing.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi >= 0:
+    noise = ROOT_REL_TOL * max((abs(v) for v in (f_lo, f_hi) if math.isfinite(v)), default=0.0)
+    if abs(f_lo) <= noise:
+        return lo
+    if abs(f_hi) <= noise:
+        return hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
         raise NoSignChangeError(f"f({lo})={f_lo} and f({hi})={f_hi} do not bracket a root")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if mid <= lo or mid >= hi:
             break
         f_mid = f(mid)
-        if f_mid == 0.0:
+        if abs(f_mid) <= noise:
             return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
+        if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
+        else:
+            hi = mid
     return (lo + hi) / 2.0
 
 
@@ -159,13 +176,17 @@ def snbc_witness_threshold(family: str, d: int, r: int,
                            tol: float = BISECTION_TOL) -> float:
     """Parameter at which the family's witness value crosses zero.
 
-    The witness value is affine in the parameter for both named
-    families, so the bisected crossing is the exact breaking threshold.
+    Bisects ``channel_witness_value`` of the named family's channel, built
+    and checked for trace preservation at every step. The witness value is
+    affine in the parameter for both families, so the crossing is the
+    exact breaking threshold: (rd - 1)/(d^2 - 1) for depolarizing and
+    (r - 1)/(d - 1) for dephasing, whose r = 1 root lies at the bracket
+    edge p = 0.
     """
     w = witness(d, r)
 
     def curve(p: float) -> float:
-        return witness_value(w, _choi_array(_family_channel(family, d, p)))
+        return channel_witness_value(w, _family_channel(family, d, p))
 
     return bisect_crossing(curve, 0.0, 1.0, tol)
 

@@ -76,8 +76,9 @@ class QuantumChannel:
                 )
 
     def trace_preservation_defect(self) -> float:
+        flat = self._stack.reshape(-1, self.d_in)  # rows (a, o): sum K†K = flat† flat
         with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/NaN
-            acc = np.tensordot(self._stack.conj(), self._stack, axes=([0, 1], [0, 1]))
+            acc = flat.conj().T @ flat
         return float(np.max(np.abs(acc - np.eye(self.d_in))))
 
     @functools.cached_property
@@ -180,8 +181,6 @@ def _choi_array(ch: QuantumChannel) -> np.ndarray:
     Equals (id ⊗ Φ)|phi+><phi+| for a square channel; unvalidated, so it
     also serves non-trace-preserving Kraus sets such as an adjoint.
     """
-    # Scaling before the product fixes the rounding that the golden
-    # threshold reports depend on (see witness_value).
     vecs = ch._stack.transpose(0, 2, 1).reshape(len(ch), -1) / np.sqrt(ch.d_in)
     return vecs.T @ vecs.conj()
 

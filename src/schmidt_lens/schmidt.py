@@ -77,14 +77,26 @@ def witness_values(w: SNWitness, m: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"state shape {m.shape[-2:]} != ({n}, {n})")
     diag = np.arange(w.d) * (w.d + 1)
     block = np.ascontiguousarray(m[..., diag[:, None], diag])
-    # At a dyadic root the bisection lands exactly on a zero of this value and
-    # its rounding sign picks the reported threshold; this form and
-    # channels._choi_array keep the golden reports bit-exact.
     vals = 1.0 - block.reshape(*m.shape[:-2], -1).sum(axis=-1) / w.r
     worst = np.max(np.abs(vals.imag), initial=0.0)
     if worst > 1e-10:
         raise NotHermitianError(f"witness value has imaginary part {worst:.3e}")
     return vals.real
+
+
+def channel_witness_value(w: SNWitness, ch: QuantumChannel) -> float:
+    """Tr(W C_Φ) on the Choi state of a square channel, from its Kraus traces.
+
+    The witness reads only the entries C[ii, jj] = Φ(|i><j|)[i, j] / d of
+    the Choi state, so Tr(W C_Φ) = 1 - sum_a |Tr K_a|^2 / (r d), which is
+    1 - d F_e / r with F_e the entanglement fidelity. No Choi matrix is
+    built. The Kraus set is taken as given: it is CP by construction, and
+    ``QuantumChannel`` checks trace preservation unless told not to.
+    """
+    if not ch.is_square or ch.d_in != w.d:
+        raise DimensionMismatchError(f"need a square channel of dimension {w.d}, got {ch!r}")
+    traces = np.trace(ch._stack, axis1=1, axis2=2)
+    return float(1.0 - np.vdot(traces, traces).real / (w.r * w.d))
 
 
 class LambdaMap:
@@ -204,6 +216,7 @@ __all__ = [
     "witness",
     "witness_value",
     "witness_values",
+    "channel_witness_value",
     "LambdaMap",
     "r_positivity_window",
     "apply_id_lambda",

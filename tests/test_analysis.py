@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidt_lens import analysis, linalg
+from schmidt_lens import analysis, channels, linalg
 from schmidt_lens.analysis import (
     bisect_crossing,
     check_lattice_size,
@@ -109,6 +109,35 @@ class TestBisectCrossing:
         with pytest.raises(ValueError):
             bisect_crossing(lambda x: x - 0.5, 0.0, 1.0, tol=tol)
 
+    @pytest.mark.parametrize("at_lo", [0.0, -2.220446049250313e-16])
+    def test_rounding_noise_at_lo_is_a_root(self, at_lo):
+        # the dephasing r = 1 witness curve: f(0) rounds to 0.0 or -2.2e-16
+        assert bisect_crossing(lambda x: at_lo if x == 0.0 else -2.0 * x, 0.0, 1.0) == 0.0
+
+    def test_rounding_noise_at_hi_is_a_root(self):
+        assert bisect_crossing(lambda x: 4e-16 if x == 1.0 else 1.0 - x, 0.0, 1.0) == 1.0
+
+    def test_exact_root_at_a_midpoint_is_returned(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.375
+
+        assert bisect_crossing(f, 0.0, 1.0) == 0.375
+        assert calls == [0.0, 1.0, 0.5, 0.25, 0.375]
+
+    @pytest.mark.parametrize("f", [lambda x: 1e-300, lambda x: float("nan"),
+                                   lambda x: x - 2.0 if x > 0.0 else float("nan")],
+                             ids=["tiny-positive", "nan", "nan-endpoint"])
+    def test_no_root_still_raises(self, f):
+        with pytest.raises(NoSignChangeError):
+            bisect_crossing(f, 0.0, 1.0)
+
+    def test_infinite_endpoint_is_bisected(self):
+        got = bisect_crossing(lambda x: -np.inf if x == 0.0 else x - 0.3, 0.0, 1.0, tol=1e-12)
+        assert abs(got - 0.3) <= 1e-12
+
     @given(root=st.floats(min_value=0.05, max_value=0.95),
            slope=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=50, deadline=None)
@@ -119,10 +148,11 @@ class TestBisectCrossing:
 
 class TestThresholds:
     def test_depolarizing_d3_r2(self):
-        assert abs(snbc_witness_threshold("depolarizing", 3, 2) - 0.625) <= 1e-8
+        # the dyadic root is a bisection midpoint; the curve reads 1.1e-16 there
+        assert snbc_witness_threshold("depolarizing", 3, 2) == 0.625
 
     def test_dephasing_d3_r2(self):
-        assert abs(snbc_witness_threshold("dephasing", 3, 2) - 0.5) <= 1e-8
+        assert snbc_witness_threshold("dephasing", 3, 2) == 0.5
 
     def test_threshold_law(self):
         for d, r in ((3, 1), (3, 2), (4, 2), (4, 3)):
@@ -133,6 +163,21 @@ class TestThresholds:
         for d, r in ((3, 2), (4, 2), (4, 3)):
             got = snbc_witness_threshold("dephasing", d, r)
             assert abs(got - (r - 1) / (d - 1)) <= 1e-8
+
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_dephasing_r1_root_at_the_bracket_edge(self, d):
+        assert snbc_witness_threshold("dephasing", d, 1) == 0.0
+
+    def test_named_families_build_no_choi_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "choi", lambda ch: calls.append(ch))
+        monkeypatch.setattr(channels.ChoiMatrix, "__init__", lambda *a: calls.append(a))
+        for family in ("depolarizing", "dephasing"):
+            snbc_witness_sweep(family, 9, 2, grid=11)
+            snbc_witness_threshold(family, 9, 2)
+        assert calls == []
+        snbc_witness_sweep("custom", 3, 2, grid=5, channel=identity_channel(3))
+        assert len(calls) == 1  # the custom channel is validated once
 
     def test_inside_unit_interval(self):
         got = snbc_witness_threshold("depolarizing", 4, 3)

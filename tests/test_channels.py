@@ -95,6 +95,14 @@ class TestQuantumChannel:
             ch.kraus[0][0, 0] = 2.0
 
 
+    @pytest.mark.parametrize("d_in, d_out, n", [(2, 2, 1), (3, 5, 4), (4, 2, 7), (9, 9, 3)])
+    def test_trace_preservation_defect_is_the_kraus_sum(self, d_in, d_out, n, rng):
+        ops = rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal((n, d_out, d_in))
+        ch = QuantumChannel(ops, check_tp=False)
+        acc = sum(k.conj().T @ k for k in ops)
+        want = np.max(np.abs(acc - np.eye(d_in)))
+        assert abs(ch.trace_preservation_defect() - want) <= 1e-13 * want
+
     def test_kraus_is_a_lazy_cached_tuple_of_read_only_views(self):
         ch = depolarizing(3, 0.4)
         assert len(ch) == 9

@@ -109,6 +109,36 @@ class TestThresholdCommand:
             main(["threshold", "--family", "nonsense", "--d", "3", "--r", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_dephasing_r1_root_at_the_bracket_edge(self, d, capsys):
+        code, out, err = run_cli(
+            ["threshold", "--family", "dephasing", "--d", str(d), "--r", "1"], capsys
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["threshold"], doc["analytic"], doc["abs_error"]) == (0.0, 0.0, 0.0)
+
+
+# The witness-thresholds command lines: thresholds of both families at every r
+# for d in {3, 4, 5, 9}, and the d = 9 sweeps.
+WITNESS_LINES = [
+    ["threshold", "--family", family, "--d", str(d), "--r", str(r)]
+    for d in (3, 4, 5, 9) for family in ("depolarizing", "dephasing") for r in range(1, d)
+] + [["sweep", "--family", family, "--d", "9", "--r", "2", "--grid", "101"]
+     for family in ("depolarizing", "dephasing")]
+
+
+def test_every_witness_line_exits_zero(capsys):
+    assert len(WITNESS_LINES) == 36
+    failed = []
+    for args in WITNESS_LINES:
+        code, out, err = run_cli(args, capsys)
+        if code != 0 or err:
+            failed.append((" ".join(args), code, err))
+        elif args[0] == "threshold":
+            assert json.loads(out)["abs_error"] <= 1e-8, args
+    assert failed == []
+
 
 class TestSweepCommand:
     def test_csv_shape_and_crossing(self, capsys):
@@ -410,7 +440,7 @@ class TestExitCodeContract:
 # The slowest inputs the budgets accept take about 14 s on 2 vCPUs with one
 # BLAS thread: a snac --channel-file study at the dense eigensolver-work cap,
 # d=4 (--q-grid 141); at d=3 (--q-grid 986) it takes 6 s, and
-# sweep --d 13 --grid 1001 3 s. The bound leaves room for a slow machine while
+# sweep --d 13 --grid 1001 0.6 s. The bound leaves room for a slow machine while
 # still catching an input that runs unbounded.
 EXAMPLE_SECONDS = 60.0
 MAX_D = math.isqrt(math.isqrt(MAX_KRAUS_STACK_BYTES // 16))
