@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,13 +30,12 @@ from .schmidt import (
     EVIDENCE_TOL,
     Verdict,
     _id_lambda_matrix,
-    apply_id_lambda,
     channel_witness_value,
     isotropic_sn_threshold,
     witness,
     witness_value,
 )
-from .states import DensityMatrix, PureState, isotropic_state
+from .states import DensityMatrix, isotropic_state
 
 BISECTION_TOL = 1e-9
 # bisect_crossing takes |f| <= ROOT_REL_TOL * max(|f(lo)|, |f(hi)|) for a root
@@ -68,7 +68,21 @@ CHUNK_BYTES = 8 * 2**20
 # Depolarizing reaches 2.4e-16 (d <= 13, 1001 values of p) and dephasing 0.
 PHASE_COVARIANT_TOL = 1e-14
 
-FAMILIES = ("depolarizing", "dephasing", "custom")
+
+class Family(NamedTuple):
+    """A named channel family: its channel at (d, p) and the closed form of
+    its witness crossing at (d, r)."""
+
+    channel: Callable[[int, float], QuantumChannel]
+    crossing: Callable[[int, int], float]
+
+
+# The builders look their functions up at each call, so a rebinding of the
+# module names (perfbench/tracing.py wraps them in spans) takes effect.
+FAMILIES = {
+    "depolarizing": Family(lambda d, p: depolarizing(d, p), isotropic_sn_threshold),
+    "dephasing": Family(lambda d, p: dephasing(d, p), lambda d, r: (r - 1.0) / (d - 1.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -98,12 +112,19 @@ def _ordered_map(fn, items):
     return [fn(x) for x in items]
 
 
-def _family_channel(family: str, d: int, parameter: float) -> QuantumChannel:
-    if family == "depolarizing":
-        return depolarizing(d, parameter)
-    if family == "dephasing":
-        return dephasing(d, parameter)
-    raise UnknownFamilyError(f"unknown family {family!r}; expected one of {FAMILIES}")
+def _witness_curve(family: str, d: int, r: int, channel: QuantumChannel | None = None):
+    """p -> Tr(W C_Φ), the curve ``snbc_witness_sweep`` samples and
+    ``snbc_witness_threshold`` bisects; constant for a given ``channel``."""
+    w = witness(d, r)
+    if channel is None:
+        if family not in FAMILIES:
+            raise UnknownFamilyError(f"unknown family {family!r}; "
+                                     f"expected one of {tuple(FAMILIES)}")
+        build = FAMILIES[family].channel
+        return lambda p: channel_witness_value(w, build(d, p))
+    choi(channel)  # validates the channel: square, CP and trace-preserving
+    value = channel_witness_value(w, channel)
+    return lambda p: value
 
 
 def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
@@ -115,26 +136,21 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     ``family="custom"`` the fixed ``channel`` is validated once by
     ``choi`` and evaluated once; for the named families the parameter is
     the channel parameter in [0, 1], and each point builds its channel
-    with the trace-preservation check. A grid outside [2, MAX_GRID_POINTS]
-    raises ValueError.
+    with the trace-preservation check. A channel given without the custom
+    family, or the custom family without one, raises UnknownFamilyError;
+    a grid outside [2, MAX_GRID_POINTS] raises ValueError.
     """
     check_grid_size(grid)
-    w = witness(d, r)
-    params = np.linspace(0.0, 1.0, grid)
-    fixed = None
-    if family == "custom":
-        if channel is None:
-            raise UnknownFamilyError("custom family needs an explicit channel")
-        choi(channel)  # validates the channel: square, CP and trace-preserving
-        fixed = channel_witness_value(w, channel)
+    if (family == "custom") != (channel is not None):
+        raise UnknownFamilyError("the custom family needs a channel, and only it takes one")
+    curve = _witness_curve(family, d, r, channel)
 
     def record(p: float) -> SweepRecord:
-        val = fixed if fixed is not None else channel_witness_value(
-            w, _family_channel(family, d, float(p)))
+        val = curve(float(p))
         verdict = Verdict.CERTIFIED_ABOVE if val < -tol else Verdict.CONSISTENT_WITH_AT_MOST
         return SweepRecord(float(p), val, verdict)
 
-    return _ordered_map(record, params)
+    return _ordered_map(record, np.linspace(0.0, 1.0, grid))
 
 
 def bisect_crossing(f, lo: float, hi: float, tol: float = BISECTION_TOL) -> float:
@@ -183,12 +199,7 @@ def snbc_witness_threshold(family: str, d: int, r: int,
     (r - 1)/(d - 1) for dephasing, whose r = 1 root lies at the bracket
     edge p = 0.
     """
-    w = witness(d, r)
-
-    def curve(p: float) -> float:
-        return channel_witness_value(w, _family_channel(family, d, p))
-
-    return bisect_crossing(curve, 0.0, 1.0, tol)
+    return bisect_crossing(_witness_curve(family, d, r), 0.0, 1.0, tol)
 
 
 def check_grid_size(points: int) -> int:
@@ -215,8 +226,7 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
     """
     lattices, charged, lower, reduced = p_grid, "p points x lattice points", "the grids or d", True
     if channel is not None:
-        if not channel.is_square or channel.d_in != d:
-            raise DimensionMismatchError(f"need a square channel of dimension {d}, got {channel!r}")
+        _check_square(channel, d)
         lattices, charged, lower = 1, "lattice points", "the q grid"
         reduced = _reduced_parts(_unit_images(channel)) is not None
     check_grid_size(p_grid)
@@ -268,17 +278,14 @@ def simplex_lattice(n_subdiv: int, dims: int) -> np.ndarray:
 
 def _as_simplex(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
-    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-12:
+    if not (np.all(q >= 0) and abs(q.sum() - 1.0) <= 1e-12):  # NaN fails both
         raise ValueError("q must be a probability vector summing to 1 within 1e-12")
     return q
 
 
-def schmidt_vector_state(q) -> PureState:
-    """Pure state sum_j sqrt(q_j) |jj> with computational Schmidt vectors."""
-    q = _as_simplex(q)
-    amp = np.zeros(q.size * q.size, dtype=complex)
-    amp[np.arange(q.size) * (q.size + 1)] = np.sqrt(q)
-    return PureState(amp, (q.size, q.size))
+def _check_square(ch: QuantumChannel, d: int) -> None:
+    if not ch.is_square or ch.d_in != d:
+        raise DimensionMismatchError(f"need a square channel of dimension {d}, got {ch!r}")
 
 
 def _pair_tensor(phi: np.ndarray) -> np.ndarray:
@@ -384,14 +391,11 @@ def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
     X_ab = sum_j q_j D_j[a] D_j[b] at |ab>, except for the d x d block on
     span{|aa>} with off-diagonal entries sqrt(q_a q_b) c_ab^2. Its partial
     trace over B is diagonal, so (id ⊗ Lambda_k) keeps that pattern; this is
-    the reduction ``snac_lattice_minimum`` uses. This function always builds
-    the full d^2 x d^2 output.
+    the reduction ``snac_min_eig`` and ``snac_lattice_minimum`` use. This
+    function always builds the full d^2 x d^2 output.
     """
     q = _as_simplex(q)
-    if not ch.is_square or ch.d_in != q.size:
-        raise DimensionMismatchError(
-            f"need a square channel of dimension {q.size}, got {ch!r}"
-        )
+    _check_square(ch, q.size)
     return DensityMatrix(_two_local_array(_pair_tensor(_unit_images(ch)), q),
                          (ch.d_out, ch.d_out))
 
@@ -424,12 +428,47 @@ def two_local_depolarizing_matrix(p: float, q) -> np.ndarray:
     return out
 
 
-def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
-    """Minimum eigenvalue of (id ⊗ Lambda_k) applied to the two-local output."""
+def _certificate(ch: QuantumChannel, k: float):
+    """The two-local certificate of a square channel at each row of q.
+
+    Returns the size of the matrices diagonalized per row and the function
+    q -> min eig of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), one value per
+    row of a (points, d) array. The kernel is decided here, once per
+    channel. When every entry of every Φ(|j><l|) outside the
+    phase-covariant pattern (see :func:`two_local_output`) is at most
+    PHASE_COVARIANT_TOL = δ, each row costs one d x d eigensolve plus
+    d^2 - d diagonal entries (:func:`_reduced_min_eigs`), formed from the
+    O(d^4) entries of the Φ(|j><l|) only. Dropping the off-pattern
+    entries moves each Φ(|j><l|) by at most dδ in operator norm, the
+    two-local output by at most d^2 δ (2 + dδ) and, since
+    ||id ⊗ Lambda_k|| <= d + k, its image by (d + 1) d^2 δ (2 + dδ). By
+    Weyl's inequality that bounds the change of the minimum eigenvalue:
+    4.8e-11 at d = 13, far below EVIDENCE_TOL. Every other channel takes
+    the dense kernel, a stacked d^2 x d^2 eigensolve per row, whose
+    d^6-entry pair tensor (``_pair_tensor``) is built once here.
+    """
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k={k} outside (0, 1]")
-    out = two_local_output(ch, q)
-    return float(np.linalg.eigvalsh(apply_id_lambda(out, k))[0])
+    d = ch.d_in
+    phi = _unit_images(ch)
+    parts = _reduced_parts(phi)
+    if parts is not None:
+        populations, squares = parts
+        return d, lambda q: _reduced_min_eigs(populations, squares, q, k)
+    pair = _pair_tensor(phi)
+    return d * d, lambda q: np.linalg.eigvalsh(
+        _id_lambda_matrix(_two_local_array(pair, q), d, d, k))[:, 0]
+
+
+def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
+    """The certificate ``snac_lattice_minimum`` minimizes, at one q.
+
+    Minimum eigenvalue of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), where
+    |psi_q> = sum_j sqrt(q_j) |jj> and Φ is square of dimension len(q).
+    """
+    q = _as_simplex(q)
+    _check_square(ch, q.size)
+    return float(_certificate(ch, k)[1](q[None])[0])
 
 
 def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
@@ -440,45 +479,14 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     Returns, as exact fractions, the first lattice point in lexicographic
     order whose value is within TIE_TOL of the minimum, and that value.
     ``lattice`` is ``simplex_lattice(n_subdiv, d)`` when the caller has
-    built it already.
-
-    The kernel is decided once per channel. When every entry of every
-    Φ(|j><l|) outside the phase-covariant pattern (see
-    :func:`two_local_output`) is at most PHASE_COVARIANT_TOL = δ, each
-    point costs one d x d eigensolve plus d^2 - d diagonal entries
-    (:func:`_reduced_min_eigs`), formed from the O(d^4) entries of the
-    Φ(|j><l|) only. Dropping the off-pattern entries moves each
-    Φ(|j><l|) by at most dδ in operator norm, the two-local output by at
-    most d^2 δ (2 + dδ) and, since ||id ⊗ Lambda_k|| <= d + k, its image
-    by (d + 1) d^2 δ (2 + dδ). By Weyl's inequality that bounds the change
-    of the minimum eigenvalue: 4.8e-11 at d = 13, far below EVIDENCE_TOL.
-    Every other channel takes the dense kernel, a stacked d^2 x d^2
-    eigensolve per point, whose d^6-entry pair tensor (``_pair_tensor``) is
-    built once per call. Both kernels run in chunks of CHUNK_BYTES of
-    certificate matrices.
+    built it already. The certificate (:func:`snac_min_eig`) runs on the
+    channel's kernel (:func:`_certificate`) in chunks of CHUNK_BYTES.
     """
-    if not 0.0 < k <= 1.0:
-        raise ValueError(f"k={k} outside (0, 1]")
     if not ch.is_square:
         raise DimensionMismatchError(f"need a square channel, got {ch!r}")
-    d = ch.d_in
     if lattice is None:
-        lattice = simplex_lattice(n_subdiv, d)
-    phi = _unit_images(ch)
-    parts = _reduced_parts(phi)
-    if parts is not None:
-        size = d
-        populations, squares = parts
-
-        def certificate(q):
-            return _reduced_min_eigs(populations, squares, q, k)
-    else:
-        size = d * d
-        pair = _pair_tensor(phi)
-
-        def certificate(q):
-            return np.linalg.eigvalsh(_id_lambda_matrix(_two_local_array(pair, q), d, d, k))[:, 0]
-
+        lattice = simplex_lattice(n_subdiv, ch.d_in)
+    size, certificate = _certificate(ch, k)
     rows = max(1, CHUNK_BYTES // (16 * size ** 2))
     vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)
                            for i in range(0, len(lattice), rows)])
@@ -512,6 +520,12 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     return _ordered_map(record, params)
 
 
+def _pt_min_eig(d: int, p: float) -> float:
+    """Minimum eigenvalue of the partial transpose of isotropic(d, p)."""
+    pt = linalg.partial_transpose(isotropic_state(d, p).matrix, (d, d), which=1)
+    return float(np.linalg.eigvalsh(pt)[0])
+
+
 def eb_ppt_threshold(d: int, tol: float = BISECTION_TOL) -> float:
     """Isotropic parameter at which the partial transpose stops being PSD.
 
@@ -520,12 +534,7 @@ def eb_ppt_threshold(d: int, tol: float = BISECTION_TOL) -> float:
     """
     if d < 2:
         raise ValueError("needs d >= 2")
-
-    def curve(p: float) -> float:
-        pt = linalg.partial_transpose(isotropic_state(d, p).matrix, (d, d), which=1)
-        return float(np.linalg.eigvalsh(pt)[0])
-
-    return bisect_crossing(curve, 0.0, 1.0, tol)
+    return bisect_crossing(lambda p: _pt_min_eig(d, p), 0.0, 1.0, tol)
 
 
 @dataclass(frozen=True)
@@ -576,8 +585,7 @@ def relation_report(d: int, r: int, tol: float = BISECTION_TOL) -> RelationRepor
     if snbc_exact > eb_exact + tol:
         gap = (eb, snbc)
         mid = (eb + snbc) / 2.0
-        pt = linalg.partial_transpose(isotropic_state(d, mid).matrix, (d, d), which=1)
-        pt_min = float(np.linalg.eigvalsh(pt)[0])
+        pt_min = _pt_min_eig(d, mid)
         w_val = witness_value(witness(d, r), isotropic_state(d, mid))
     else:
         gap, mid, pt_min, w_val = None, None, None, None

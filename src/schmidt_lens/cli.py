@@ -25,7 +25,6 @@ from importlib import resources
 from . import analysis, suites
 from .channels import channel_from_json, check_kraus_stack
 from .errors import SchmidtLensError
-from .schmidt import isotropic_sn_threshold
 
 THRESHOLD_TOL = 1e-8
 
@@ -80,11 +79,6 @@ class _UsageError(Exception):
     """Bad command-line input, found after parsing; ``main`` exits 2 on it."""
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _load_channel(path: str, d: int):
     """The square d -> d channel stored in ``path``; raises _UsageError otherwise."""
     try:
@@ -113,9 +107,9 @@ def _check_budgets(d: int, grid: int | None = None) -> None:
 
 def cmd_sweep(args) -> int:
     if args.grid < 2:
-        return _usage_error("--grid must be at least 2")
+        raise _UsageError("--grid must be at least 2")
     if not 1 <= args.r < args.d:
-        return _usage_error("need 1 <= r < d")
+        raise _UsageError("need 1 <= r < d")
     _check_budgets(args.d, args.grid)
     channel = None
     family = args.family
@@ -123,7 +117,7 @@ def cmd_sweep(args) -> int:
         family = "custom"
         channel = _load_channel(args.channel_file, args.d)
     elif family == "custom":
-        return _usage_error("custom family needs --channel-file")
+        raise _UsageError("custom family needs --channel-file")
     records = analysis.snbc_witness_sweep(family, args.d, args.r, args.grid, channel=channel)
     if args.output == "json":
         payload = {
@@ -151,15 +145,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     if not 1 <= args.r < args.d:
-        return _usage_error("need 1 <= r < d")
+        raise _UsageError("need 1 <= r < d")
     if not (math.isfinite(args.tol) and args.tol > 0):
-        return _usage_error("--tol must be finite and positive")
+        raise _UsageError("--tol must be finite and positive")
     _check_budgets(args.d)
     threshold = analysis.snbc_witness_threshold(args.family, args.d, args.r, tol=args.tol)
-    if args.family == "depolarizing":
-        exact = isotropic_sn_threshold(args.d, args.r)
-    else:
-        exact = (args.r - 1.0) / (args.d - 1.0)
+    exact = analysis.FAMILIES[args.family].crossing(args.d, args.r)
     payload = {
         "family": args.family,
         "d": args.d,
@@ -181,11 +172,11 @@ def cmd_threshold(args) -> int:
 
 def cmd_snac(args) -> int:
     if args.d < 2:
-        return _usage_error("--d must be at least 2")
+        raise _UsageError("--d must be at least 2")
     if args.p_grid < 2 or args.q_grid < 2:
-        return _usage_error("--p-grid and --q-grid must be at least 2")
+        raise _UsageError("--p-grid and --q-grid must be at least 2")
     if not 0.0 < args.k <= 1.0:
-        return _usage_error("--k must lie in (0, 1]")
+        raise _UsageError("--k must lie in (0, 1]")
     _check_budgets(args.d)
     channel = None
     if args.channel_file is not None:
@@ -193,7 +184,7 @@ def cmd_snac(args) -> int:
     try:
         analysis.check_snac_size(args.d, args.p_grid, args.q_grid, channel)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise _UsageError(str(exc)) from exc
     records = analysis.snac_sweep(args.d, args.k, args.p_grid, args.q_grid, channel)
 
     def reference(p: float) -> float:
@@ -234,9 +225,9 @@ def cmd_snac(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
-        return _usage_error("--seed must be non-negative")
+        raise _UsageError("--seed must be non-negative")
     if not 1 <= args.r < args.d:
-        return _usage_error("need 1 <= r < d for the relations suite")
+        raise _UsageError("need 1 <= r < d for the relations suite")
     _check_budgets(args.d)
     names = [args.suite] if args.suite else None
     results = suites.run_suites(names, seed=args.seed, d=args.d, r=args.r)
@@ -288,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-path", default=None, help="write the report here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="witness sweep over a channel family")
-    p_sweep.add_argument("--family", choices=["depolarizing", "dephasing", "custom"],
+    p_sweep.add_argument("--family", choices=[*analysis.FAMILIES, "custom"],
                          default="depolarizing")
     p_sweep.add_argument("--channel-file", default=None,
                          help="JSON Kraus file; implies the custom family")
@@ -300,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_thr = sub.add_parser("threshold", help="bisected breaking threshold vs closed form")
-    p_thr.add_argument("--family", choices=["depolarizing", "dephasing"], required=True)
+    p_thr.add_argument("--family", choices=list(analysis.FAMILIES), required=True)
     p_thr.add_argument("--d", type=int, required=True)
     p_thr.add_argument("--r", type=int, required=True)
     p_thr.add_argument("--tol", type=float, default=1e-9)
@@ -333,9 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        return _usage_error(str(exc))
-    except FileNotFoundError as exc:
+    except (_UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SchmidtLensError as exc:

@@ -87,6 +87,8 @@ class TestWitnessSweep:
             snbc_witness_sweep("bogus", 3, 2, grid=5)
         with pytest.raises(UnknownFamilyError):
             snbc_witness_sweep("custom", 3, 2, grid=5)  # custom without channel
+        with pytest.raises(UnknownFamilyError):
+            snbc_witness_sweep("depolarizing", 3, 2, grid=3, channel=identity_channel(3))
 
 
 class TestBisectCrossing:
@@ -249,8 +251,9 @@ class TestTwoLocalOutput:
     def test_matches_three_term_expansion(self, rng):
         # p^2 w + (1-p)^2 I/9 + p(1-p)(w_A ⊗ I/3 + I/3 ⊗ w_B)
         q = rng.dirichlet(np.ones(3))
-        psi = analysis.schmidt_vector_state(q)
-        w = psi.density().matrix
+        amp = np.zeros(9)
+        amp[[0, 4, 8]] = np.sqrt(q)  # sum_j sqrt(q_j) |jj>
+        w = np.outer(amp, amp)
         wa = linalg.partial_trace(w, (3, 3), 0)
         wb = linalg.partial_trace(w, (3, 3), 1)
         for p in (0.2, 0.7):
@@ -306,7 +309,9 @@ class TestSnacMinEig:
         q = rng.dirichlet(np.ones(3))
         ch = depolarizing(3, p)
         pair = tensor(ch, ch)
-        rho = analysis.schmidt_vector_state(q).density().matrix
+        amp = np.zeros(9)
+        amp[[0, 4, 8]] = np.sqrt(q)  # sum_j sqrt(q_j) |jj>
+        rho = np.outer(amp, amp)
         ref = ref_apply_kraus(pair.kraus, rho)
         ref_out = ref_id_lambda(ref, 3, 3, k)
         want = np.linalg.eigvalsh(ref_out)[0]
@@ -330,6 +335,14 @@ class TestSnacMinEig:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             snac_min_eig(depolarizing(3, 0.5), np.full(3, 1 / 3), 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda q: snac_min_eig(depolarizing(3, 0.5), q, 0.5),
+        lambda q: two_local_output(depolarizing(3, 0.5), q),
+    ])
+    def test_rejects_nan_q(self, build):
+        with pytest.raises(ValueError, match="probability vector"):
+            build([float("nan")] * 3)
 
 
 class TestSnacSweep:
@@ -405,12 +418,6 @@ class TestSnacSweep:
         assert sorted(float(f) for f in records[0].q_star) == [0.0, 0.0, 1.0]
 
 
-def _reduced_value(ch, k, point):
-    """The certificate at one lattice point, through snac_lattice_minimum."""
-    point = np.asarray(point)
-    return snac_lattice_minimum(ch, k, int(point.sum()), lattice=point[None, :])[1]
-
-
 def _dense_calls(monkeypatch):
     """Count the dense kernel's calls of _two_local_array from here on."""
     calls = []
@@ -437,8 +444,20 @@ class TestPhaseCovariantKernel:
                 out = ref_two_local_output(ch.kraus, q)
                 for k in (1 / 3, 1 / 2, 1.0):
                     want = np.linalg.eigvalsh(ref_id_lambda(out, d, d, k))[0]
-                    assert abs(_reduced_value(ch, k, point) - want) <= 1e-14, (p, point, k)
+                    assert abs(snac_min_eig(ch, q, k) - want) <= 1e-14, (p, point, k)
         assert dense == []
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("family", ["depolarizing", "dephasing", "random"])
+    def test_min_eig_is_one_lattice_row(self, d, family, monkeypatch):
+        ch = (random_channel(d, 4, 7) if family == "random"
+              else analysis.FAMILIES[family].channel(d, 0.6))
+        dense = _dense_calls(monkeypatch)
+        for pt in simplex_lattice(3, d):
+            for k in (1 / 3, 1 / 2, 1.0):
+                row = snac_lattice_minimum(ch, k, 3, lattice=pt[None])[1]
+                assert snac_min_eig(ch, pt / 3, k) == row, (pt, k)
+        assert (dense == []) == (family != "random")
 
     def test_named_families_sit_well_inside_the_tolerance(self):
         # measured: at most 2.4e-16 for depolarizing (d <= 13), exactly 0 for dephasing
@@ -474,7 +493,8 @@ class TestPhaseCovariantKernel:
         assert dense_calls == []
         monkeypatch.undo()
         lattice = simplex_lattice(4, 4)
-        dense = [snac_min_eig(ch, pt / 4, 0.5) for pt in lattice]
+        dense = [np.linalg.eigvalsh(apply_id_lambda(two_local_output(ch, pt / 4), 0.5))[0]
+                 for pt in lattice]
         best = int(np.argmax(dense <= np.min(dense) + analysis.TIE_TOL))
         assert q_star == tuple(Fraction(int(n), 4) for n in lattice[best])
         assert abs(value - dense[best]) <= 1e-14

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -20,7 +21,8 @@ from schmidt_lens.channels import (
     identity_channel,
     random_channel,
 )
-from schmidt_lens.cli import main, render_json, report_schema
+from schmidt_lens.cli import build_parser, main, render_json, report_schema
+from schmidt_lens.schmidt import isotropic_sn_threshold
 
 from conftest import ref_two_local_min_eig
 
@@ -103,6 +105,28 @@ class TestThresholdCommand:
         )
         assert code == 0
         assert abs(json.loads(out)["threshold"] - 0.625) <= 1e-15
+
+    def test_choices_and_analytic_come_from_the_family_table(self, monkeypatch, capsys):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        def family_choices(command):
+            return next(a.choices for a in commands[command]._actions if a.dest == "family")
+
+        assert family_choices("sweep") == [*analysis.FAMILIES, "custom"]
+        assert family_choices("threshold") == list(analysis.FAMILIES)
+        assert list(analysis.FAMILIES) == ["depolarizing", "dephasing"]
+        for d in range(2, 14):
+            for r in range(1, d):
+                depolarizing_crossing = analysis.FAMILIES["depolarizing"].crossing(d, r)
+                assert depolarizing_crossing == isotropic_sn_threshold(d, r)
+                assert analysis.FAMILIES["dephasing"].crossing(d, r) == (r - 1.0) / (d - 1.0)
+        table = dict(analysis.FAMILIES)
+        table["dephasing"] = analysis.Family(table["dephasing"].channel, lambda d, r: 0.5)
+        monkeypatch.setattr(analysis, "FAMILIES", table)
+        code, out, _ = run_cli(["threshold", "--family", "dephasing", "--d", "3", "--r", "2"],
+                               capsys)
+        assert code == 0 and json.loads(out)["analytic"] == 0.5
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
