@@ -43,7 +43,6 @@ from .channels import (
     is_cptp,
     random_channel,
     random_channel_with_kraus_rank,
-    shift_clock_unitaries,
     tensor,
 )
 from .linalg import (

@@ -15,8 +15,8 @@ from . import linalg
 from .channels import (
     MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
     QuantumChannel,
+    _check_tp,
     _unit_images,
-    choi,
     dephasing,
     depolarizing,
 )
@@ -122,7 +122,7 @@ def _witness_curve(family: str, d: int, r: int, channel: QuantumChannel | None =
                                      f"expected one of {tuple(FAMILIES)}")
         build = FAMILIES[family].channel
         return lambda p: channel_witness_value(w, build(d, p))
-    choi(channel)  # validates the channel: square, CP and trace-preserving
+    _check_square(channel, d)
     value = channel_witness_value(w, channel)
     return lambda p: value
 
@@ -133,8 +133,8 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     """Witness value on the family's Choi state over a uniform parameter grid.
 
     Each value is ``channel_witness_value``, read off the Kraus traces. For
-    ``family="custom"`` the fixed ``channel`` is validated once by
-    ``choi`` and evaluated once; for the named families the parameter is
+    ``family="custom"`` the fixed ``channel`` is checked once (as by
+    ``snac_sweep``) and evaluated once; for the named families the parameter is
     the channel parameter in [0, 1], and each point builds its channel
     with the trace-preservation check. A channel given without the custom
     family, or the custom family without one, raises UnknownFamilyError;
@@ -219,8 +219,8 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
     Checks the p grid, the simplex lattice and the work budget of the
     kernel the study takes, in that order, without building any lattice;
     ValueError above any of them. One lattice is charged per p for the
-    depolarizing family, one in all for a given channel (square of
-    dimension d, else DimensionMismatchError), against
+    depolarizing family, one in all for a given channel (checked by
+    ``_check_square``), against
     MAX_SNAC_REDUCED_WORK when it takes the reduced kernel of
     ``snac_lattice_minimum``, else against MAX_SNAC_EIG_WORK.
     """
@@ -284,8 +284,11 @@ def _as_simplex(q) -> np.ndarray:
 
 
 def _check_square(ch: QuantumChannel, d: int) -> None:
+    """A study's given channel: square of dimension d (DimensionMismatchError)
+    and trace-preserving by the rule of ``QuantumChannel`` (``_check_tp``)."""
     if not ch.is_square or ch.d_in != d:
         raise DimensionMismatchError(f"need a square channel of dimension {d}, got {ch!r}")
+    _check_tp(ch)
 
 
 def _pair_tensor(phi: np.ndarray) -> np.ndarray:
@@ -464,7 +467,7 @@ def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
     """The certificate ``snac_lattice_minimum`` minimizes, at one q.
 
     Minimum eigenvalue of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), where
-    |psi_q> = sum_j sqrt(q_j) |jj> and Φ is square of dimension len(q).
+    |psi_q> = sum_j sqrt(q_j) |jj> and Φ meets ``_check_square`` at len(q).
     """
     q = _as_simplex(q)
     _check_square(ch, q.size)
@@ -478,14 +481,20 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
 
     Returns, as exact fractions, the first lattice point in lexicographic
     order whose value is within TIE_TOL of the minimum, and that value.
-    ``lattice`` is ``simplex_lattice(n_subdiv, d)`` when the caller has
-    built it already. The certificate (:func:`snac_min_eig`) runs on the
-    channel's kernel (:func:`_certificate`) in chunks of CHUNK_BYTES.
+    ``lattice`` is ``simplex_lattice(n_subdiv, d)``, or rows of it, when the
+    caller has built it already; other rows raise ValueError. The
+    certificate (:func:`snac_min_eig`) runs on the channel's kernel
+    (:func:`_certificate`) in chunks of CHUNK_BYTES.
     """
     if not ch.is_square:
         raise DimensionMismatchError(f"need a square channel, got {ch!r}")
     if lattice is None:
         lattice = simplex_lattice(n_subdiv, ch.d_in)
+    elif lattice.dtype.kind not in "iu" or lattice.shape[1:] != (ch.d_in,) or not len(lattice):
+        raise ValueError(f"a lattice of {lattice.dtype} and shape {lattice.shape} is not an "
+                         f"integer (points >= 1, d={ch.d_in}) array")
+    elif lattice.min() < 0 or np.any(lattice.sum(axis=1) != n_subdiv):
+        raise ValueError(f"lattice rows must be nonnegative and sum to n_subdiv={n_subdiv}")
     size, certificate = _certificate(ch, k)
     rows = max(1, CHUNK_BYTES // (16 * size ** 2))
     vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)

@@ -69,11 +69,7 @@ class QuantumChannel:
         self._stack = stack
         self.d_out, self.d_in = stack.shape[1:]
         if check_tp:
-            dev = self.trace_preservation_defect()
-            if not dev <= TP_TOL:  # a NaN defect (overflowed entries) fails too
-                raise NotTracePreservingError(
-                    f"max |sum K†K - I| = {dev:.3e} exceeds {TP_TOL:.1e}"
-                )
+            _check_tp(self)
 
     def trace_preservation_defect(self) -> float:
         flat = self._stack.reshape(-1, self.d_in)  # rows (a, o): sum K†K = flat† flat
@@ -96,6 +92,13 @@ class QuantumChannel:
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, n_kraus={len(self)})"
 
 
+def _check_tp(ch: QuantumChannel) -> None:
+    """NotTracePreservingError unless ``ch.trace_preservation_defect() <= TP_TOL``."""
+    dev = ch.trace_preservation_defect()
+    if not dev <= TP_TOL:  # a NaN defect (overflowed entries) fails too
+        raise NotTracePreservingError(f"max |sum K†K - I| = {dev:.3e} exceeds {TP_TOL:.1e}")
+
+
 class ChoiMatrix:
     """Normalized Choi state of a channel: (id ⊗ Φ) |phi+><phi+|.
 
@@ -115,7 +118,7 @@ class ChoiMatrix:
             )
         tr = np.trace(m)
         if abs(tr - 1.0) > CHOI_TRACE_TOL:
-            raise ValueError(f"Choi trace {tr!r} deviates from 1")
+            raise ValueError(f"Choi trace {complex(tr)} deviates from 1")
         h = m + linalg.dagger(m)
         h /= 2.0
         lo = linalg.psd_minima(h, CHOI_PSD_TOL)
@@ -161,18 +164,15 @@ def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def apply_on_B(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply (id_A ⊗ Φ) to a bipartite state; Φ acts on the B factor."""
+    """Apply (id_A ⊗ Φ) to a bipartite state, blockwise from the unit images Φ(|j><l|)."""
     if not rho.is_bipartite():
         raise DimensionMismatchError("apply_on_B needs a bipartite state")
     da, db = rho.dims
     if db != ch.d_in:
         raise DimensionMismatchError(f"dB={db} != channel d_in {ch.d_in}")
-    ident = np.eye(da, dtype=complex)
-    lifted = QuantumChannel(
-        [np.kron(ident, k) for k in ch.kraus], check_tp=False
-    )
-    out = apply_matrix(lifted, rho.matrix)
-    return DensityMatrix(out, (da, ch.d_out))
+    r4 = rho.matrix.reshape(da, db, da, db)
+    out = np.einsum("ijkl,jlop->iokp", r4, _unit_images(ch))
+    return DensityMatrix(out.reshape(da * ch.d_out, da * ch.d_out), (da, ch.d_out))
 
 
 def _choi_array(ch: QuantumChannel) -> np.ndarray:
@@ -290,11 +290,6 @@ def _shift_clock_stack(d: int) -> np.ndarray:
     stack = np.stack(_shift_clock_products(d))
     stack.flags.writeable = False
     return stack
-
-
-def shift_clock_unitaries(d: int) -> list[np.ndarray]:
-    """The d^2 generalized Pauli unitaries X^a Z^b (identity first), as fresh copies."""
-    return [u.copy() for u in _shift_clock_stack(d)]
 
 
 def depolarizing(d: int, p: float) -> QuantumChannel:

@@ -248,22 +248,12 @@ def cmd_verify(args) -> int:
             "passed": all_passed,
             "suites": [
                 {"name": res.name, "passed": res.passed, "detail": res.detail,
-                 "data": _jsonable(res.data)}
+                 "data": res.data}
                 for res in results
             ],
         }
         _emit(render_json(payload) + "\n", args.output_path)
     return 0 if all_passed else 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def build_parser() -> argparse.ArgumentParser:

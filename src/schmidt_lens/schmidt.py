@@ -16,6 +16,7 @@ vocabulary below.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +30,20 @@ EVIDENCE_TOL = 1e-9
 
 
 class SNWitness:
-    """Fidelity witness I - (d/r) |phi+><phi+| on a d x d bipartite space."""
+    """Fidelity witness I - (d/r) |phi+><phi+| on a d x d bipartite space; the
+    certificates read it in closed form, so ``matrix`` is built on first read."""
 
     def __init__(self, d: int, r: int):
         if not 1 <= r < d:
             raise InvalidRankError(f"witness needs 1 <= r < d, got r={r}, d={d}")
         self.d = d
         self.r = r
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        d, r = self.d, self.r
         phi = max_entangled(d).amplitudes
-        self.matrix = np.eye(d * d, dtype=complex) - (d / r) * np.outer(phi, phi.conj())
+        return np.eye(d * d, dtype=complex) - (d / r) * np.outer(phi, phi.conj())
 
     def __repr__(self):
         return f"SNWitness(d={self.d}, r={self.r})"

@@ -50,7 +50,7 @@ class PureState:
             )
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+            raise ValueError(f"state norm {float(norm)} deviates from 1 beyond {NORM_TOL}")
         self.amplitudes = v
         self.dims = dims
 
@@ -150,7 +150,7 @@ def as_density_stack(m: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
     if bad.size:
         raise ValueError(
-            f"{at(bad[0])}trace {tr.flat[bad[0]]!r} deviates from 1 beyond {TRACE_TOL}"
+            f"{at(bad[0])}trace {float(tr.real.flat[bad[0]])} deviates from 1 beyond {TRACE_TOL}"
         )
     lo = linalg.psd_minima(h, PSD_TOL)
     if lo is not None:
@@ -266,7 +266,7 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
     if bad.size:
         state = np.nonzero(used)[0][bad[0]]
         raise ValueError(
-            f"state {state}: term norm {norm[bad[0]]!r} deviates from 1 beyond {NORM_TOL}"
+            f"state {state}: term norm {float(norm[bad[0]])} deviates from 1 beyond {NORM_TOL}"
         )
     rows = np.zeros((n, max_terms, dA * dB), dtype=complex)
     rows[used] = np.sqrt(weights[used])[:, None] * amp

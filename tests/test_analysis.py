@@ -22,6 +22,7 @@ from schmidt_lens.analysis import (
 )
 from schmidt_lens.channels import (
     QuantumChannel,
+    adjoint,
     apply_matrix,
     channel_from_json,
     channel_to_json,
@@ -35,9 +36,10 @@ from schmidt_lens.errors import (
     DimensionMismatchError,
     InvalidRankError,
     NoSignChangeError,
+    NotTracePreservingError,
     UnknownFamilyError,
 )
-from schmidt_lens.schmidt import Verdict, apply_id_lambda
+from schmidt_lens.schmidt import Verdict, apply_id_lambda, channel_witness_value, witness
 from schmidt_lens.states import DensityMatrix, haar_unitary, isotropic_state
 
 from conftest import (
@@ -172,14 +174,33 @@ class TestThresholds:
 
     def test_named_families_build_no_choi_matrix(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(analysis, "choi", lambda ch: calls.append(ch))
         monkeypatch.setattr(channels.ChoiMatrix, "__init__", lambda *a: calls.append(a))
         for family in ("depolarizing", "dephasing"):
             snbc_witness_sweep(family, 9, 2, grid=11)
             snbc_witness_threshold(family, 9, 2)
         assert calls == []
         snbc_witness_sweep("custom", 3, 2, grid=5, channel=identity_channel(3))
-        assert len(calls) == 1  # the custom channel is validated once
+        assert len(calls) == 0
+
+    def test_studies_check_a_given_channel_by_one_rule(self):
+        adj = adjoint(random_channel(3, 2, 1))
+        assert adj.trace_preservation_defect() > 0.6
+        for call in (lambda: snbc_witness_sweep("custom", 3, 2, grid=5, channel=adj),
+                     lambda: snac_sweep(3, 0.5, 2, 3, channel=adj),
+                     lambda: snac_min_eig(adj, np.full(3, 1 / 3), 0.5),
+                     lambda: two_local_output(adj, np.full(3, 1 / 3))):
+            with pytest.raises(NotTracePreservingError, match="exceeds"):
+                call()
+        near = QuantumChannel([np.sqrt(1.0 + 5e-10) * np.eye(3)])  # accepted on construction
+        assert [rec.value for rec in snbc_witness_sweep("custom", 3, 2, 2, channel=near)] == [
+            channel_witness_value(witness(3, 2), near)] * 2
+        assert len(snac_sweep(3, 0.5, 2, 3, channel=near)) == 2
+        for study in (lambda ch: snbc_witness_sweep("custom", 3, 2, 2, channel=ch),
+                      lambda ch: snac_sweep(3, 0.5, 2, 3, channel=ch)):
+            with pytest.raises(DimensionMismatchError):
+                study(QuantumChannel([np.eye(3, 2)]))
+            with pytest.raises(DimensionMismatchError):
+                study(identity_channel(4))
 
     def test_inside_unit_interval(self):
         got = snbc_witness_threshold("depolarizing", 4, 3)
@@ -398,6 +419,23 @@ class TestSnacSweep:
             two_local_output(isometry, [0.5, 0.5])
         with pytest.raises(DimensionMismatchError):
             snac_min_eig(depolarizing(3, 0.5), np.full(4, 0.25), 0.5)
+
+    def test_rejects_a_lattice_that_does_not_match(self):
+        ch = random_channel(3, 4, 7)
+        bad = {
+            "sum to n_subdiv=3": simplex_lattice(5, 3),  # rows of another n_subdiv
+            "d=3": simplex_lattice(3, 4),  # width of another d
+            "negative": np.array([[-1, 2, 2], [1, 1, 1]]),
+            "integer": simplex_lattice(3, 3) * 1.0,
+        }
+        for message, lattice in bad.items():
+            with pytest.raises(ValueError, match=message):
+                snac_lattice_minimum(ch, 0.5, 3, lattice=lattice)
+        for lattice in (simplex_lattice(3, 3)[0], np.zeros((0, 3), dtype=int)):
+            with pytest.raises(ValueError, match="shape"):
+                snac_lattice_minimum(ch, 0.5, 3, lattice=lattice)
+        assert (snac_lattice_minimum(ch, 0.5, 3, lattice=simplex_lattice(3, 3))
+                == snac_lattice_minimum(ch, 0.5, 3))
 
     def test_lattice_budget(self):
         assert check_lattice_size(30, 3) == 496

@@ -15,6 +15,7 @@ from schmidt_lens import analysis, suites
 from schmidt_lens.analysis import snac_lattice_minimum
 from schmidt_lens.channels import (
     MAX_KRAUS_STACK_BYTES,
+    QuantumChannel,
     channel_to_json,
     dephasing,
     depolarizing,
@@ -202,6 +203,16 @@ class TestSweepCommand:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         for row in rows:
             assert abs(float(row[1]) - (-0.5)) < 1e-12
+
+    def test_near_trace_preserving_file_runs_in_sweep_and_snac(self, tmp_path, capsys):
+        # defect 5e-10: within TP_TOL, the rule every channel file is read by
+        path = tmp_path / "near.json"
+        path.write_text(channel_to_json(QuantumChannel([np.sqrt(1.0 + 5e-10) * np.eye(3)])))
+        for command, rows in ((["sweep", "--r", "2", "--grid", "3"], 3),
+                              (["snac", "--p-grid", "2", "--q-grid", "3"], 2)):
+            code, out, err = run_cli([*command, "--d", "3", "--channel-file", str(path)], capsys)
+            assert (code, err) == (0, "")
+            assert len(out.splitlines()) == 1 + rows
 
     def test_json_output_validates(self, capsys):
         code, out, _ = run_cli(
@@ -439,12 +450,14 @@ class TestVerifyCommand:
         assert err == "error: suites failed: kron_rank\n"
 
     def test_json_detail_validates(self, tmp_path, capsys):
-        path = tmp_path / "verify.json"
-        code, _, _ = run_cli(
-            ["verify", "--suite", "kron_rank", "--output-path", str(path)], capsys
-        )
-        assert code == 0
-        jsonschema.validate(json.loads(path.read_text()), report_schema())
+        # the suites' data go to the report as they are: every one must validate
+        for args in (["--suite", "kron_rank"], ["--suite", "t4"], []):
+            path = tmp_path / "verify.json"
+            code, _, _ = run_cli(["verify", *args, "--output-path", str(path)], capsys)
+            assert code == 0
+            report = json.loads(path.read_text())
+            jsonschema.validate(report, report_schema())
+        assert {res["name"] for res in report["suites"]} == set(suites.SUITES) - {"t4"}
 
 
 class TestExitCodeContract:

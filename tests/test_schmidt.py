@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from schmidt_lens import analysis, schmidt
 from schmidt_lens.channels import (
     QuantumChannel,
     adjoint,
@@ -14,6 +17,7 @@ from schmidt_lens.errors import DimensionMismatchError, InvalidRankError
 from schmidt_lens.schmidt import (
     CertificationResult,
     LambdaMap,
+    SNWitness,
     Verdict,
     apply_id_lambda,
     certify_sn_above,
@@ -44,6 +48,44 @@ class TestWitness:
         phi = max_entangled(3).amplitudes
         expected = np.eye(9) - 1.5 * np.outer(phi, phi.conj())
         np.testing.assert_array_equal(w.matrix, expected)
+
+    def test_matrix_is_bit_equal_to_the_eager_expression(self):
+        for d in range(2, 14):
+            phi = max_entangled(d).amplitudes
+            for r in range(1, d):
+                want = np.eye(d * d, dtype=complex) - (d / r) * np.outer(phi, phi.conj())
+                w = witness(d, r)
+                assert np.array_equal(w.matrix, want)
+                assert w.matrix is w.matrix  # built once
+
+    def test_certificates_never_build_the_matrix(self, monkeypatch):
+        made = []
+
+        def spy(d, r):
+            made.append(SNWitness(d, r))
+            return made[-1]
+
+        monkeypatch.setattr(analysis, "witness", spy)
+        monkeypatch.setattr(schmidt, "witness", spy)
+        for family in ("depolarizing", "dephasing"):
+            analysis.snbc_witness_threshold(family, 5, 2)
+            analysis.snbc_witness_sweep(family, 5, 2, 11)
+        analysis.snbc_witness_sweep("custom", 3, 1, 2, channel=identity_channel(3))
+        certify_sn_above(max_entangled(3).density(), 2)
+        analysis.relation_report(4, 2)
+        assert len(made) == 8
+        assert all("matrix" not in w.__dict__ for w in made)
+
+    def test_dephasing_d64_threshold_and_sweep_stay_small(self):
+        # the 4096 x 4096 witness matrix alone would take 256 MiB
+        tracemalloc.start()
+        try:
+            analysis.snbc_witness_threshold("dephasing", 64, 2)
+            analysis.snbc_witness_sweep("dephasing", 64, 2, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_value_on_max_entangled(self):
         assert abs(witness_value(witness(3, 2), max_entangled(3).density()) - (-0.5)) < 1e-12

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidt_lens import linalg
+from schmidt_lens import linalg, states
+from schmidt_lens.channels import ChoiMatrix
 from schmidt_lens.errors import (
     InvalidDimensionError,
     InvalidRankError,
@@ -283,6 +284,29 @@ class TestAsDensityStack:
     def test_single_matrix_messages_name_no_state(self):
         with pytest.raises(NotPSDError, match="^minimum eigenvalue"):
             as_density_stack(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_error_messages_print_plain_numbers(monkeypatch):
+    def message(call):
+        with pytest.raises(ValueError) as info:
+            call()
+        return str(info.value)
+
+    texts = [
+        message(lambda: ChoiMatrix(np.eye(9) / 9 * (1 + 5e-10), 3, 3)),
+        message(lambda: as_density_stack(np.eye(2, dtype=complex))),
+        message(lambda: PureState(np.ones(2), (2,))),
+    ]
+    monkeypatch.setattr(states, "_schmidt_amplitudes",
+                        lambda dA, dB, lam, g: 2.0 * np.ones((len(lam), dA * dB)))
+    texts.append(message(lambda: random_states_sn_at_most(2, 2, 1, 2, 1, seed=0)))
+    assert texts == [
+        "Choi trace (1.0000000005+0j) deviates from 1",
+        "trace 2.0 deviates from 1 beyond 1e-10",
+        "state norm 1.4142135623730951 deviates from 1 beyond 1e-12",
+        "state 0: term norm 4.0 deviates from 1 beyond 1e-12",
+    ]
+    assert not any("np." in text for text in texts)
 
 
 class TestIsotropicState:
