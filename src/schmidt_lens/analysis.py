@@ -294,10 +294,14 @@ def _check_square(ch: QuantumChannel, d: int) -> None:
 def _pair_tensor(phi: np.ndarray) -> np.ndarray:
     """Row jl holds Φ(|j><l|) ⊗ Φ(|j><l|), flattened: a (d_in^2, d_out^4) array.
 
-    ``phi`` is ``_unit_images(ch)``.
+    ``phi`` is ``_unit_images(ch)``. The einsum writes into a C-ordered
+    array so that the reshape is a view, not a second copy of the d^6
+    tensor: the einsum's own result is not C-contiguous.
     """
-    d_in = phi.shape[0]
-    return np.einsum("jlop,jlrs->jlorps", phi, phi).reshape(d_in * d_in, -1)
+    d_in, _, d_out, _ = phi.shape
+    pair = np.empty((d_in, d_in) + (d_out,) * 4, dtype=phi.dtype)
+    np.einsum("jlop,jlrs->jlorps", phi, phi, out=pair)
+    return pair.reshape(d_in * d_in, -1)
 
 
 def _two_local_array(pair: np.ndarray, q: np.ndarray) -> np.ndarray:

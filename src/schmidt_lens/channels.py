@@ -107,7 +107,8 @@ class ChoiMatrix:
     (``CHOI_MARGINAL_TOL``). Positivity is decided by a Cholesky
     factorization of the Hermitian part plus ``CHOI_PSD_TOL`` I
     (``linalg.psd_minima``); ``eigvalsh`` runs only to report a minimum
-    eigenvalue below ``-CHOI_PSD_TOL``. ``matrix`` keeps the input entries.
+    eigenvalue below ``-CHOI_PSD_TOL``. A trace or marginal defect raises
+    ``NotTracePreservingError``. ``matrix`` keeps the input entries.
     """
 
     def __init__(self, matrix, d_in: int, d_out: int):
@@ -118,7 +119,7 @@ class ChoiMatrix:
             )
         tr = np.trace(m)
         if abs(tr - 1.0) > CHOI_TRACE_TOL:
-            raise ValueError(f"Choi trace {complex(tr)} deviates from 1")
+            raise NotTracePreservingError(f"Choi trace {complex(tr)} deviates from 1")
         h = m + linalg.dagger(m)
         h /= 2.0
         lo = linalg.psd_minima(h, CHOI_PSD_TOL)

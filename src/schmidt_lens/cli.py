@@ -16,6 +16,7 @@ CSV output uses the same float rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -309,9 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, once per process.
+
+    ``parse_args`` returns a fresh namespace each call, so nothing carries
+    from one command to the next. The ``--family`` and ``--suite`` choices are
+    read off ``analysis.FAMILIES`` and ``suites.SUITES`` on that first call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (_UsageError, FileNotFoundError) as exc:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from schmidt_lens.channels import (
     identity_channel,
     random_channel,
     tensor,
+    _unit_images,
 )
 from schmidt_lens.errors import (
     DimensionMismatchError,
@@ -557,6 +559,25 @@ class TestPhaseCovariantKernel:
         dense = _dense_calls(monkeypatch)
         assert snac_lattice_minimum(ch, 0.5, 6) == whole
         assert dense == [5, 5, 5, 5, 5, 3] and built == [1]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_pair_tensor_is_the_einsum(self, d):
+        for seed in range(3):
+            phi = _unit_images(random_channel(d, 4, seed=seed))
+            pair = analysis._pair_tensor(phi)
+            assert np.array_equal(
+                pair, np.einsum("jlop,jlrs->jlorps", phi, phi).reshape(d * d, -1))
+            assert pair.flags.c_contiguous
+
+    def test_pair_tensor_peaks_at_its_own_size(self):
+        phi = _unit_images(random_channel(9, 4, seed=7))
+        tracemalloc.start()
+        try:
+            pair = analysis._pair_tensor(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * pair.nbytes
 
     def test_sweep_builds_the_lattice_once(self, monkeypatch):
         built = []

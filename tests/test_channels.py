@@ -273,6 +273,13 @@ class TestChoi:
         with pytest.raises(NonSquareChannelError):
             choi(ch)
 
+    def test_trace_defect_is_not_trace_preserving(self):
+        # a defect within TP_TOL passes QuantumChannel but not CHOI_TRACE_TOL
+        ch = QuantumChannel([np.sqrt(1 + 5e-10) * np.eye(3)])
+        with pytest.raises(NotTracePreservingError,
+                           match=r"^Choi trace \(1\.0000000005\+0j\) deviates from 1$"):
+            choi(ch)
+
 
 class TestCanonicalKraus:
     def test_max_entangled_choi_gives_identity(self):

@@ -3,7 +3,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from schmidt_lens import analysis, suites
+from schmidt_lens import analysis, cli, suites
 from schmidt_lens.analysis import snac_lattice_minimum
 from schmidt_lens.channels import (
     MAX_KRAUS_STACK_BYTES,
@@ -26,6 +30,8 @@ from schmidt_lens.cli import build_parser, main, render_json, report_schema
 from schmidt_lens.schmidt import isotropic_sn_threshold
 
 from conftest import ref_two_local_min_eig
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, capsys):
@@ -472,6 +478,84 @@ class TestExitCodeContract:
             code = main(args)
             capsys.readouterr()
             assert code == want, args
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        argv = ["threshold", "--family", "depolarizing", "--d", "3", "--r", "2"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert built  # the first call builds it
+        built.clear()
+        assert run_cli(argv, capsys)[0] == 0
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: (built.append(self), init(self, *a, **k))[1]\n"
+            "import schmidt_lens.cli\n"
+            "print(len(built))\n"
+        )
+        src = Path(cli.__file__).parents[1]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout == "0\n"
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
+
+    def test_a_channel_file_sweep_leaves_no_state(self, tmp_path):
+        path = tmp_path / "identity.json"
+        path.write_text(channel_to_json(identity_channel(3)))
+        assert run_main(["sweep", "--channel-file", str(path), "--d", "3", "--r", "2",
+                         "--grid", "11"])[0] == 0
+        code, out, err = run_main(["sweep", "--family", "dephasing", "--d", "3", "--r", "2",
+                                   "--grid", "11"])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "sweep_dephasing_d3_r2_grid11.csv").read_text()
+
+    def test_an_output_path_leaves_no_state(self, tmp_path):
+        path = tmp_path / "report.json"
+        argv = ["threshold", "--family", "depolarizing", "--d", "3", "--r", "2"]
+        assert run_main([*argv, "--output-path", str(path)]) == (0, "", "")
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, "")
+        assert out == path.read_text()
+
+    @pytest.mark.parametrize("bad", [
+        ["threshold", "--family", "nonsense", "--d", "3", "--r", "2"],  # argparse
+        ["threshold", "--family", "depolarizing", "--d", "3", "--r", "3"],  # _UsageError
+    ])
+    def test_a_usage_error_leaves_no_state(self, bad):
+        code, out, err = run_main(bad)
+        assert (code, out) == (2, "") and err.count("error:") == 1
+        code, out, err = run_main(["threshold", "--family", "depolarizing", "--d", "3",
+                                   "--r", "2"])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "threshold_depolarizing_d3_r2.json").read_text()
+
+    def test_a_suite_run_leaves_no_state(self):
+        t4 = ["verify", "--suite", "t4"]
+        cli._parser.cache_clear()
+        first = run_main(t4)
+        assert run_main(["verify", "--suite", "kron_rank"])[0] == 0
+        assert run_main(t4) == first
+        assert first[0] == 0 and "kron_rank" not in first[1]
 
 
 # The slowest inputs the budgets accept take about 14 s on 2 vCPUs with one
