@@ -29,7 +29,6 @@ from .channels import (
     QuantumChannel,
     action_distance,
     adjoint,
-    apply,
     apply_matrix,
     apply_on_B,
     canonical_kraus,
@@ -40,13 +39,11 @@ from .channels import (
     dephasing,
     depolarizing,
     identity_channel,
-    is_cptp,
     random_channel,
     random_channel_with_kraus_rank,
     tensor,
 )
 from .linalg import (
-    EigenDecomposition,
     hermitian_eig,
     kron,
     matrix_rank,
@@ -56,7 +53,6 @@ from .linalg import (
 )
 from .schmidt import (
     CertificationResult,
-    LambdaMap,
     SNWitness,
     Verdict,
     apply_id_lambda,

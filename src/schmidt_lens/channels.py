@@ -22,10 +22,9 @@ from .errors import (
     NotTracePreservingError,
     ParamOutOfRangeError,
 )
-from .states import DensityMatrix, haar_unitary
+from .states import DensityMatrix, as_density_stack, haar_unitary
 
 TP_TOL = 1e-9
-CHOI_PSD_TOL = 1e-9
 CHOI_TRACE_TOL = 1e-10
 CHOI_MARGINAL_TOL = 1e-9
 # Relative eigenvalue cutoff used when recovering Kraus operators from a Choi
@@ -102,17 +101,19 @@ def _check_tp(ch: QuantumChannel) -> None:
 class ChoiMatrix:
     """Normalized Choi state of a channel: (id ⊗ Φ) |phi+><phi+|.
 
-    The matrix must be finite and square with unit trace (``CHOI_TRACE_TOL``),
-    its Hermitian part PSD and its input marginal I/d_in
-    (``CHOI_MARGINAL_TOL``). Positivity is decided by a Cholesky
-    factorization of the Hermitian part plus ``CHOI_PSD_TOL`` I
-    (``linalg.psd_minima``); ``eigvalsh`` runs only to report a minimum
-    eigenvalue below ``-CHOI_PSD_TOL``. A trace or marginal defect raises
-    ``NotTracePreservingError``. ``matrix`` keeps the input entries.
+    The matrix must be finite and square of side d_in * d_out, with unit
+    trace (``CHOI_TRACE_TOL``) and input marginal I/d_in
+    (``CHOI_MARGINAL_TOL``); either defect raises
+    ``NotTracePreservingError``. Hermiticity and positivity are the rule
+    of a density matrix, ``states.as_density_stack`` (``PSD_TOL``).
+    ``CHOI_TRACE_TOL`` (1e-10) is stricter than ``TP_TOL`` (1e-9): a Kraus
+    set with a trace-preservation defect between the two loads as a
+    ``QuantumChannel`` but has no ``ChoiMatrix``. ``matrix`` is an owned,
+    read-only copy of the input entries.
     """
 
     def __init__(self, matrix, d_in: int, d_out: int):
-        m = linalg.as_matrix(matrix, square=True)
+        m = linalg.as_matrix(matrix, square=True).copy()
         if m.shape[0] != d_in * d_out:
             raise DimensionMismatchError(
                 f"shape {m.shape} does not match d_in*d_out = {d_in * d_out}"
@@ -120,20 +121,21 @@ class ChoiMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > CHOI_TRACE_TOL:
             raise NotTracePreservingError(f"Choi trace {complex(tr)} deviates from 1")
-        h = m + linalg.dagger(m)
-        h /= 2.0
-        lo = linalg.psd_minima(h, CHOI_PSD_TOL)
-        if lo is not None and lo < -CHOI_PSD_TOL:
-            raise NotPSDError(f"Choi minimum eigenvalue {float(lo):.3e}; map is not CP")
+        as_density_stack(m)
         marg = np.einsum("ikjk->ij", m.reshape(d_in, d_out, d_in, d_out))
         dev = np.max(np.abs(marg - np.eye(d_in) / d_in))
         if dev > CHOI_MARGINAL_TOL:
             raise NotTracePreservingError(
                 f"input marginal deviates from I/d by {dev:.3e}"
             )
-        self.matrix = m
+        m.flags.writeable = False
+        self._matrix = m
         self.d_in = d_in
         self.d_out = d_out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -155,13 +157,6 @@ def apply_matrix(ch: QuantumChannel, m) -> np.ndarray:
         raise DimensionMismatchError(f"operand shape {m.shape} != ({ch.d_in}, {ch.d_in})")
     y = ch._stack @ m
     return np.tensordot(y, ch._stack.conj(), axes=([0, 2], [0, 2]))
-
-
-def apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel to a state."""
-    if rho.dim != ch.d_in:
-        raise DimensionMismatchError(f"state dim {rho.dim} != channel d_in {ch.d_in}")
-    return DensityMatrix(apply_matrix(ch, rho.matrix), (ch.d_out,))
 
 
 def apply_on_B(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -197,7 +192,13 @@ def _unit_images(ch: QuantumChannel) -> np.ndarray:
 
 
 def choi(ch: QuantumChannel) -> ChoiMatrix:
-    """Choi state (id ⊗ Φ)|phi+><phi+| of a square channel."""
+    """Choi state (id ⊗ Φ)|phi+><phi+| of a square channel.
+
+    Its trace must be within ``CHOI_TRACE_TOL`` (1e-10) of 1, stricter than
+    the ``TP_TOL`` (1e-9) the channel was loaded with: ``Tr C - 1`` is the
+    mean diagonal entry of sum K†K - I, so a channel whose defect lies
+    between the two raises ``NotTracePreservingError`` here.
+    """
     if not ch.is_square:
         raise NonSquareChannelError("the Choi state is defined for square channels")
     return ChoiMatrix(_choi_array(ch), ch.d_in, ch.d_in)
@@ -222,16 +223,10 @@ def canonical_kraus(c: ChoiMatrix) -> QuantumChannel:
     """Recover a Kraus representation from a Choi state by eigendecomposition.
 
     Eigenvalues below ``CANONICAL_EIG_TOL`` times the largest are
-    discarded. The round trip choi(canonical_kraus(c)) reproduces the
-    input to about 1e-8 for any Choi state satisfying the class
-    invariants.
+    discarded. ``ChoiMatrix`` has validated ``c`` (PSD, unit trace, input
+    marginal I/d), so the round trip choi(canonical_kraus(c)) reproduces
+    the input to about 1e-8.
     """
-    lo = linalg.psd_minima(c.matrix, CHOI_PSD_TOL)
-    if lo is not None and lo < -CHOI_PSD_TOL:
-        raise NotPSDError(f"Choi minimum eigenvalue {float(lo):.3e}")
-    marg = linalg.partial_trace(c.matrix, c.dims, keep=0)
-    if np.max(np.abs(marg - np.eye(c.d_in) / c.d_in)) > CHOI_MARGINAL_TOL:
-        raise NotTracePreservingError("Choi input marginal deviates from I/d")
     return QuantumChannel(_kraus_from_choi_matrix(c.matrix, c.d_in, c.d_out))
 
 
@@ -328,17 +323,6 @@ def dephasing(d: int, v: float) -> QuantumChannel:
     stack[0, idx, idx] = np.sqrt(v)
     stack[idx + 1, idx, idx] = np.sqrt(1.0 - v)
     return QuantumChannel(stack)
-
-
-def is_cptp(ch: QuantumChannel, tol: float = 1e-9) -> bool:
-    """True iff the Kraus set is trace-preserving and its Choi-like matrix is PSD.
-
-    A NaN defect (overflowed Kraus products) is not trace-preserving.
-    """
-    if not ch.trace_preservation_defect() <= tol:
-        return False
-    lo = linalg.psd_minima(_choi_array(ch), tol)
-    return lo is None or bool(lo >= -tol)
 
 
 def action_distance(a: QuantumChannel, b: QuantumChannel) -> float:

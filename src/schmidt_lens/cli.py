@@ -107,8 +107,6 @@ def _check_budgets(d: int, grid: int | None = None) -> None:
 
 
 def cmd_sweep(args) -> int:
-    if args.grid < 2:
-        raise _UsageError("--grid must be at least 2")
     if not 1 <= args.r < args.d:
         raise _UsageError("need 1 <= r < d")
     _check_budgets(args.d, args.grid)
@@ -174,8 +172,6 @@ def cmd_threshold(args) -> int:
 def cmd_snac(args) -> int:
     if args.d < 2:
         raise _UsageError("--d must be at least 2")
-    if args.p_grid < 2 or args.q_grid < 2:
-        raise _UsageError("--p-grid and --q-grid must be at least 2")
     if not 0.0 < args.k <= 1.0:
         raise _UsageError("--k must lie in (0, 1]")
     _check_budgets(args.d)

@@ -9,8 +9,6 @@ matches ``numpy.kron(A, B)``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
@@ -19,13 +17,6 @@ from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 HERMITICITY_TOL = 1e-9
 # Default relative cutoff separating structural zeros from rounding noise.
 RANK_TOL = 1e-9
-
-
-class EigenDecomposition(NamedTuple):
-    """Hermitian eigendecomposition, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -50,8 +41,8 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hermitian_eig(h, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(h, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
 
     Input within ``tol * max|h|`` of Hermitian is symmetrized as
     (h + h†)/2 before decomposition; larger violations raise
@@ -65,7 +56,7 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
             f"max |h - h†| = {deviation:.3e} exceeds {tol:.1e} * max|h|"
         )
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
-    return EigenDecomposition(vals, vecs)
+    return vals, vecs
 
 
 def psd_minima(h: np.ndarray, tol: float) -> np.ndarray | None:

@@ -105,27 +105,6 @@ def channel_witness_value(w: SNWitness, ch: QuantumChannel) -> float:
     return float(1.0 - np.vdot(traces, traces).real / (w.r * w.d))
 
 
-class LambdaMap:
-    """The positive-but-not-completely-positive map X -> Tr(X) I_d - k X."""
-
-    def __init__(self, d: int, k: float):
-        if d < 2:
-            raise DimensionMismatchError("LambdaMap needs d >= 2")
-        if not 0.0 < k <= 1.0:
-            raise ValueError(f"k={k} outside (0, 1]")
-        self.d = d
-        self.k = k
-
-    def __call__(self, x) -> np.ndarray:
-        x = linalg.as_matrix(x, square=True)
-        if x.shape[0] != self.d:
-            raise DimensionMismatchError(f"operand dim {x.shape[0]} != {self.d}")
-        return np.trace(x) * np.eye(self.d) - self.k * x
-
-    def __repr__(self):
-        return f"LambdaMap(d={self.d}, k={self.k})"
-
-
 def r_positivity_window(r: int) -> tuple[float, float]:
     """Open-closed interval (1/(r+1), 1/r] on which Lambda_k is r-positive but (r+1)-negative."""
     if r < 1:
@@ -223,7 +202,6 @@ __all__ = [
     "witness_value",
     "witness_values",
     "channel_witness_value",
-    "LambdaMap",
     "r_positivity_window",
     "apply_id_lambda",
     "Verdict",

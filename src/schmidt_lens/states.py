@@ -132,7 +132,8 @@ def as_density_stack(m: np.ndarray) -> np.ndarray:
     decided by one stacked Cholesky factorization of h + ``PSD_TOL`` I
     (``linalg.psd_minima``); a stacked ``eigvalsh`` runs only to report a
     failure. Each check runs on the whole stack, and its error names the
-    first failing state of a stack by index.
+    first failing state of a stack by index. ``DensityMatrix`` and
+    ``channels.ChoiMatrix`` validate by this one rule.
     """
 
     def at(i: int) -> str:

@@ -14,7 +14,6 @@ from schmidt_lens.channels import (
     QuantumChannel,
     action_distance,
     adjoint,
-    apply,
     apply_matrix,
     apply_on_B,
     canonical_kraus,
@@ -25,7 +24,6 @@ from schmidt_lens.channels import (
     dephasing,
     depolarizing,
     identity_channel,
-    is_cptp,
     random_channel,
     random_channel_with_kraus_rank,
     tensor,
@@ -34,6 +32,7 @@ from schmidt_lens.channels import (
 from schmidt_lens.errors import (
     DimensionMismatchError,
     NonSquareChannelError,
+    NotHermitianError,
     NotPSDError,
     NotTracePreservingError,
     ParamOutOfRangeError,
@@ -134,51 +133,36 @@ class TestPositivityWithoutEigensolve:
         bad = 1.5 * max_entangled(2).density().matrix - 0.5 * np.eye(4) / 4
         calls = counted_eigvalsh(monkeypatch)
         with pytest.raises(NotPSDError,
-                           match=r"^Choi minimum eigenvalue -1\.250e-01; map is not CP$"):
+                           match=r"^minimum eigenvalue -1\.250e-01 below -1e-09$"):
             ChoiMatrix(bad, 2, 2)
         assert calls == [(4, 4)]
-
-    def test_canonical_kraus_checks_psd_before_the_marginal(self):
-        c = ChoiMatrix(np.eye(4) / 4, 2, 2)
-        c.matrix = np.diag([1.25, 0.25, -0.25, -0.25]).astype(complex)  # not PSD, bad marginal
-        with pytest.raises(NotPSDError, match=r"^Choi minimum eigenvalue -2\.500e-01$"):
-            canonical_kraus(c)
-        c.matrix = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)  # PSD, bad marginal
-        with pytest.raises(NotTracePreservingError):
-            canonical_kraus(c)
-
-    def test_is_cptp_takes_no_eigensolve(self, monkeypatch):
-        calls = counted_eigvalsh(monkeypatch)
-        assert is_cptp(depolarizing(9, 0.3))
-        assert calls == []
 
 
 class TestApply:
     def test_identity(self, rng):
         rho = random_density(3, rng)
-        out = apply(identity_channel(3), rho)
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
+        out = apply_matrix(identity_channel(3), rho.matrix)
+        np.testing.assert_allclose(out, rho.matrix, atol=1e-14)
 
     def test_depolarizing_p0_collapses(self, rng):
         rho = random_density(3, rng)
-        out = apply(depolarizing(3, 0.0), rho)
-        np.testing.assert_allclose(out.matrix, np.eye(3) / 3, atol=1e-12)
+        out = apply_matrix(depolarizing(3, 0.0), rho.matrix)
+        np.testing.assert_allclose(out, np.eye(3) / 3, atol=1e-12)
 
     def test_depolarizing_half_on_ground_state(self):
-        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]), (3,))
-        out = apply(depolarizing(3, 0.5), rho)
-        np.testing.assert_allclose(out.matrix, np.diag([2 / 3, 1 / 6, 1 / 6]), atol=1e-12)
+        out = apply_matrix(depolarizing(3, 0.5), np.diag([1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(out, np.diag([2 / 3, 1 / 6, 1 / 6]), atol=1e-12)
 
     def test_matches_loop_reference(self, rng):
         ch = random_channel(3, 4, rng)
         rho = random_density(3, rng)
         np.testing.assert_allclose(
-            apply(ch, rho).matrix, ref_apply_kraus(ch.kraus, rho.matrix), atol=1e-12
+            apply_matrix(ch, rho.matrix), ref_apply_kraus(ch.kraus, rho.matrix), atol=1e-12
         )
 
     def test_dimension_check(self, rng):
         with pytest.raises(DimensionMismatchError):
-            apply(depolarizing(3, 0.5), random_density(2, rng))
+            apply_matrix(depolarizing(3, 0.5), random_density(2, rng).matrix)
 
 
 class TestApplyOnB:
@@ -273,6 +257,30 @@ class TestChoi:
         with pytest.raises(NonSquareChannelError):
             choi(ch)
 
+    def test_non_hermitian_matrix_is_rejected_as_a_density_matrix_is(self):
+        # unit trace and marginal I/2, but max |C - C†| = 0.2
+        sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        m = np.eye(4) / 4 + 0.1j * np.kron(sx, sz)
+        for build in (lambda: ChoiMatrix(m, 2, 2), lambda: DensityMatrix(m, (2, 2))):
+            with pytest.raises(NotHermitianError, match=r"^max \|rho - rho†\| = 2\.000e-01$"):
+                build()
+
+    def test_matrix_is_an_owned_copy_of_the_input_entries(self):
+        m = np.eye(9, dtype=complex) / 9
+        m[0, 1], m[1, 0] = 1e-12j, 0.0  # within PSD_TOL of Hermitian
+        c = ChoiMatrix(m, 3, 3)
+        m[0, 0] = 5.0
+        assert c.matrix[0, 0] == 1 / 9
+        assert c.matrix[0, 1] == 1e-12j and c.matrix[1, 0] == 0.0
+
+    def test_matrix_is_read_only(self):
+        c = choi(depolarizing(3, 0.4))
+        with pytest.raises(AttributeError):
+            c.matrix = np.eye(9) / 9
+        with pytest.raises(ValueError):
+            c.matrix[0, 0] = 0.0
+        assert np.array_equal(c.matrix, choi(depolarizing(3, 0.4)).matrix)
+
     def test_trace_defect_is_not_trace_preserving(self):
         # a defect within TP_TOL passes QuantumChannel but not CHOI_TRACE_TOL
         ch = QuantumChannel([np.sqrt(1 + 5e-10) * np.eye(3)])
@@ -345,8 +353,8 @@ class TestCompose:
         # compose(first, then) applies `first` first
         first, then = random_channel(3, 3, rng), random_channel(3, 3, rng)
         rho = random_density(3, rng)
-        lhs = apply(compose(first, then), rho).matrix
-        rhs = apply(then, apply(first, rho)).matrix
+        lhs = apply_matrix(compose(first, then), rho.matrix)
+        rhs = apply_matrix(then, apply_matrix(first, rho.matrix))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_associative(self, rng):
@@ -373,7 +381,7 @@ class TestTensor:
         a, b = random_channel(2, 3, rng), random_channel(3, 2, rng)
         ra, rb = random_density(2, rng), random_density(3, rng)
         out = apply_matrix(tensor(a, b), np.kron(ra.matrix, rb.matrix))
-        ref = np.kron(apply(a, ra).matrix, apply(b, rb).matrix)
+        ref = np.kron(apply_matrix(a, ra.matrix), apply_matrix(b, rb.matrix))
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
@@ -418,7 +426,7 @@ class TestDepolarizing:
         assert action_distance(depolarizing(3, 1.0), identity_channel(3)) < 1e-12
         rho = random_density(3, rng)
         np.testing.assert_allclose(
-            apply(depolarizing(3, 0.0), rho).matrix, np.eye(3) / 3, atol=1e-12
+            apply_matrix(depolarizing(3, 0.0), rho.matrix), np.eye(3) / 3, atol=1e-12
         )
 
     def test_action_matches_formula_on_basis(self):
@@ -475,43 +483,19 @@ class TestDephasing:
     def test_extremes(self, rng):
         assert action_distance(dephasing(3, 1.0), identity_channel(3)) < 1e-12
         rho = random_density(3, rng)
-        out = apply(dephasing(3, 0.0), rho)
-        np.testing.assert_allclose(out.matrix, np.diag(np.diag(rho.matrix)), atol=1e-12)
+        out = apply_matrix(dephasing(3, 0.0), rho.matrix)
+        np.testing.assert_allclose(out, np.diag(np.diag(rho.matrix)), atol=1e-12)
 
     def test_off_diagonals_scaled(self, rng):
         rho = random_density(3, rng)
         v = 0.37
-        out = apply(dephasing(3, v), rho).matrix
+        out = apply_matrix(dephasing(3, v), rho.matrix)
         want = v * rho.matrix + (1 - v) * np.diag(np.diag(rho.matrix))
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParamOutOfRangeError):
             dephasing(3, 1.2)
-
-
-class TestIsCptp:
-    def test_identity(self):
-        assert is_cptp(identity_channel(3), 1e-9)
-
-    def test_rejects_scaled_identity(self):
-        ch = QuantumChannel([np.sqrt(2.0) * np.eye(2)], check_tp=False)
-        assert not is_cptp(ch, 1e-9)
-
-    def test_rejects_overflowing_kraus_products(self):
-        # K†K overflows to NaN; the NaN defect fails before any positivity test
-        ch = QuantumChannel([(1e200 + 1e200j) * np.eye(2)], check_tp=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not is_cptp(ch, 1e-9)
-
-    def test_depolarizing_grid(self):
-        for p in np.linspace(0.0, 1.0, 11):
-            assert is_cptp(depolarizing(3, float(p)), 1e-9)
-
-    def test_random_channels(self, rng):
-        for _ in range(20):
-            d = int(rng.integers(2, 5))
-            assert is_cptp(random_channel(d, int(rng.integers(1, 6)), rng), 1e-9)
 
 
 JSON_VALUES = st.recursive(

@@ -406,6 +406,9 @@ class TestUsageErrors:
         ["verify", "--suite", "relations", "--d", "3", "--r", "0"],
         ["verify", "--d", "2", "--r", "2"],
         ["verify", "--suite", "kron_rank", "--seed", "-1"],
+        ["sweep", "--grid", "1"],
+        ["snac", "--p-grid", "1"],
+        ["snac", "--q-grid", "1"],
     ])
     def test_exit_2_before_any_work(self, args, capsys):
         code, out, err = run_cli(args, capsys)

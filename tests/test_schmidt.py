@@ -16,7 +16,6 @@ from schmidt_lens.channels import (
 from schmidt_lens.errors import DimensionMismatchError, InvalidRankError
 from schmidt_lens.schmidt import (
     CertificationResult,
-    LambdaMap,
     SNWitness,
     Verdict,
     apply_id_lambda,
@@ -196,11 +195,6 @@ class TestChannelWitnessValue:
 
 
 class TestLambdaMap:
-    def test_action(self, rng):
-        lam = LambdaMap(3, 0.5)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(lam(x), np.trace(x) * np.eye(3) - 0.5 * x, atol=1e-14)
-
     def test_window(self):
         assert r_positivity_window(1) == (0.5, 1.0)
         assert r_positivity_window(2) == (1 / 3, 0.5)
