@@ -488,10 +488,10 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     ``lattice`` is ``simplex_lattice(n_subdiv, d)``, or rows of it, when the
     caller has built it already; other rows raise ValueError. The
     certificate (:func:`snac_min_eig`) runs on the channel's kernel
-    (:func:`_certificate`) in chunks of CHUNK_BYTES.
+    (:func:`_certificate`) in chunks of CHUNK_BYTES. ``ch`` meets
+    ``_check_square`` at its own dimension.
     """
-    if not ch.is_square:
-        raise DimensionMismatchError(f"need a square channel, got {ch!r}")
+    _check_square(ch, ch.d_in)
     if lattice is None:
         lattice = simplex_lattice(n_subdiv, ch.d_in)
     elif lattice.dtype.kind not in "iu" or lattice.shape[1:] != (ch.d_in,) or not len(lattice):

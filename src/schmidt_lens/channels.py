@@ -22,7 +22,7 @@ from .errors import (
     NotTracePreservingError,
     ParamOutOfRangeError,
 )
-from .states import DensityMatrix, as_density_stack, haar_unitary
+from .states import DensityMatrix, haar_unitary
 
 TP_TOL = 1e-9
 CHOI_TRACE_TOL = 1e-10
@@ -98,22 +98,23 @@ def _check_tp(ch: QuantumChannel) -> None:
         raise NotTracePreservingError(f"max |sum K†K - I| = {dev:.3e} exceeds {TP_TOL:.1e}")
 
 
-class ChoiMatrix:
-    """Normalized Choi state of a channel: (id ⊗ Φ) |phi+><phi+|.
+class ChoiMatrix(DensityMatrix):
+    """Normalized Choi state of a channel, (id ⊗ Φ) |phi+><phi+|: a
+    ``DensityMatrix`` on dims (d_in, d_out).
 
-    The matrix must be finite and square of side d_in * d_out, with unit
-    trace (``CHOI_TRACE_TOL``) and input marginal I/d_in
-    (``CHOI_MARGINAL_TOL``); either defect raises
-    ``NotTracePreservingError``. Hermiticity and positivity are the rule
-    of a density matrix, ``states.as_density_stack`` (``PSD_TOL``).
+    The matrix must be square of side d_in * d_out, with unit trace
+    (``CHOI_TRACE_TOL``, checked before the density-matrix rule) and input
+    marginal I/d_in (``CHOI_MARGINAL_TOL``, checked on the stored Hermitian
+    part); either defect raises ``NotTracePreservingError``. Finiteness,
+    Hermiticity and positivity (``PSD_TOL``) and the stored, read-only
+    ``matrix`` are ``DensityMatrix``'s.
     ``CHOI_TRACE_TOL`` (1e-10) is stricter than ``TP_TOL`` (1e-9): a Kraus
     set with a trace-preservation defect between the two loads as a
-    ``QuantumChannel`` but has no ``ChoiMatrix``. ``matrix`` is an owned,
-    read-only copy of the input entries.
+    ``QuantumChannel`` but has no ``ChoiMatrix``.
     """
 
     def __init__(self, matrix, d_in: int, d_out: int):
-        m = linalg.as_matrix(matrix, square=True).copy()
+        m = linalg.as_matrix(matrix, square=True)
         if m.shape[0] != d_in * d_out:
             raise DimensionMismatchError(
                 f"shape {m.shape} does not match d_in*d_out = {d_in * d_out}"
@@ -121,25 +122,14 @@ class ChoiMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > CHOI_TRACE_TOL:
             raise NotTracePreservingError(f"Choi trace {complex(tr)} deviates from 1")
-        as_density_stack(m)
-        marg = np.einsum("ikjk->ij", m.reshape(d_in, d_out, d_in, d_out))
+        super().__init__(m, (d_in, d_out))
+        self.d_in, self.d_out = self.dims
+        marg = np.einsum("ikjk->ij", self.matrix.reshape(d_in, d_out, d_in, d_out))
         dev = np.max(np.abs(marg - np.eye(d_in) / d_in))
         if dev > CHOI_MARGINAL_TOL:
             raise NotTracePreservingError(
                 f"input marginal deviates from I/d by {dev:.3e}"
             )
-        m.flags.writeable = False
-        self._matrix = m
-        self.d_in = d_in
-        self.d_out = d_out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.d_in, self.d_out)
 
     def __repr__(self):
         return f"ChoiMatrix(d_in={self.d_in}, d_out={self.d_out})"
@@ -224,8 +214,9 @@ def canonical_kraus(c: ChoiMatrix) -> QuantumChannel:
 
     Eigenvalues below ``CANONICAL_EIG_TOL`` times the largest are
     discarded. ``ChoiMatrix`` has validated ``c`` (PSD, unit trace, input
-    marginal I/d), so the round trip choi(canonical_kraus(c)) reproduces
-    the input to about 1e-8.
+    marginal I/d) and stores its exactly Hermitian part, so the
+    eigendecomposition takes it as it is, and the round trip
+    choi(canonical_kraus(c)) reproduces the input to about 1e-8.
     """
     return QuantumChannel(_kraus_from_choi_matrix(c.matrix, c.d_in, c.d_out))
 

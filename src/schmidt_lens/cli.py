@@ -16,6 +16,7 @@ CSV output uses the same float rendering.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -80,15 +81,22 @@ class _UsageError(Exception):
     """Bad command-line input, found after parsing; ``main`` exits 2 on it."""
 
 
+@contextlib.contextmanager
+def _refusing(prefix: str = ""):
+    """Re-raise a ValueError from the body as a _UsageError, ``prefix`` before its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(f"{prefix}{exc}") from exc
+
+
 def _load_channel(path: str, d: int):
     """The square d -> d channel stored in ``path``; raises _UsageError otherwise."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _refusing("malformed channel file: "):
             channel = channel_from_json(fh.read())
     except OSError as exc:
         raise _UsageError(f"cannot read channel file: {exc}") from exc
-    except ValueError as exc:
-        raise _UsageError(f"malformed channel file: {exc}") from exc
     if channel.d_in != d or channel.d_out != d:
         raise _UsageError(
             f"channel file is {channel.d_in}->{channel.d_out}, expected square d={d}"
@@ -98,12 +106,31 @@ def _load_channel(path: str, d: int):
 
 def _check_budgets(d: int, grid: int | None = None) -> None:
     """Raise _UsageError for a --d or a parameter grid over its budget."""
-    try:
+    with _refusing():
         check_kraus_stack(d)
         if grid is not None:
             analysis.check_grid_size(grid)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+
+
+def _emit_records(args, meta: dict, records: list[dict]) -> None:
+    """Write ``records`` per ``args.output``.
+
+    JSON is ``meta``, the seed and the records. CSV is a header of the
+    record keys, then one line per record: strings as they are, a list
+    joined with spaces, numbers at 17 significant digits.
+    """
+    if args.output == "json":
+        text = render_json({**meta, "seed": args.seed, "records": records})
+    else:
+        def cell(value) -> str:
+            if isinstance(value, str):
+                return value
+            return " ".join(value) if isinstance(value, list) else _fmt_float(value)
+
+        lines = [",".join(records[0])]
+        lines += [",".join(cell(value) for value in rec.values()) for rec in records]
+        text = "\n".join(lines)
+    _emit(text + "\n", args.output_path)
 
 
 def cmd_sweep(args) -> int:
@@ -118,27 +145,11 @@ def cmd_sweep(args) -> int:
     elif family == "custom":
         raise _UsageError("custom family needs --channel-file")
     records = analysis.snbc_witness_sweep(family, args.d, args.r, args.grid, channel=channel)
-    if args.output == "json":
-        payload = {
-            "command": "sweep",
-            "family": family,
-            "d": args.d,
-            "r": args.r,
-            "grid": args.grid,
-            "seed": args.seed,
-            "records": [
-                {"parameter": rec.parameter, "value": rec.value, "verdict": rec.verdict.value}
-                for rec in records
-            ],
-        }
-        _emit(render_json(payload) + "\n", args.output_path)
-    else:
-        lines = ["parameter,value,verdict"]
-        lines += [
-            f"{_fmt_float(rec.parameter)},{_fmt_float(rec.value)},{rec.verdict.value}"
-            for rec in records
-        ]
-        _emit("\n".join(lines) + "\n", args.output_path)
+    meta = {"command": "sweep", "family": family, "d": args.d, "r": args.r, "grid": args.grid}
+    _emit_records(args, meta, [
+        {"parameter": rec.parameter, "value": rec.value, "verdict": rec.verdict.value}
+        for rec in records
+    ])
     return 0
 
 
@@ -178,45 +189,22 @@ def cmd_snac(args) -> int:
     channel = None
     if args.channel_file is not None:
         channel = _load_channel(args.channel_file, args.d)
-    try:
+    with _refusing():
         analysis.check_snac_size(args.d, args.p_grid, args.q_grid, channel)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     records = analysis.snac_sweep(args.d, args.k, args.p_grid, args.q_grid, channel)
-
-    def reference(p: float) -> float:
-        # the k = 1 closed form of the qutrit depolarizing study, reported
-        # whatever k, d or channel is given: kept for the output contract
-        return (2.0 - 8.0 * p * p) / 9.0
-
-    if args.output == "json":
-        payload = {
-            "command": "snac",
-            "d": args.d,
-            "k": args.k,
-            "p_grid": args.p_grid,
-            "q_grid": args.q_grid,
-            "seed": args.seed,
-            "records": [
-                {
-                    "p": rec.parameter,
-                    "min_eig": rec.value,
-                    "formula": reference(rec.parameter),
-                    "q_star": [str(f) for f in rec.q_star],
-                }
-                for rec in records
-            ],
+    meta = {"command": "snac", "d": args.d, "k": args.k, "p_grid": args.p_grid,
+            "q_grid": args.q_grid}
+    _emit_records(args, meta, [
+        {
+            "p": rec.parameter,
+            "min_eig": rec.value,
+            # the k = 1 closed form of the qutrit depolarizing study, reported
+            # whatever k, d or channel is given: kept for the output contract
+            "formula": (2.0 - 8.0 * rec.parameter * rec.parameter) / 9.0,
+            "q_star": [str(f) for f in rec.q_star],
         }
-        _emit(render_json(payload) + "\n", args.output_path)
-    else:
-        lines = ["p,min_eig,formula,q_star"]
-        for rec in records:
-            q_star = " ".join(str(f) for f in rec.q_star)
-            lines.append(
-                f"{_fmt_float(rec.parameter)},{_fmt_float(rec.value)},"
-                f"{_fmt_float(reference(rec.parameter))},{q_star}"
-            )
-        _emit("\n".join(lines) + "\n", args.output_path)
+        for rec in records
+    ])
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, QuantumChannel, _choi_array, _kraus_from_choi_matrix
+from .channels import QuantumChannel, _choi_array, _kraus_from_choi_matrix
 from .errors import DimensionMismatchError, InvalidRankError, NotHermitianError
 from .states import DensityMatrix, max_entangled
 
@@ -55,7 +55,7 @@ def witness(d: int, r: int) -> SNWitness:
 
 
 def _square_array(rho) -> np.ndarray:
-    if isinstance(rho, (DensityMatrix, ChoiMatrix)):
+    if isinstance(rho, DensityMatrix):
         return rho.matrix
     return linalg.as_matrix(rho, square=True)
 
@@ -63,8 +63,8 @@ def _square_array(rho) -> np.ndarray:
 def witness_value(w: SNWitness, rho) -> float:
     """Tr(W rho); negative beyond tolerance certifies Schmidt number > r.
 
-    Accepts a DensityMatrix, a ChoiMatrix, or a raw d^2 x d^2 array of
-    unit trace.
+    Accepts a DensityMatrix (a ChoiMatrix is one), whose stored matrix is
+    exactly Hermitian, or a raw d^2 x d^2 array of unit trace.
     """
     return float(witness_values(w, _square_array(rho)))
 

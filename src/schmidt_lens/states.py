@@ -7,6 +7,8 @@ the same state bit-for-bit on one platform.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -39,12 +41,12 @@ class PureState:
 
     def __init__(self, amplitudes, dims):
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise ValueError("amplitudes must be finite")
         dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
         if len(dims) not in (1, 2) or any(d < 1 for d in dims):
             raise InvalidDimensionError(f"unsupported dims {dims}")
-        if v.size != int(np.prod(dims)):
+        if v.size != math.prod(dims):
             raise DimensionMismatchError(
                 f"{v.size} amplitudes do not match dims {dims}"
             )
@@ -76,17 +78,28 @@ class PureState:
 
 
 class DensityMatrix:
-    """Positive unit-trace operator with explicit subsystem dimensions."""
+    """Positive unit-trace operator with explicit subsystem dimensions.
+
+    ``matrix`` is the Hermitian part (m + m†)/2 of the input, as
+    ``as_density_stack`` validates and returns it: an owned, read-only
+    array, so a later write into the input changes nothing here.
+    """
 
     def __init__(self, matrix, dims):
         m = linalg.as_matrix(matrix, square=True)
         dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
         if len(dims) not in (1, 2) or any(d < 1 for d in dims):
             raise InvalidDimensionError(f"unsupported dims {dims}")
-        if m.shape[0] != int(np.prod(dims)):
+        if m.shape[0] != math.prod(dims):
             raise DimensionMismatchError(f"shape {m.shape} does not match dims {dims}")
-        self.matrix = as_density_stack(m)
+        h = as_density_stack(m)
+        h.flags.writeable = False
+        self._matrix = h
         self.dims = dims
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -132,8 +145,9 @@ def as_density_stack(m: np.ndarray) -> np.ndarray:
     decided by one stacked Cholesky factorization of h + ``PSD_TOL`` I
     (``linalg.psd_minima``); a stacked ``eigvalsh`` runs only to report a
     failure. Each check runs on the whole stack, and its error names the
-    first failing state of a stack by index. ``DensityMatrix`` and
-    ``channels.ChoiMatrix`` validate by this one rule.
+    first failing state of a stack by index. The returned (m + m†)/2 is a
+    new array and exactly Hermitian; it is what a ``DensityMatrix``, and so
+    a ``channels.ChoiMatrix``, stores.
     """
 
     def at(i: int) -> str:

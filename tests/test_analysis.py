@@ -190,6 +190,7 @@ class TestThresholds:
         for call in (lambda: snbc_witness_sweep("custom", 3, 2, grid=5, channel=adj),
                      lambda: snac_sweep(3, 0.5, 2, 3, channel=adj),
                      lambda: snac_min_eig(adj, np.full(3, 1 / 3), 0.5),
+                     lambda: snac_lattice_minimum(adj, 0.5, 6),
                      lambda: two_local_output(adj, np.full(3, 1 / 3))):
             with pytest.raises(NotTracePreservingError, match="exceeds"):
                 call()

@@ -265,21 +265,26 @@ class TestChoi:
             with pytest.raises(NotHermitianError, match=r"^max \|rho - rho†\| = 2\.000e-01$"):
                 build()
 
-    def test_matrix_is_an_owned_copy_of_the_input_entries(self):
+    def test_matrix_is_an_owned_copy_of_the_hermitian_part(self):
         m = np.eye(9, dtype=complex) / 9
         m[0, 1], m[1, 0] = 1e-12j, 0.0  # within PSD_TOL of Hermitian
+        hermitian_part = (m + m.conj().T) / 2
         c = ChoiMatrix(m, 3, 3)
+        assert np.array_equal(c.matrix, hermitian_part)
         m[0, 0] = 5.0
-        assert c.matrix[0, 0] == 1 / 9
-        assert c.matrix[0, 1] == 1e-12j and c.matrix[1, 0] == 0.0
+        assert np.array_equal(c.matrix, hermitian_part)
 
-    def test_matrix_is_read_only(self):
-        c = choi(depolarizing(3, 0.4))
+    @pytest.mark.parametrize("build", [lambda m: ChoiMatrix(m, 3, 3),
+                                       lambda m: DensityMatrix(m, (3, 3))],
+                             ids=["ChoiMatrix", "DensityMatrix"])
+    def test_matrix_is_read_only(self, build):
+        m = choi(depolarizing(3, 0.4)).matrix
+        c = build(m)
         with pytest.raises(AttributeError):
             c.matrix = np.eye(9) / 9
         with pytest.raises(ValueError):
             c.matrix[0, 0] = 0.0
-        assert np.array_equal(c.matrix, choi(depolarizing(3, 0.4)).matrix)
+        assert np.array_equal(c.matrix, m)
 
     def test_trace_defect_is_not_trace_preserving(self):
         # a defect within TP_TOL passes QuantumChannel but not CHOI_TRACE_TOL

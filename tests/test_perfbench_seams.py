@@ -20,9 +20,10 @@ LINES = [
     ["sweep", "--grid", "3"],
     ["threshold", "--family", "dephasing", "--d", "3", "--r", "2"],
     ["verify", "--suite", "relations"],
+    ["verify", "--suite", "channel_axioms"],
 ]
 SPANS = {"analysis.sweep", "schmidt.witness", "analysis.simplex_lattice",
-         "analysis.eb_ppt_threshold"}
+         "analysis.eb_ppt_threshold", "channels.ChoiMatrix", "states.DensityMatrix"}
 
 
 @pytest.fixture

@@ -5,8 +5,10 @@ import pytest
 
 from schmidt_lens import analysis, schmidt
 from schmidt_lens.channels import (
+    ChoiMatrix,
     QuantumChannel,
     adjoint,
+    canonical_kraus,
     choi,
     dephasing,
     depolarizing,
@@ -162,6 +164,21 @@ def entanglement_fidelity(w, ch):
     return (1.0 - channel_witness_value(w, ch)) * w.r / w.d
 
 
+class TestValidatedChoiState:
+    def test_later_rules_take_it_as_its_density_matrix(self):
+        # max |C - C†| = 8e-10 is within PSD_TOL, but above 1e-9 * max|C|, and
+        # C[0, 4], C[4, 0] lie in the witness's block
+        m = np.eye(9, dtype=complex) / 9
+        m[0, 1] = m[1, 0] = m[0, 4] = m[4, 0] = 4e-10j
+        c, rho = ChoiMatrix(m, 3, 3), DensityMatrix(m, (3, 3))
+        w = witness(3, 1)
+        assert witness_value(w, c) == witness_value(w, rho) == pytest.approx(2 / 3, abs=1e-15)
+        kraus = canonical_kraus(c).kraus
+        assert len(kraus) == 9
+        for got, want in zip(kraus, canonical_kraus(ChoiMatrix(rho.matrix, 3, 3)).kraus):
+            assert np.array_equal(got, want)
+
+
 class TestChannelWitnessValue:
     @pytest.mark.parametrize("d", range(2, 14))
     def test_depolarizing_entanglement_fidelity(self, d):
@@ -298,6 +315,17 @@ class TestCertifySnAbove:
     def test_result_invariant(self):
         with pytest.raises(ValueError):
             CertificationResult(Verdict.CERTIFIED_ABOVE, 2, 0.5, 1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_choi_state_of_a_random_channel(self, seed):
+        # the witness misses it (d F_e < 1); Lambda_1 on a Choi state gives
+        # Tr_out(C) ⊗ I - C = I/d - C, so the evidence is 1/d - lambda_max(C)
+        ch = random_channel(4, 2, seed)
+        c = choi(ch)
+        res = certify_sn_above(c, 1)
+        assert res.verdict is Verdict.CERTIFIED_ABOVE
+        assert abs(res.evidence_value - (1 / 4 - np.linalg.eigvalsh(c.matrix)[-1])) <= 1e-12
+        assert channel_witness_value(witness(4, 1), ch) > 0
 
     def test_rejects_bad_args(self, rng):
         with pytest.raises(DimensionMismatchError):
