@@ -21,6 +21,7 @@ from .channels import (
     depolarizing,
 )
 from .errors import (
+    BudgetError,
     DimensionMismatchError,
     InvalidRankError,
     NoSignChangeError,
@@ -128,8 +129,7 @@ def _witness_curve(family: str, d: int, r: int, channel: QuantumChannel | None =
 
 
 def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
-                       channel: QuantumChannel | None = None,
-                       tol: float = EVIDENCE_TOL) -> list[SweepRecord]:
+                       channel: QuantumChannel | None = None) -> list[SweepRecord]:
     """Witness value on the family's Choi state over a uniform parameter grid.
 
     Each value is ``channel_witness_value``, read off the Kraus traces. For
@@ -138,7 +138,7 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     the channel parameter in [0, 1], and each point builds its channel
     with the trace-preservation check. A channel given without the custom
     family, or the custom family without one, raises UnknownFamilyError;
-    a grid outside [2, MAX_GRID_POINTS] raises ValueError.
+    a grid outside [2, MAX_GRID_POINTS] raises BudgetError.
     """
     check_grid_size(grid)
     if (family == "custom") != (channel is not None):
@@ -147,7 +147,8 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
 
     def record(p: float) -> SweepRecord:
         val = curve(float(p))
-        verdict = Verdict.CERTIFIED_ABOVE if val < -tol else Verdict.CONSISTENT_WITH_AT_MOST
+        verdict = (Verdict.CERTIFIED_ABOVE if val < -EVIDENCE_TOL
+                   else Verdict.CONSISTENT_WITH_AT_MOST)
         return SweepRecord(float(p), val, verdict)
 
     return _ordered_map(record, np.linspace(0.0, 1.0, grid))
@@ -203,12 +204,12 @@ def snbc_witness_threshold(family: str, d: int, r: int,
 
 
 def check_grid_size(points: int) -> int:
-    """``points`` itself; ValueError outside [2, MAX_GRID_POINTS]."""
+    """``points`` itself; BudgetError outside [2, MAX_GRID_POINTS]."""
     if points < 2:
-        raise ValueError("a parameter grid needs at least 2 points")
+        raise BudgetError("a parameter grid needs at least 2 points")
     if points > MAX_GRID_POINTS:
-        raise ValueError(f"a parameter grid of {points} points exceeds the budget of "
-                         f"{MAX_GRID_POINTS}")
+        raise BudgetError(f"a parameter grid of {points} points exceeds the budget of "
+                          f"{MAX_GRID_POINTS}")
     return points
 
 
@@ -218,9 +219,9 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
 
     Checks the p grid, the simplex lattice and the work budget of the
     kernel the study takes, in that order, without building any lattice;
-    ValueError above any of them. One lattice is charged per p for the
-    depolarizing family, one in all for a given channel (checked by
-    ``_check_square``), against
+    BudgetError below a minimum size or above any budget. One lattice is
+    charged per p for the depolarizing family, one in all for a given
+    channel (checked by ``_check_square``), against
     MAX_SNAC_REDUCED_WORK when it takes the reduced kernel of
     ``snac_lattice_minimum``, else against MAX_SNAC_EIG_WORK.
     """
@@ -231,26 +232,26 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
         reduced = _reduced_parts(_unit_images(channel)) is not None
     check_grid_size(p_grid)
     if q_grid < 2:
-        raise ValueError("the q grid needs at least 2 subdivisions")
+        raise BudgetError("the q grid needs at least 2 subdivisions")
     points = lattices * check_lattice_size(q_grid, d)
     if reduced:
         work, budget, model = points * d ** 2, MAX_SNAC_REDUCED_WORK, "d^2"
     else:
         work, budget, model = points * max(d, 4) ** 6, MAX_SNAC_EIG_WORK, "max(d, 4)^6"
     if work > budget:
-        raise ValueError(f"a snac study of {work} eigensolver work units ({charged} x "
-                         f"{model}) exceeds the budget of {budget} (lower {lower})")
+        raise BudgetError(f"a snac study of {work} eigensolver work units ({charged} x "
+                          f"{model}) exceeds the budget of {budget} (lower {lower})")
     return work
 
 
 def check_lattice_size(n_subdiv: int, dims: int) -> int:
-    """Number of simplex lattice points; ValueError above MAX_LATTICE_POINTS."""
+    """Number of simplex lattice points; BudgetError below 1 or above MAX_LATTICE_POINTS."""
     if n_subdiv < 1 or dims < 1:
-        raise ValueError("lattice needs n_subdiv >= 1 and dims >= 1")
+        raise BudgetError("lattice needs n_subdiv >= 1 and dims >= 1")
     size = math.comb(n_subdiv + dims - 1, dims - 1)
     if size > MAX_LATTICE_POINTS:
-        raise ValueError(f"simplex lattice of {size} points exceeds the budget of "
-                         f"{MAX_LATTICE_POINTS} (lower the q grid or d)")
+        raise BudgetError(f"simplex lattice of {size} points exceeds the budget of "
+                          f"{MAX_LATTICE_POINTS} (lower the q grid or d)")
     return size
 
 
@@ -259,7 +260,7 @@ def simplex_lattice(n_subdiv: int, dims: int) -> np.ndarray:
 
     One integer array of shape (points, dims), rows in lexicographic
     order; row (n_i) represents q_i = n_i / n_subdiv. Lattices above
-    MAX_LATTICE_POINTS raise ValueError.
+    MAX_LATTICE_POINTS raise BudgetError.
     """
     check_lattice_size(n_subdiv, dims)
     sums = np.arange(n_subdiv, -1, -1)
@@ -518,7 +519,7 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     d-dimensional depolarizing family is minimized at every p; a given
     channel, square of dimension d, is minimized once and its minimum
     recorded at every p. Studies over the grid, lattice or
-    eigensolver-work budgets (``check_snac_size``) raise ValueError.
+    eigensolver-work budgets (``check_snac_size``) raise BudgetError.
     """
     check_snac_size(d, p_grid, q_grid, channel)
     params = np.linspace(0.0, 1.0, p_grid)
@@ -580,7 +581,7 @@ class RelationReport:
         }
 
 
-def relation_report(d: int, r: int, tol: float = BISECTION_TOL) -> RelationReport:
+def relation_report(d: int, r: int) -> RelationReport:
     """Compare the EB and breaking thresholds of the depolarizing family.
 
     When the gap (1/(d+1), (rd-1)/(d^2-1)] is non-empty, both
@@ -591,11 +592,11 @@ def relation_report(d: int, r: int, tol: float = BISECTION_TOL) -> RelationRepor
     """
     if not 1 <= r < d:
         raise InvalidRankError(f"relation report needs 1 <= r < d, got r={r}, d={d}")
-    eb = eb_ppt_threshold(d, tol)
-    snbc = snbc_witness_threshold("depolarizing", d, r, tol)
+    eb = eb_ppt_threshold(d)
+    snbc = snbc_witness_threshold("depolarizing", d, r)
     eb_exact = 1.0 / (d + 1)
     snbc_exact = isotropic_sn_threshold(d, r)
-    if snbc_exact > eb_exact + tol:
+    if snbc_exact > eb_exact + BISECTION_TOL:
         gap = (eb, snbc)
         mid = (eb + snbc) / 2.0
         pt_min = _pt_min_eig(d, mid)

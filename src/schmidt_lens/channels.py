@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BudgetError,
     DimensionMismatchError,
     NonSquareChannelError,
     NotPSDError,
@@ -194,8 +195,7 @@ def choi(ch: QuantumChannel) -> ChoiMatrix:
     return ChoiMatrix(_choi_array(ch), ch.d_in, ch.d_in)
 
 
-def _kraus_from_choi_matrix(matrix: np.ndarray, d_in: int, d_out: int,
-                            tol: float = CANONICAL_EIG_TOL) -> list[np.ndarray]:
+def _kraus_from_choi_matrix(matrix: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]:
     """Eigenvector Kraus operators of a (Hermitian, PSD) Choi-like matrix."""
     vals, vecs = linalg.hermitian_eig(matrix)
     lmax = float(vals[-1])
@@ -203,7 +203,7 @@ def _kraus_from_choi_matrix(matrix: np.ndarray, d_in: int, d_out: int,
         raise NotPSDError("Choi matrix has no positive eigenvalue")
     ops = []
     for lam, v in zip(vals, vecs.T):
-        if lam > tol * lmax:
+        if lam > CANONICAL_EIG_TOL * lmax:
             # v indexed (i_in, i_out) row-major; K[out, in] = sqrt(d*lam) v[in*d_out + out]
             ops.append(np.sqrt(d_in * lam) * v.reshape(d_in, d_out).T)
     return ops
@@ -259,10 +259,10 @@ def _shift_clock_products(d: int) -> list[np.ndarray]:
 
 
 def check_kraus_stack(d: int) -> int:
-    """Bytes of the d^2 x d x d shift/clock stack; ParamOutOfRangeError above the budget."""
+    """Bytes of the d^2 x d x d shift/clock stack; BudgetError above the budget."""
     size = 16 * d**4
     if size > MAX_KRAUS_STACK_BYTES:
-        raise ParamOutOfRangeError(
+        raise BudgetError(
             f"d={d} needs a {size}-byte Kraus stack, over the budget of "
             f"{MAX_KRAUS_STACK_BYTES} bytes "
             f"(d <= {math.isqrt(math.isqrt(MAX_KRAUS_STACK_BYTES // 16))})"
@@ -288,7 +288,7 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     the formula exactly. The unitaries come from a per-d cached,
     read-only stack, and the weights are broadcast into it, so each call
     builds one array. d with a stack over ``MAX_KRAUS_STACK_BYTES`` raises
-    ParamOutOfRangeError.
+    BudgetError.
     """
     if d < 2:
         raise ParamOutOfRangeError("depolarizing needs d >= 2")
@@ -390,7 +390,10 @@ def channel_from_json(text: str) -> QuantumChannel:
         if not all(isinstance(z, list) and len(z) == 2
                    and all(type(x) in (int, float) for x in z) for z in entries):
             raise ValueError("Kraus entries must be [re, im] pairs of numbers")
-        flat = np.array(entries, dtype=float)
+        try:
+            flat = np.array(entries, dtype=float)
+        except OverflowError as exc:  # a JSON integer too large for a float
+            raise ValueError("Kraus entries must be finite") from exc
         if not np.all(np.isfinite(flat)):
             raise ValueError("Kraus entries must be finite")
         ops.append(flat.view(complex).reshape(d_out, d_in))

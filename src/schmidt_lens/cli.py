@@ -8,15 +8,16 @@ Subcommands::
     schmidt-lens verify     run the named property suites
 
 Exit codes: 0 success, 1 verification or numerical failure, 2 usage
-error. Reports go to --output-path when given, else stdout. JSON
-numbers carry 17 significant digits so stored reports are bit-stable;
-CSV output uses the same float rendering.
+error: among others a size outside its budget (``errors.BudgetError``)
+and an --output-path the report cannot be written to. Reports go to
+--output-path when given, else stdout. JSON numbers carry 17 significant
+digits so stored reports are bit-stable; CSV output uses the same float
+rendering.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -26,7 +27,7 @@ from importlib import resources
 
 from . import analysis, suites
 from .channels import channel_from_json, check_kraus_stack
-from .errors import SchmidtLensError
+from .errors import BudgetError, SchmidtLensError
 
 THRESHOLD_TOL = 1e-8
 
@@ -70,46 +71,35 @@ def report_schema() -> dict:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout; _UsageError if ``path`` cannot be written."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write report: {exc}") from exc
 
 
 class _UsageError(Exception):
     """Bad command-line input, found after parsing; ``main`` exits 2 on it."""
 
 
-@contextlib.contextmanager
-def _refusing(prefix: str = ""):
-    """Re-raise a ValueError from the body as a _UsageError, ``prefix`` before its message."""
-    try:
-        yield
-    except ValueError as exc:
-        raise _UsageError(f"{prefix}{exc}") from exc
-
-
 def _load_channel(path: str, d: int):
     """The square d -> d channel stored in ``path``; raises _UsageError otherwise."""
     try:
-        with open(path, "r", encoding="utf-8") as fh, _refusing("malformed channel file: "):
+        with open(path, "r", encoding="utf-8") as fh:
             channel = channel_from_json(fh.read())
     except OSError as exc:
         raise _UsageError(f"cannot read channel file: {exc}") from exc
+    except ValueError as exc:  # a non-UTF-8 file too
+        raise _UsageError(f"malformed channel file: {exc}") from exc
     if channel.d_in != d or channel.d_out != d:
         raise _UsageError(
             f"channel file is {channel.d_in}->{channel.d_out}, expected square d={d}"
         )
     return channel
-
-
-def _check_budgets(d: int, grid: int | None = None) -> None:
-    """Raise _UsageError for a --d or a parameter grid over its budget."""
-    with _refusing():
-        check_kraus_stack(d)
-        if grid is not None:
-            analysis.check_grid_size(grid)
 
 
 def _emit_records(args, meta: dict, records: list[dict]) -> None:
@@ -136,7 +126,7 @@ def _emit_records(args, meta: dict, records: list[dict]) -> None:
 def cmd_sweep(args) -> int:
     if not 1 <= args.r < args.d:
         raise _UsageError("need 1 <= r < d")
-    _check_budgets(args.d, args.grid)
+    check_kraus_stack(args.d)
     channel = None
     family = args.family
     if args.channel_file is not None:
@@ -158,7 +148,7 @@ def cmd_threshold(args) -> int:
         raise _UsageError("need 1 <= r < d")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _UsageError("--tol must be finite and positive")
-    _check_budgets(args.d)
+    check_kraus_stack(args.d)
     threshold = analysis.snbc_witness_threshold(args.family, args.d, args.r, tol=args.tol)
     exact = analysis.FAMILIES[args.family].crossing(args.d, args.r)
     payload = {
@@ -185,12 +175,10 @@ def cmd_snac(args) -> int:
         raise _UsageError("--d must be at least 2")
     if not 0.0 < args.k <= 1.0:
         raise _UsageError("--k must lie in (0, 1]")
-    _check_budgets(args.d)
+    check_kraus_stack(args.d)
     channel = None
     if args.channel_file is not None:
         channel = _load_channel(args.channel_file, args.d)
-    with _refusing():
-        analysis.check_snac_size(args.d, args.p_grid, args.q_grid, channel)
     records = analysis.snac_sweep(args.d, args.k, args.p_grid, args.q_grid, channel)
     meta = {"command": "snac", "d": args.d, "k": args.k, "p_grid": args.p_grid,
             "q_grid": args.q_grid}
@@ -213,7 +201,7 @@ def cmd_verify(args) -> int:
         raise _UsageError("--seed must be non-negative")
     if not 1 <= args.r < args.d:
         raise _UsageError("need 1 <= r < d for the relations suite")
-    _check_budgets(args.d)
+    check_kraus_stack(args.d)
     names = [args.suite] if args.suite else None
     results = suites.run_suites(names, seed=args.seed, d=args.d, r=args.r)
     all_passed = all(res.passed for res in results)
@@ -223,9 +211,6 @@ def cmd_verify(args) -> int:
         if res.name in ("t4", "relations") and res.passed:
             print(f"        {render_json(res.data)}")
     print(f"verify: {'all suites passed' if all_passed else 'FAILURES present'}")
-    if not all_passed:
-        failed = ", ".join(res.name for res in results if not res.passed)
-        print(f"error: suites failed: {failed}", file=sys.stderr)
     if args.output_path is not None:
         payload = {
             "command": "verify",
@@ -238,6 +223,9 @@ def cmd_verify(args) -> int:
             ],
         }
         _emit(render_json(payload) + "\n", args.output_path)
+    if not all_passed:  # after the report, so an unwritable path is the one error line
+        failed = ", ".join(res.name for res in results if not res.passed)
+        print(f"error: suites failed: {failed}", file=sys.stderr)
     return 0 if all_passed else 1
 
 
@@ -269,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--family", choices=list(analysis.FAMILIES), required=True)
     p_thr.add_argument("--d", type=int, required=True)
     p_thr.add_argument("--r", type=int, required=True)
-    p_thr.add_argument("--tol", type=float, default=1e-9)
+    p_thr.add_argument("--tol", type=float, default=analysis.BISECTION_TOL)
     common(p_thr)
     p_thr.set_defaults(fn=cmd_threshold)
 
@@ -309,7 +297,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (_UsageError, FileNotFoundError) as exc:
+    except (_UsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SchmidtLensError as exc:

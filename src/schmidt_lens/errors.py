@@ -37,6 +37,11 @@ class ParamOutOfRangeError(SchmidtLensError):
     """Channel or state parameter outside its admissible interval."""
 
 
+class BudgetError(ParamOutOfRangeError):
+    """A study or basis refused before it is built: a size below its minimum
+    or above its budget."""
+
+
 class NonSquareChannelError(SchmidtLensError):
     """Operation requires a channel with equal input and output dimension."""
 

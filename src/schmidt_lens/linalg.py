@@ -15,7 +15,7 @@ from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 
 # Relative tolerance for accepting (and symmetrizing) noisy Hermitian input.
 HERMITICITY_TOL = 1e-9
-# Default relative cutoff separating structural zeros from rounding noise.
+# Relative cutoff separating structural zeros from rounding noise.
 RANK_TOL = 1e-9
 
 
@@ -41,19 +41,19 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hermitian_eig(h, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
 
-    Input within ``tol * max|h|`` of Hermitian is symmetrized as
+    Input within ``HERMITICITY_TOL * max|h|`` of Hermitian is symmetrized as
     (h + h†)/2 before decomposition; larger violations raise
     NotHermitianError.
     """
     h = as_matrix(h, square=True)
     scale = np.max(np.abs(h)) if h.size else 0.0
     deviation = np.max(np.abs(h - dagger(h))) if h.size else 0.0
-    if deviation > tol * max(scale, 1e-300):
+    if deviation > HERMITICITY_TOL * max(scale, 1e-300):
         raise NotHermitianError(
-            f"max |h - h†| = {deviation:.3e} exceeds {tol:.1e} * max|h|"
+            f"max |h - h†| = {deviation:.3e} exceeds {HERMITICITY_TOL:.1e} * max|h|"
         )
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
     return vals, vecs
@@ -85,14 +85,12 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def matrix_rank(a, tol: float = RANK_TOL) -> int:
-    """Number of singular values above ``tol * sigma_max`` (0 for the zero matrix)."""
-    if tol <= 0:
-        raise ValueError("rank tolerance must be positive")
+def matrix_rank(a) -> int:
+    """Number of singular values above ``RANK_TOL * sigma_max`` (0 for the zero matrix)."""
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def _check_bipartite_shape(m: np.ndarray, dims: tuple[int, int]) -> None:

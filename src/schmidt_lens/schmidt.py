@@ -154,8 +154,7 @@ class CertificationResult:
             raise ValueError("CERTIFIED_ABOVE requires evidence below -tolerance")
 
 
-def certify_sn_above(rho: DensityMatrix, r: int,
-                     tol: float = EVIDENCE_TOL) -> CertificationResult:
+def certify_sn_above(rho: DensityMatrix, r: int) -> CertificationResult:
     """Combined witness + Lambda_{1/r} certificate for Schmidt number > r.
 
     The evidence value is the more negative of the witness value and the
@@ -170,8 +169,9 @@ def certify_sn_above(rho: DensityMatrix, r: int,
     w_val = witness_value(witness(d, r), rho)
     lam_val = float(np.linalg.eigvalsh(apply_id_lambda(rho, 1.0 / r))[0])
     evidence = min(w_val, lam_val)
-    verdict = Verdict.CERTIFIED_ABOVE if evidence < -tol else Verdict.CONSISTENT_WITH_AT_MOST
-    return CertificationResult(verdict, r, evidence, tol)
+    verdict = (Verdict.CERTIFIED_ABOVE if evidence < -EVIDENCE_TOL
+               else Verdict.CONSISTENT_WITH_AT_MOST)
+    return CertificationResult(verdict, r, evidence, EVIDENCE_TOL)
 
 
 def sn_upper_bound_via_kraus(ch: QuantumChannel) -> int:

@@ -132,9 +132,9 @@ def schmidt_coefficients(psi: PureState) -> np.ndarray:
     return s * s
 
 
-def schmidt_rank(psi: PureState, tol: float = 1e-9) -> int:
-    """Number of Schmidt coefficients above ``tol``."""
-    return int(np.count_nonzero(schmidt_coefficients(psi) > tol))
+def schmidt_rank(psi: PureState) -> int:
+    """Number of Schmidt coefficients above 1e-9."""
+    return int(np.count_nonzero(schmidt_coefficients(psi) > 1e-9))
 
 
 def as_density_stack(m: np.ndarray) -> np.ndarray:

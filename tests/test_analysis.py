@@ -35,10 +35,12 @@ from schmidt_lens.channels import (
     _unit_images,
 )
 from schmidt_lens.errors import (
+    BudgetError,
     DimensionMismatchError,
     InvalidRankError,
     NoSignChangeError,
     NotTracePreservingError,
+    ParamOutOfRangeError,
     UnknownFamilyError,
 )
 from schmidt_lens.schmidt import Verdict, apply_id_lambda, channel_witness_value, witness
@@ -634,6 +636,19 @@ class TestPhaseCovariantKernel:
         assert analysis.check_snac_size(3, 1001, 986, ch3) == 487578 * 4 ** 6
         with pytest.raises(ValueError, match="budget"):
             analysis.check_snac_size(3, 2, 987, ch3)
+
+    @pytest.mark.parametrize("refusal", [
+        lambda: channels.check_kraus_stack(14),
+        lambda: analysis.check_grid_size(1),
+        lambda: analysis.check_grid_size(1002),
+        lambda: analysis.check_snac_size(9, 39, 8),
+        lambda: simplex_lattice(30, 9),
+    ], ids=["kraus stack", "grid below", "grid above", "snac work", "lattice"])
+    def test_every_size_refusal_is_a_budget_error(self, refusal):
+        with pytest.raises(BudgetError) as info:
+            refusal()
+        # callers catching the wider classes still catch it
+        assert isinstance(info.value, ParamOutOfRangeError) and isinstance(info.value, ValueError)
 
     def test_budget_rejects_a_channel_of_another_dimension(self):
         with pytest.raises(DimensionMismatchError):

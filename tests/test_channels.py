@@ -548,6 +548,7 @@ class TestJsonWireFormat:
             '{"d_in": 1, "d_out": 1, "kraus": [[["1", 0]]]}',
             '{"d_in": 1, "d_out": 1, "kraus": [[[true, 0]]]}',
             '{"d_in": 1, "d_out": 1, "kraus": [[[NaN, 0]]]}',
+            '{"d_in": 1, "d_out": 1, "kraus": [[[1' + "0" * 400 + ', 0]]]}',  # overflows a float
             '{"d_in": 1.5, "d_out": 1, "kraus": [[[1, 0]]]}',
             '{"d_in": 0, "d_out": 1, "kraus": []}',
             '{"d_in": 1, "d_out": 1, "kraus": []}',

@@ -354,6 +354,15 @@ class TestSnacCommand:
         assert code == 0
         jsonschema.validate(json.loads(out), report_schema())
 
+    def test_checks_the_study_size_once(self, monkeypatch, capsys):
+        calls = []
+        check = analysis.check_snac_size
+        monkeypatch.setattr(analysis, "check_snac_size",
+                            lambda *args: calls.append(args) or check(*args))
+        code, _, _ = run_cli(["snac", "--p-grid", "2", "--q-grid", "2"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_bad_k(self, capsys):
         code, _, _ = run_cli(["snac", "--k", "0.0", "--p-grid", "3", "--q-grid", "3"], capsys)
         assert code == 2
@@ -367,6 +376,9 @@ MALFORMED_CHANNEL_FILES = {
     "not trace-preserving": json.dumps(
         {"d_in": 3, "d_out": 3, "kraus": [[[2.0, 0.0] if i % 4 == 0 else [0.0, 0.0]
                                            for i in range(9)]]}
+    ),
+    "integer too large for a float": json.dumps(
+        {"d_in": 3, "d_out": 3, "kraus": [[[10**400, 0]] + [[0, 0]] * 8]}
     ),
 }
 
@@ -396,6 +408,41 @@ class TestUnreadableChannelFile:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: cannot read channel file: ")
+
+
+class TestUnwritableOutputPath:
+    @pytest.mark.parametrize("command", [
+        ["threshold", "--family", "depolarizing", "--d", "3", "--r", "2"],
+        ["sweep", "--grid", "3"],
+        ["snac", "--p-grid", "2", "--q-grid", "2"],
+    ])
+    @pytest.mark.parametrize("kind", ["directory", "missing parent"])
+    def test_usage_error(self, command, kind, tmp_path, capsys):
+        path = tmp_path if kind == "directory" else tmp_path / "absent" / "report"
+        code, out, err = run_cli(command + ["--output-path", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write report: ")
+
+    @pytest.mark.parametrize("kind", ["directory", "missing parent"])
+    def test_verify_exits_2_after_its_suite_lines(self, kind, tmp_path, capsys):
+        path = tmp_path if kind == "directory" else tmp_path / "absent" / "report"
+        code, out, err = run_cli(["verify", "--suite", "t4", "--output-path", str(path)], capsys)
+        assert code == 2
+        assert out.startswith("[PASS] t4: ")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write report: ")
+
+    def test_failed_suite_gives_one_error_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(suites.SUITES, "kron_rank",
+                            lambda seed=0: suites.SuiteResult("kron_rank", False, "planted"))
+        code, out, err = run_cli(["verify", "--suite", "kron_rank", "--output-path",
+                                  str(tmp_path)], capsys)
+        assert code == 2
+        assert "[FAIL] kron_rank: planted" in out
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write report: ")
 
 
 class TestUsageErrors:

@@ -2,7 +2,8 @@
 
 A row is ``| name | module | value | kind | what it decides |``. The name is
 a backticked module constant, or ``literal in `fn``` for a number written
-inline in the function ``fn`` of that module.
+inline in the function ``fn`` of that module. Only the functions whose
+callers pass different values take a ``tol`` argument.
 """
 
 import ast
@@ -77,3 +78,18 @@ def test_every_tolerance_constant_has_a_row():
         module = importlib.import_module(f"schmidt_lens.{info.name}")
         for constant in module_tolerances(module):
             assert (constant, info.name) in listed, f"{info.name}.{constant} has no README row"
+
+
+# The bisections take their bracket width from the caller (threshold --tol,
+# the suites' 1e-10), psd_minima its margin (PSD_TOL, EVIDENCE_TOL).
+TAKES_TOL = {"bisect_crossing", "snbc_witness_threshold", "eb_ppt_threshold", "psd_minima"}
+
+
+def test_only_functions_given_different_tolerances_take_a_tol():
+    takers = set()
+    for info in pkgutil.iter_modules(schmidt_lens.__path__):
+        module = importlib.import_module(f"schmidt_lens.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and "tol" in inspect.signature(fn).parameters:
+                takers.add(name)
+    assert takers == TAKES_TOL
