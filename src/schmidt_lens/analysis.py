@@ -16,6 +16,7 @@ from .channels import (
     MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
     QuantumChannel,
     _check_tp,
+    _family_kraus_traces,
     _unit_images,
     dephasing,
     depolarizing,
@@ -31,6 +32,7 @@ from .schmidt import (
     EVIDENCE_TOL,
     Verdict,
     _id_lambda_matrix,
+    _witness_from_traces,
     channel_witness_value,
     isotropic_sn_threshold,
     witness,
@@ -78,11 +80,11 @@ class Family(NamedTuple):
     crossing: Callable[[int, int], float]
 
 
-# The builders look their functions up at each call, so a rebinding of the
-# module names (perfbench/tracing.py wraps them in spans) takes effect.
+# Each family's weights and Kraus basis live in channels: the witness curves
+# read its Kraus traces there by name (_family_kraus_traces) and build no channel.
 FAMILIES = {
-    "depolarizing": Family(lambda d, p: depolarizing(d, p), isotropic_sn_threshold),
-    "dephasing": Family(lambda d, p: dephasing(d, p), lambda d, r: (r - 1.0) / (d - 1.0)),
+    "depolarizing": Family(depolarizing, isotropic_sn_threshold),
+    "dephasing": Family(dephasing, lambda d, r: (r - 1.0) / (d - 1.0)),
 }
 
 
@@ -115,14 +117,19 @@ def _ordered_map(fn, items):
 
 def _witness_curve(family: str, d: int, r: int, channel: QuantumChannel | None = None):
     """p -> Tr(W C_Φ), the curve ``snbc_witness_sweep`` samples and
-    ``snbc_witness_threshold`` bisects; constant for a given ``channel``."""
+    ``snbc_witness_threshold`` bisects; constant for a given ``channel``.
+
+    For a named family each point reads the Kraus traces off the family's
+    cached basis (``_family_kraus_traces``, with its Gram TP check) and
+    builds no channel; the values equal ``channel_witness_value`` of the
+    family's channel bit for bit.
+    """
     w = witness(d, r)
     if channel is None:
         if family not in FAMILIES:
             raise UnknownFamilyError(f"unknown family {family!r}; "
                                      f"expected one of {tuple(FAMILIES)}")
-        build = FAMILIES[family].channel
-        return lambda p: channel_witness_value(w, build(d, p))
+        return lambda p: _witness_from_traces(w, _family_kraus_traces(family, d, p))
     _check_square(channel, d)
     value = channel_witness_value(w, channel)
     return lambda p: value
@@ -132,13 +139,15 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
                        channel: QuantumChannel | None = None) -> list[SweepRecord]:
     """Witness value on the family's Choi state over a uniform parameter grid.
 
-    Each value is ``channel_witness_value``, read off the Kraus traces. For
-    ``family="custom"`` the fixed ``channel`` is checked once (as by
-    ``snac_sweep``) and evaluated once; for the named families the parameter is
-    the channel parameter in [0, 1], and each point builds its channel
-    with the trace-preservation check. A channel given without the custom
-    family, or the custom family without one, raises UnknownFamilyError;
-    a grid outside [2, MAX_GRID_POINTS] raises BudgetError.
+    Each value is read off the Kraus traces, as ``channel_witness_value``
+    reads it. For ``family="custom"`` the fixed ``channel`` is checked once
+    (as by ``snac_sweep``) and evaluated once; for the named families the
+    parameter is the channel parameter in [0, 1], and each point takes the
+    traces off the family's cached Kraus basis after checking trace
+    preservation from its Grams, with no channel built. A channel given
+    without the custom family, or the custom family without one, raises
+    UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
+    BudgetError.
     """
     check_grid_size(grid)
     if (family == "custom") != (channel is not None):
@@ -193,12 +202,14 @@ def snbc_witness_threshold(family: str, d: int, r: int,
                            tol: float = BISECTION_TOL) -> float:
     """Parameter at which the family's witness value crosses zero.
 
-    Bisects ``channel_witness_value`` of the named family's channel, built
-    and checked for trace preservation at every step. The witness value is
-    affine in the parameter for both families, so the crossing is the
-    exact breaking threshold: (rd - 1)/(d^2 - 1) for depolarizing and
-    (r - 1)/(d - 1) for dephasing, whose r = 1 root lies at the bracket
-    edge p = 0.
+    Bisects the witness value of the named family's channel, read at every
+    step off the family's cached Kraus basis after the Gram check of trace
+    preservation (no channel is built), and equal bit for bit to
+    ``channel_witness_value`` of ``depolarizing``/``dephasing``. The
+    witness value is affine in the parameter for both families, so the
+    crossing is the exact breaking threshold: (rd - 1)/(d^2 - 1) for
+    depolarizing and (r - 1)/(d - 1) for dephasing, whose r = 1 root lies
+    at the bracket edge p = 0.
     """
     return bisect_crossing(_witness_curve(family, d, r), 0.0, 1.0, tol)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from . import linalg
 from .errors import (
     BudgetError,
     DimensionMismatchError,
+    InvalidDimensionError,
     NonSquareChannelError,
     NotPSDError,
     NotTracePreservingError,
@@ -40,14 +42,14 @@ class QuantumChannel:
     """Completely positive map given by d_out x d_in Kraus operators.
 
     ``kraus`` is a list (or any iterable) of equal-shape matrices or one
-    ``(n, d_out, d_in)`` array. Either form is copied into one owned,
-    read-only complex stack, ``_stack``, which gets one finiteness scan and
-    one shape check; ``kraus`` is a tuple of read-only views of its rows,
-    built on first access and cached.
+    ``(n, d_out, d_in)`` array, with d_out, d_in >= 1. Either form is
+    copied into one owned, read-only complex stack, ``_stack``, which gets
+    one finiteness scan and one shape check; ``kraus`` is a tuple of
+    read-only views of its rows, built on first access and cached.
     Trace preservation (sum K†K = I) is validated on construction unless
     ``check_tp=False``; the adjoint of a channel is completely positive
     and unital but generally not trace-preserving, so it is built with
-    the check disabled.
+    the check disabled. The defect is kept once computed.
     """
 
     def __init__(self, kraus, check_tp: bool = True):
@@ -63,19 +65,25 @@ class QuantumChannel:
             raise DimensionMismatchError(
                 f"expected a stack of Kraus matrices, got ndim={stack.ndim}"
             )
+        if min(stack.shape[1:]) < 1:
+            raise InvalidDimensionError(
+                f"Kraus operators must be at least 1 x 1, got {stack.shape[1]} x {stack.shape[2]}"
+            )
         if not np.isfinite(stack).all():
             raise ValueError("Kraus entries must be finite (no NaN/Inf)")
         stack.flags.writeable = False
         self._stack = stack
         self.d_out, self.d_in = stack.shape[1:]
+        self._tp_defect = None
         if check_tp:
             _check_tp(self)
 
     def trace_preservation_defect(self) -> float:
-        flat = self._stack.reshape(-1, self.d_in)  # rows (a, o): sum K†K = flat† flat
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/NaN
-            acc = flat.conj().T @ flat
-        return float(np.max(np.abs(acc - np.eye(self.d_in))))
+        """max |sum K†K - I|, computed once (the stack is owned and read-only);
+        a named family's channel holds the defect of its Gram check."""
+        if self._tp_defect is None:
+            self._tp_defect = _kraus_sum_defect(self._stack)
+        return self._tp_defect
 
     @functools.cached_property
     def kraus(self) -> tuple[np.ndarray, ...]:
@@ -92,11 +100,24 @@ class QuantumChannel:
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, n_kraus={len(self)})"
 
 
-def _check_tp(ch: QuantumChannel) -> None:
-    """NotTracePreservingError unless ``ch.trace_preservation_defect() <= TP_TOL``."""
-    dev = ch.trace_preservation_defect()
+def _kraus_sum_defect(stack: np.ndarray) -> float:
+    """max |sum_a K_a†K_a - I| of an (n, d_out, d_in) Kraus stack."""
+    flat = stack.reshape(-1, stack.shape[2])  # rows (a, o): sum K†K = flat† flat
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/NaN
+        acc = flat.conj().T @ flat
+    return float(np.max(np.abs(acc - np.eye(stack.shape[2]))))
+
+
+def _require_tp(dev: float) -> float:
+    """``dev`` itself; NotTracePreservingError unless it is at most TP_TOL."""
     if not dev <= TP_TOL:  # a NaN defect (overflowed entries) fails too
         raise NotTracePreservingError(f"max |sum K†K - I| = {dev:.3e} exceeds {TP_TOL:.1e}")
+    return dev
+
+
+def _check_tp(ch: QuantumChannel) -> None:
+    """NotTracePreservingError unless ``ch.trace_preservation_defect() <= TP_TOL``."""
+    _require_tp(ch.trace_preservation_defect())
 
 
 class ChoiMatrix(DensityMatrix):
@@ -279,6 +300,106 @@ def _shift_clock_stack(d: int) -> np.ndarray:
     return stack
 
 
+class KrausBasis(NamedTuple):
+    """The Kraus basis B_a of a named family at one d, whose channel at
+    parameter p is the stack w(p)·B, K_a = w_a(p) B_a; every array read-only.
+
+    Row i*d + j of ``grams`` holds (B_a†B_a)[i, j] for every a, so that
+    sum_a K_a†K_a = sum_a w_a^2 B_a†B_a is one pairwise sum per entry.
+    ``diagonals`` holds the diagonal of each B_a, so that
+    ``(w[:, None] * diagonals).sum(axis=1)`` are the traces Tr K_a, equal
+    to ``np.trace`` of the stack bit for bit.
+    """
+
+    stack: np.ndarray  # (n, d, d)
+    grams: np.ndarray  # (d * d, n)
+    diagonals: np.ndarray  # (n, d)
+
+    @classmethod
+    def of(cls, stack: np.ndarray) -> KrausBasis:
+        grams = (stack.conj().transpose(0, 2, 1) @ stack).reshape(len(stack), -1).T
+        diagonals = stack.diagonal(axis1=1, axis2=2)
+        arrays = stack, np.ascontiguousarray(grams), np.ascontiguousarray(diagonals)
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+    def tp_defect(self, w: np.ndarray) -> float:
+        """max |sum_a w_a^2 B_a†B_a - I|, the trace-preservation defect of
+        w·B, checked against TP_TOL with ``QuantumChannel``'s error."""
+        acc = (self.grams * (w * w)).sum(axis=1)
+        acc[:: self.stack.shape[1] + 1] -= 1.0
+        return _require_tp(float(np.abs(acc).max()))
+
+
+def _depolarizing_weights(d: int, p: float) -> np.ndarray:
+    if d < 2:
+        raise ParamOutOfRangeError("depolarizing needs d >= 2")
+    if not 0.0 <= p <= 1.0:
+        raise ParamOutOfRangeError(f"p={p} outside [0, 1]")
+    weights = np.full(d * d, np.sqrt((1.0 - p) / d**2))
+    weights[0] = np.sqrt(p + (1.0 - p) / d**2)
+    return weights
+
+
+@functools.lru_cache(maxsize=8)
+def _depolarizing_basis(d: int) -> KrausBasis:
+    """The shift/clock unitaries, the cached ``_shift_clock_stack`` itself."""
+    return KrausBasis.of(_shift_clock_stack(d))
+
+
+def _dephasing_weights(d: int, v: float) -> np.ndarray:
+    if d < 2:
+        raise ParamOutOfRangeError("dephasing needs d >= 2")
+    if not 0.0 <= v <= 1.0:
+        raise ParamOutOfRangeError(f"v={v} outside [0, 1]")
+    weights = np.full(d + 1, np.sqrt(1.0 - v))
+    weights[0] = np.sqrt(v)
+    return weights
+
+
+@functools.lru_cache(maxsize=8)
+def _dephasing_basis(d: int) -> KrausBasis:
+    """I followed by the d basis projectors |i><i|."""
+    idx = np.arange(d)
+    stack = np.zeros((d + 1, d, d), dtype=complex)
+    stack[0, idx, idx] = 1.0
+    stack[idx + 1, idx, idx] = 1.0
+    return KrausBasis.of(stack)
+
+
+# Each named family's weights w(d, p), which check d and p, and its per-d
+# cached basis (a bounded lru_cache, as for _shift_clock_stack).
+_KRAUS_FAMILIES = {
+    "depolarizing": (_depolarizing_weights, _depolarizing_basis),
+    "dephasing": (_dephasing_weights, _dephasing_basis),
+}
+
+
+def _family_point(family: str, d: int, p: float) -> tuple[np.ndarray, KrausBasis, float]:
+    """Weights, basis and Gram-checked trace-preservation defect at (d, p)."""
+    weights, basis = _KRAUS_FAMILIES[family]
+    w = weights(d, p)
+    b = basis(d)
+    return w, b, b.tp_defect(w)
+
+
+def _family_kraus_traces(family: str, d: int, p: float) -> np.ndarray:
+    """Tr K_a of the named family's channel at (d, p), equal bit for bit to
+    ``np.trace`` of the stack that ``depolarizing``/``dephasing`` build, and
+    under the same checks (parameter range, d budget, Gram TP check);
+    no channel is built."""
+    w, b, _ = _family_point(family, d, p)
+    return (w[:, None] * b.diagonals).sum(axis=1)
+
+
+def _family_channel(family: str, d: int, p: float) -> QuantumChannel:
+    w, b, defect = _family_point(family, d, p)
+    ch = QuantumChannel(w[:, None, None] * b.stack, check_tp=False)
+    ch._tp_defect = defect
+    return ch
+
+
 def depolarizing(d: int, p: float) -> QuantumChannel:
     """Depolarizing channel rho -> p rho + (1-p) Tr(rho) I/d.
 
@@ -286,34 +407,23 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     the remaining d^2 - 1 shift/clock unitaries each weighted
     sqrt((1-p)/d^2); the unitary twirl identity makes the action match
     the formula exactly. The unitaries come from a per-d cached,
-    read-only stack, and the weights are broadcast into it, so each call
-    builds one array. d with a stack over ``MAX_KRAUS_STACK_BYTES`` raises
-    BudgetError.
+    read-only ``KrausBasis``, and the weights are broadcast into it.
+    Trace preservation is checked from the cached Grams, sum_a w_a^2
+    B_a†B_a, against ``TP_TOL``, not from the Kraus sum. d with a stack
+    over ``MAX_KRAUS_STACK_BYTES`` raises BudgetError.
     """
-    if d < 2:
-        raise ParamOutOfRangeError("depolarizing needs d >= 2")
-    if not 0.0 <= p <= 1.0:
-        raise ParamOutOfRangeError(f"p={p} outside [0, 1]")
-    weights = np.full(d * d, np.sqrt((1.0 - p) / d**2))
-    weights[0] = np.sqrt(p + (1.0 - p) / d**2)
-    return QuantumChannel(weights[:, None, None] * _shift_clock_stack(d))
+    return _family_channel("depolarizing", d, p)
 
 
 def dephasing(d: int, v: float) -> QuantumChannel:
     """Dephasing channel: off-diagonal entries scaled by v, diagonal kept.
 
     Kraus realization: sqrt(v) I plus sqrt(1-v) |i><i| for each basis
-    projector.
+    projector, the weights broadcast into a per-d cached, read-only
+    ``KrausBasis``; trace preservation is checked from its Grams, as for
+    ``depolarizing``. d is not capped here.
     """
-    if d < 2:
-        raise ParamOutOfRangeError("dephasing needs d >= 2")
-    if not 0.0 <= v <= 1.0:
-        raise ParamOutOfRangeError(f"v={v} outside [0, 1]")
-    idx = np.arange(d)
-    stack = np.zeros((d + 1, d, d), dtype=complex)
-    stack[0, idx, idx] = np.sqrt(v)
-    stack[idx + 1, idx, idx] = np.sqrt(1.0 - v)
-    return QuantumChannel(stack)
+    return _family_channel("dephasing", d, v)
 
 
 def action_distance(a: QuantumChannel, b: QuantumChannel) -> float:

@@ -101,7 +101,12 @@ def channel_witness_value(w: SNWitness, ch: QuantumChannel) -> float:
     """
     if not ch.is_square or ch.d_in != w.d:
         raise DimensionMismatchError(f"need a square channel of dimension {w.d}, got {ch!r}")
-    traces = np.trace(ch._stack, axis1=1, axis2=2)
+    return _witness_from_traces(w, np.trace(ch._stack, axis1=1, axis2=2))
+
+
+def _witness_from_traces(w: SNWitness, traces: np.ndarray) -> float:
+    """1 - sum_a |Tr K_a|^2 / (r d): Tr(W C_Φ) from the Kraus traces of a
+    square, trace-preserving channel of dimension d."""
     return float(1.0 - np.vdot(traces, traces).real / (w.r * w.d))
 
 

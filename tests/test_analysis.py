@@ -211,6 +211,47 @@ class TestThresholds:
         got = snbc_witness_threshold("depolarizing", 4, 3)
         assert 0.0 < got < 1.0
 
+    @pytest.mark.parametrize("family", ["depolarizing", "dephasing"])
+    def test_named_curves_equal_the_built_channels_bit_for_bit(self, family):
+        build = analysis.FAMILIES[family].channel
+        grid = np.linspace(0.0, 1.0, 101)
+        for d in range(2, 14):
+            built = [build(d, float(p)) for p in grid]
+            for r in range(1, d):
+                w = witness(d, r)
+                want = bisect_crossing(lambda p: channel_witness_value(w, build(d, p)), 0.0, 1.0)
+                assert snbc_witness_threshold(family, d, r) == want, (d, r)
+                assert [rec.value for rec in snbc_witness_sweep(family, d, r, grid=101)] == [
+                    channel_witness_value(w, ch) for ch in built], (d, r)
+
+    def test_named_curves_build_no_channel(self, monkeypatch):
+        calls = []
+        init = QuantumChannel.__init__
+        monkeypatch.setattr(QuantumChannel, "__init__",
+                            lambda self, *a, **kw: calls.append(a) or init(self, *a, **kw))
+        for family in ("depolarizing", "dephasing"):
+            snbc_witness_sweep(family, 9, 2, grid=11)
+            snbc_witness_threshold(family, 9, 2)
+        assert calls == []
+        depolarizing(3, 0.5)
+        assert len(calls) == 1
+
+    def test_a_checked_channel_is_not_summed_again(self, monkeypatch):
+        calls = []
+        kraus_sum = channels._kraus_sum_defect
+        monkeypatch.setattr(channels, "_kraus_sum_defect",
+                            lambda stack: calls.append(stack.shape) or kraus_sum(stack))
+        q = np.array([0.5, 0.3, 0.2])
+        snac_min_eig(depolarizing(3, 0.8), q, 0.5)
+        assert calls == []  # the family's channel holds the defect of its Gram check
+        ch = random_channel(3, 4, 7)
+        for study in (lambda: snac_min_eig(ch, q, 0.5), lambda: snac_lattice_minimum(ch, 0.5, 6),
+                      lambda: two_local_output(ch, q), lambda: snac_sweep(3, 0.5, 2, 3, channel=ch)):
+            study()
+        assert calls == [(4, 3, 3)]  # on construction only
+        with pytest.raises(NotTracePreservingError, match="exceeds"):
+            analysis._check_square(adjoint(ch), 3)
+
 
 class TestEbPptThreshold:
     def test_one_over_d_plus_one(self):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidt_lens import linalg
-from schmidt_lens.analysis import snbc_witness_threshold
+from schmidt_lens import channels, linalg
+from schmidt_lens.analysis import snbc_witness_sweep, snbc_witness_threshold
 from schmidt_lens.channels import (
     MAX_KRAUS_STACK_BYTES,
     ChoiMatrix,
@@ -31,6 +31,7 @@ from schmidt_lens.channels import (
 )
 from schmidt_lens.errors import (
     DimensionMismatchError,
+    InvalidDimensionError,
     NonSquareChannelError,
     NotHermitianError,
     NotPSDError,
@@ -58,6 +59,25 @@ class TestQuantumChannel:
     def test_rejects_non_tp(self):
         with pytest.raises(NotTracePreservingError):
             QuantumChannel([np.sqrt(2.0) * np.eye(2)])
+
+    @pytest.mark.parametrize("build", [lambda: QuantumChannel(np.zeros((1, 0, 0))),
+                                       lambda: QuantumChannel(np.zeros((1, 2, 0))),
+                                       lambda: random_channel(0, 1, 0)])
+    def test_rejects_zero_size_operators(self, build):
+        with pytest.raises(InvalidDimensionError, match="at least 1 x 1"):
+            build()
+
+    def test_defect_is_kept_once_computed(self, monkeypatch):
+        calls = []
+        kraus_sum = channels._kraus_sum_defect
+        monkeypatch.setattr(channels, "_kraus_sum_defect",
+                            lambda stack: calls.append(stack.shape) or kraus_sum(stack))
+        ch = random_channel(3, 4, 7)
+        adj = adjoint(ch)
+        assert len(calls) == 1  # the adjoint is built unchecked
+        assert ch.trace_preservation_defect() == ch.trace_preservation_defect() <= 1e-9
+        assert adj.trace_preservation_defect() == adj.trace_preservation_defect() > 1e-3
+        assert len(calls) == 2
 
     def test_mixed_shapes(self):
         with pytest.raises(DimensionMismatchError):
@@ -482,6 +502,92 @@ FAMILY_PARAMS = (0.0, 0.3, 0.5, 0.625, 1.0)
 def test_family_stacks_are_bit_equal_to_the_loop_construction(d, p):
     assert np.array_equal(depolarizing(d, p)._stack, np.stack(ref_depolarizing_kraus(d, p)))
     assert np.array_equal(dephasing(d, p)._stack, np.stack(ref_dephasing_kraus(d, p)))
+
+
+GOLDEN_ROOTS = (0.0, 0.25, 0.5, 0.625)
+
+
+def family_params(d):
+    """Golden roots, every crossing of both families at d, and a grid of 51."""
+    crossings = [(r * d - 1) / (d * d - 1) for r in range(1, d)]
+    crossings += [(r - 1) / (d - 1) for r in range(1, d)]
+    return sorted({*GOLDEN_ROOTS, 1 / 3, *crossings, *np.linspace(0.0, 1.0, 51).tolist()})
+
+
+def old_depolarizing_stack(d, p):
+    weights = np.full(d * d, np.sqrt((1.0 - p) / d**2))
+    weights[0] = np.sqrt(p + (1.0 - p) / d**2)
+    return weights[:, None, None] * _shift_clock_stack(d)
+
+
+def old_dephasing_stack(d, v):
+    idx = np.arange(d)
+    stack = np.zeros((d + 1, d, d), dtype=complex)
+    stack[0, idx, idx] = np.sqrt(v)
+    stack[idx + 1, idx, idx] = np.sqrt(1.0 - v)
+    return stack
+
+
+FAMILY_BUILDS = {"depolarizing": (depolarizing, old_depolarizing_stack),
+                 "dephasing": (dephasing, old_dephasing_stack)}
+
+
+def scale_weights(monkeypatch, family, squares_sum):
+    """Make the named family's weights square-sum to ``squares_sum`` instead of 1."""
+    weights, basis = channels._KRAUS_FAMILIES[family]
+    monkeypatch.setitem(channels._KRAUS_FAMILIES, family,
+                        (lambda d, p: weights(d, p) * np.sqrt(squares_sum), basis))
+
+
+@pytest.mark.parametrize("family", FAMILY_BUILDS)
+class TestKrausBasis:
+    def test_stacks_and_traces_are_bit_identical_to_the_old_construction(self, family):
+        build, old = FAMILY_BUILDS[family]
+        for d in range(2, 14):
+            for p in family_params(d):
+                want = old(d, p)
+                assert build(d, p)._stack.tobytes() == want.tobytes(), (d, p)
+                traces = np.trace(want, axis1=1, axis2=2)  # signed zeros included
+                assert channels._family_kraus_traces(family, d, p).tobytes() == traces.tobytes()
+
+    def test_gram_defect_is_the_kraus_sum(self, family):
+        # the reference is the Kraus sum of the built stack in extended precision:
+        # in double it rounds by up to 1.7e-15 itself (d = 5)
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("needs an extended-precision long double")
+        build, _ = FAMILY_BUILDS[family]
+        for d in range(2, 14):
+            for p in family_params(d):
+                ch = build(d, p)
+                flat = ch._stack.reshape(-1, d).astype(np.clongdouble)
+                exact = np.max(np.abs(flat.conj().T @ flat - np.eye(d)))
+                assert abs(ch.trace_preservation_defect() - float(exact)) <= 1e-15, (d, p)
+
+    def test_gram_check_fires_from_the_builder_and_the_curve(self, family, monkeypatch):
+        build, _ = FAMILY_BUILDS[family]
+        with monkeypatch.context() as patch:
+            scale_weights(patch, family, 1.0 + 5e-10)
+            assert 4e-10 < build(3, 0.4).trace_preservation_defect() <= 1e-9
+            snbc_witness_sweep(family, 3, 2, grid=5)
+        scale_weights(monkeypatch, family, 1.0 + 2e-9)
+        for call in (lambda: build(3, 0.4),
+                     lambda: snbc_witness_threshold(family, 3, 2),
+                     lambda: snbc_witness_sweep(family, 3, 2, grid=5)):
+            with pytest.raises(NotTracePreservingError,
+                               match=r"max \|sum K†K - I\| = 2\.000e-09 exceeds 1\.0e-09"):
+                call()
+
+    def test_cache_is_bounded_read_only_and_no_larger_than_a_stack(self, family):
+        build, _ = FAMILY_BUILDS[family]
+        _, basis = channels._KRAUS_FAMILIES[family]
+        assert basis.cache_info().maxsize is not None
+        for d in (2, 3, 9, 13) + ((64,) if family == "dephasing" else ()):
+            cached = basis(d)
+            assert basis(d) is cached
+            for array in cached:
+                assert not array.flags.writeable
+                assert array.nbytes <= build(d, 0.5)._stack.nbytes
+        assert channels._depolarizing_basis(9).stack is _shift_clock_stack(9)
 
 
 class TestDephasing:
