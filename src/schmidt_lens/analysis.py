@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .channels import (
     _check_tp,
     _family_kraus_traces,
     _unit_images,
-    dephasing,
     depolarizing,
 )
 from .errors import (
@@ -72,19 +70,13 @@ CHUNK_BYTES = 8 * 2**20
 PHASE_COVARIANT_TOL = 1e-14
 
 
-class Family(NamedTuple):
-    """A named channel family: its channel at (d, p) and the closed form of
-    its witness crossing at (d, r)."""
-
-    channel: Callable[[int, float], QuantumChannel]
-    crossing: Callable[[int, int], float]
-
-
-# Each family's weights and Kraus basis live in channels: the witness curves
-# read its Kraus traces there by name (_family_kraus_traces) and build no channel.
+# Each named family's closed-form witness crossing at (d, r). Its weights and
+# Kraus basis live under the same key in channels._KRAUS_FAMILIES, where the
+# witness curves read its Kraus traces (_family_kraus_traces) and build no
+# channel.
 FAMILIES = {
-    "depolarizing": Family(depolarizing, isotropic_sn_threshold),
-    "dephasing": Family(dephasing, lambda d, r: (r - 1.0) / (d - 1.0)),
+    "depolarizing": isotropic_sn_threshold,
+    "dephasing": lambda d, r: (r - 1.0) / (d - 1.0),
 }
 
 
@@ -120,9 +112,9 @@ def _witness_curve(family: str, d: int, r: int, channel: QuantumChannel | None =
     ``snbc_witness_threshold`` bisects; constant for a given ``channel``.
 
     For a named family each point reads the Kraus traces off the family's
-    cached basis (``_family_kraus_traces``, with its Gram TP check) and
-    builds no channel; the values equal ``channel_witness_value`` of the
-    family's channel bit for bit.
+    cached basis (``_family_kraus_traces``, with its TP check from the Gram
+    diagonals) and builds no channel; the values equal
+    ``channel_witness_value`` of the family's channel bit for bit.
     """
     w = witness(d, r)
     if channel is None:
@@ -144,8 +136,8 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     (as by ``snac_sweep``) and evaluated once; for the named families the
     parameter is the channel parameter in [0, 1], and each point takes the
     traces off the family's cached Kraus basis after checking trace
-    preservation from its Grams, with no channel built. A channel given
-    without the custom family, or the custom family without one, raises
+    preservation from its Gram diagonals, with no channel built. A channel
+    given without the custom family, or the custom family without one, raises
     UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
     BudgetError.
     """
@@ -203,9 +195,9 @@ def snbc_witness_threshold(family: str, d: int, r: int,
     """Parameter at which the family's witness value crosses zero.
 
     Bisects the witness value of the named family's channel, read at every
-    step off the family's cached Kraus basis after the Gram check of trace
-    preservation (no channel is built), and equal bit for bit to
-    ``channel_witness_value`` of ``depolarizing``/``dephasing``. The
+    step off the family's cached Kraus basis after the trace-preservation
+    check from its Gram diagonals (no channel is built), and equal bit for
+    bit to ``channel_witness_value`` of ``depolarizing``/``dephasing``. The
     witness value is affine in the parameter for both families, so the
     crossing is the exact breaking threshold: (rd - 1)/(d^2 - 1) for
     depolarizing and (r - 1)/(d - 1) for dephasing, whose r = 1 root lies
@@ -551,15 +543,15 @@ def _pt_min_eig(d: int, p: float) -> float:
     return float(np.linalg.eigvalsh(pt)[0])
 
 
-def eb_ppt_threshold(d: int, tol: float = BISECTION_TOL) -> float:
+def eb_ppt_threshold(d: int) -> float:
     """Isotropic parameter at which the partial transpose stops being PSD.
 
-    Bisected crossing of the minimum eigenvalue of PT(isotropic(d, p));
-    lands at 1/(d+1).
+    Bisected crossing of the minimum eigenvalue of PT(isotropic(d, p)),
+    to a bracket of BISECTION_TOL; lands at 1/(d+1).
     """
     if d < 2:
         raise ValueError("needs d >= 2")
-    return bisect_crossing(lambda p: _pt_min_eig(d, p), 0.0, 1.0, tol)
+    return bisect_crossing(lambda p: _pt_min_eig(d, p), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

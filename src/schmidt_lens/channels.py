@@ -80,7 +80,7 @@ class QuantumChannel:
 
     def trace_preservation_defect(self) -> float:
         """max |sum K†K - I|, computed once (the stack is owned and read-only);
-        a named family's channel holds the defect of its Gram check."""
+        a named family's channel holds the defect of its Gram-diagonal check."""
         if self._tp_defect is None:
             self._tp_defect = _kraus_sum_defect(self._stack)
         return self._tp_defect
@@ -291,35 +291,28 @@ def check_kraus_stack(d: int) -> int:
     return size
 
 
-@functools.lru_cache(maxsize=8)
-def _shift_clock_stack(d: int) -> np.ndarray:
-    """Read-only (d^2, d, d) stack of the unitaries X^a Z^b, cached per d."""
-    check_kraus_stack(d)
-    stack = np.stack(_shift_clock_products(d))
-    stack.flags.writeable = False
-    return stack
-
-
 class KrausBasis(NamedTuple):
     """The Kraus basis B_a of a named family at one d, whose channel at
     parameter p is the stack w(p)·B, K_a = w_a(p) B_a; every array read-only.
 
-    Row i*d + j of ``grams`` holds (B_a†B_a)[i, j] for every a, so that
-    sum_a K_a†K_a = sum_a w_a^2 B_a†B_a is one pairwise sum per entry.
-    ``diagonals`` holds the diagonal of each B_a, so that
+    Every B_a†B_a of both bases is diagonal (I or a basis projector), so
+    sum_a K_a†K_a = sum_a w_a^2 B_a†B_a is read off ``gram_diagonals``:
+    row i holds (B_a†B_a)[i, i] = |B_a e_i|^2 for every a, and each
+    diagonal entry is one pairwise sum along that row. ``diagonals``
+    holds the diagonal of each B_a, so that
     ``(w[:, None] * diagonals).sum(axis=1)`` are the traces Tr K_a, equal
     to ``np.trace`` of the stack bit for bit.
     """
 
     stack: np.ndarray  # (n, d, d)
-    grams: np.ndarray  # (d * d, n)
+    gram_diagonals: np.ndarray  # (d, n), real
     diagonals: np.ndarray  # (n, d)
 
     @classmethod
     def of(cls, stack: np.ndarray) -> KrausBasis:
-        grams = (stack.conj().transpose(0, 2, 1) @ stack).reshape(len(stack), -1).T
+        gram_diagonals = (stack.real**2 + stack.imag**2).sum(axis=1).T
         diagonals = stack.diagonal(axis1=1, axis2=2)
-        arrays = stack, np.ascontiguousarray(grams), np.ascontiguousarray(diagonals)
+        arrays = stack, np.ascontiguousarray(gram_diagonals), np.ascontiguousarray(diagonals)
         for a in arrays:
             a.flags.writeable = False
         return cls(*arrays)
@@ -327,9 +320,8 @@ class KrausBasis(NamedTuple):
     def tp_defect(self, w: np.ndarray) -> float:
         """max |sum_a w_a^2 B_a†B_a - I|, the trace-preservation defect of
         w·B, checked against TP_TOL with ``QuantumChannel``'s error."""
-        acc = (self.grams * (w * w)).sum(axis=1)
-        acc[:: self.stack.shape[1] + 1] -= 1.0
-        return _require_tp(float(np.abs(acc).max()))
+        acc = (self.gram_diagonals * (w * w)).sum(axis=1)
+        return _require_tp(float(np.abs(acc - 1.0).max()))
 
 
 def _depolarizing_weights(d: int, p: float) -> np.ndarray:
@@ -344,8 +336,9 @@ def _depolarizing_weights(d: int, p: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _depolarizing_basis(d: int) -> KrausBasis:
-    """The shift/clock unitaries, the cached ``_shift_clock_stack`` itself."""
-    return KrausBasis.of(_shift_clock_stack(d))
+    """The d^2 shift/clock unitaries X^a Z^b; BudgetError above the stack budget."""
+    check_kraus_stack(d)
+    return KrausBasis.of(np.stack(_shift_clock_products(d)))
 
 
 def _dephasing_weights(d: int, v: float) -> np.ndarray:
@@ -369,7 +362,7 @@ def _dephasing_basis(d: int) -> KrausBasis:
 
 
 # Each named family's weights w(d, p), which check d and p, and its per-d
-# cached basis (a bounded lru_cache, as for _shift_clock_stack).
+# cached basis (a bounded lru_cache); the same keys as analysis.FAMILIES.
 _KRAUS_FAMILIES = {
     "depolarizing": (_depolarizing_weights, _depolarizing_basis),
     "dephasing": (_dephasing_weights, _dephasing_basis),
@@ -377,7 +370,7 @@ _KRAUS_FAMILIES = {
 
 
 def _family_point(family: str, d: int, p: float) -> tuple[np.ndarray, KrausBasis, float]:
-    """Weights, basis and Gram-checked trace-preservation defect at (d, p)."""
+    """Weights, basis and Gram-diagonal trace-preservation defect at (d, p)."""
     weights, basis = _KRAUS_FAMILIES[family]
     w = weights(d, p)
     b = basis(d)
@@ -387,8 +380,8 @@ def _family_point(family: str, d: int, p: float) -> tuple[np.ndarray, KrausBasis
 def _family_kraus_traces(family: str, d: int, p: float) -> np.ndarray:
     """Tr K_a of the named family's channel at (d, p), equal bit for bit to
     ``np.trace`` of the stack that ``depolarizing``/``dephasing`` build, and
-    under the same checks (parameter range, d budget, Gram TP check);
-    no channel is built."""
+    under the same checks in the same order (parameter range, d budget,
+    TP check from the Gram diagonals); no channel is built."""
     w, b, _ = _family_point(family, d, p)
     return (w[:, None] * b.diagonals).sum(axis=1)
 
@@ -408,9 +401,10 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     sqrt((1-p)/d^2); the unitary twirl identity makes the action match
     the formula exactly. The unitaries come from a per-d cached,
     read-only ``KrausBasis``, and the weights are broadcast into it.
-    Trace preservation is checked from the cached Grams, sum_a w_a^2
-    B_a†B_a, against ``TP_TOL``, not from the Kraus sum. d with a stack
-    over ``MAX_KRAUS_STACK_BYTES`` raises BudgetError.
+    Trace preservation is checked from the cached Gram diagonals,
+    sum_a w_a^2 |B_a e_i|^2 (every B_a†B_a is I), against ``TP_TOL``, not
+    from the Kraus sum. d with a stack over ``MAX_KRAUS_STACK_BYTES``
+    raises BudgetError.
     """
     return _family_channel("depolarizing", d, p)
 
@@ -420,8 +414,9 @@ def dephasing(d: int, v: float) -> QuantumChannel:
 
     Kraus realization: sqrt(v) I plus sqrt(1-v) |i><i| for each basis
     projector, the weights broadcast into a per-d cached, read-only
-    ``KrausBasis``; trace preservation is checked from its Grams, as for
-    ``depolarizing``. d is not capped here.
+    ``KrausBasis``; trace preservation is checked from its Gram diagonals
+    (each B_a†B_a is I or a projector), as for ``depolarizing``. d is not
+    capped here.
     """
     return _family_channel("dephasing", d, v)
 

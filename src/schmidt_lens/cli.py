@@ -150,7 +150,7 @@ def cmd_threshold(args) -> int:
         raise _UsageError("--tol must be finite and positive")
     check_kraus_stack(args.d)
     threshold = analysis.snbc_witness_threshold(args.family, args.d, args.r, tol=args.tol)
-    exact = analysis.FAMILIES[args.family].crossing(args.d, args.r)
+    exact = analysis.FAMILIES[args.family](args.d, args.r)
     payload = {
         "family": args.family,
         "d": args.d,

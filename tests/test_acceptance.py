@@ -64,7 +64,7 @@ def test_criterion_3_threshold_law():
 def test_criterion_4_eb_threshold_and_gap():
     failures = []
     for d in (2, 3, 4):
-        got = analysis.eb_ppt_threshold(d, tol=1e-9)
+        got = analysis.eb_ppt_threshold(d)
         if abs(got - 1 / (d + 1)) > 1e-8:
             failures.append(f"EB crossing d={d}: {got!r}")
     for d, r in ((3, 2), (4, 2), (4, 3)):

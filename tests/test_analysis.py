@@ -213,7 +213,7 @@ class TestThresholds:
 
     @pytest.mark.parametrize("family", ["depolarizing", "dephasing"])
     def test_named_curves_equal_the_built_channels_bit_for_bit(self, family):
-        build = analysis.FAMILIES[family].channel
+        build = getattr(channels, family)
         grid = np.linspace(0.0, 1.0, 101)
         for d in range(2, 14):
             built = [build(d, float(p)) for p in grid]
@@ -535,7 +535,7 @@ class TestPhaseCovariantKernel:
     @pytest.mark.parametrize("family", ["depolarizing", "dephasing", "random"])
     def test_min_eig_is_one_lattice_row(self, d, family, monkeypatch):
         ch = (random_channel(d, 4, 7) if family == "random"
-              else analysis.FAMILIES[family].channel(d, 0.6))
+              else getattr(channels, family)(d, 0.6))
         dense = _dense_calls(monkeypatch)
         for pt in simplex_lattice(3, d):
             for k in (1 / 3, 1 / 2, 1.0):

@@ -27,7 +27,7 @@ from schmidt_lens.channels import (
     random_channel,
     random_channel_with_kraus_rank,
     tensor,
-    _shift_clock_stack,
+    _depolarizing_basis,
 )
 from schmidt_lens.errors import (
     DimensionMismatchError,
@@ -463,7 +463,7 @@ class TestDepolarizing:
                     np.testing.assert_allclose(apply_matrix(ch, unit), want, atol=1e-10)
 
     def test_shift_clock_set(self):
-        ws = _shift_clock_stack(3)
+        ws = _depolarizing_basis(3).stack
         assert len(ws) == 9
         np.testing.assert_allclose(ws[0], np.eye(3))
         for w in ws:
@@ -476,21 +476,21 @@ class TestDepolarizing:
             depolarizing(1, 0.5)
 
     def test_cached_basis_is_read_only(self):
-        stack = _shift_clock_stack(3)
+        stack = _depolarizing_basis(3).stack
         assert stack.shape == (9, 3, 3)
         assert not stack.flags.writeable
-        assert _shift_clock_stack(3) is stack
+        assert _depolarizing_basis(3).stack is stack
 
     def test_cache_refuses_a_stack_over_the_budget(self):
         d = 2
         while 16 * (d + 1) ** 4 <= MAX_KRAUS_STACK_BYTES:
             d += 1
-        assert _shift_clock_stack(d).nbytes <= MAX_KRAUS_STACK_BYTES
+        assert _depolarizing_basis(d).stack.nbytes <= MAX_KRAUS_STACK_BYTES
         with pytest.raises(ParamOutOfRangeError, match="budget"):
             depolarizing(d + 1, 0.5)
         with pytest.raises(ParamOutOfRangeError, match="budget"):
-            _shift_clock_stack(d + 1)
-        assert _shift_clock_stack.cache_info().maxsize is not None
+            _depolarizing_basis(d + 1)
+        assert _depolarizing_basis.cache_info().maxsize is not None
 
 
 FAMILY_DIMS = (2, 3, 4, 9)
@@ -517,7 +517,7 @@ def family_params(d):
 def old_depolarizing_stack(d, p):
     weights = np.full(d * d, np.sqrt((1.0 - p) / d**2))
     weights[0] = np.sqrt(p + (1.0 - p) / d**2)
-    return weights[:, None, None] * _shift_clock_stack(d)
+    return weights[:, None, None] * _depolarizing_basis(d).stack
 
 
 def old_dephasing_stack(d, v):
@@ -587,7 +587,26 @@ class TestKrausBasis:
             for array in cached:
                 assert not array.flags.writeable
                 assert array.nbytes <= build(d, 0.5)._stack.nbytes
-        assert channels._depolarizing_basis(9).stack is _shift_clock_stack(9)
+        assert channels._depolarizing_basis(9).stack is _depolarizing_basis(9).stack
+
+    def test_every_gram_is_diagonal_and_the_basis_keeps_its_diagonal(self, family):
+        _, basis = channels._KRAUS_FAMILIES[family]
+        for d in (2, 3, 9, 13) + ((64,) if family == "dephasing" else ()):
+            cached = basis(d)
+            grams = cached.stack.conj().transpose(0, 2, 1) @ cached.stack
+            assert not grams[:, ~np.eye(d, dtype=bool)].any(), d  # exactly 0
+            diagonals = cached.gram_diagonals
+            assert diagonals.dtype == np.float64 and diagonals.shape == (d, len(cached.stack))
+            assert not diagonals.flags.writeable
+            np.testing.assert_allclose(diagonals, grams.diagonal(axis1=1, axis2=2).real.T,
+                                       rtol=0, atol=1e-15)
+
+    def test_cache_holds_its_stack_and_at_most_24_n_d_bytes_more(self, family):
+        _, basis = channels._KRAUS_FAMILIES[family]
+        for d in (2, 3, 9, 13) + ((64,) if family == "dephasing" else ()):
+            cached = basis(d)
+            n = len(cached.stack)
+            assert sum(array.nbytes for array in cached) <= cached.stack.nbytes + 24 * n * d, d
 
 
 class TestDephasing:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from schmidt_lens import analysis, cli, suites
+from schmidt_lens import analysis, channels, cli, suites
 from schmidt_lens.analysis import snac_lattice_minimum
 from schmidt_lens.channels import (
     MAX_KRAUS_STACK_BYTES,
@@ -123,13 +123,14 @@ class TestThresholdCommand:
         assert family_choices("sweep") == [*analysis.FAMILIES, "custom"]
         assert family_choices("threshold") == list(analysis.FAMILIES)
         assert list(analysis.FAMILIES) == ["depolarizing", "dephasing"]
+        assert list(channels._KRAUS_FAMILIES) == list(analysis.FAMILIES)
         for d in range(2, 14):
             for r in range(1, d):
-                depolarizing_crossing = analysis.FAMILIES["depolarizing"].crossing(d, r)
+                depolarizing_crossing = analysis.FAMILIES["depolarizing"](d, r)
                 assert depolarizing_crossing == isotropic_sn_threshold(d, r)
-                assert analysis.FAMILIES["dephasing"].crossing(d, r) == (r - 1.0) / (d - 1.0)
+                assert analysis.FAMILIES["dephasing"](d, r) == (r - 1.0) / (d - 1.0)
         table = dict(analysis.FAMILIES)
-        table["dephasing"] = analysis.Family(table["dephasing"].channel, lambda d, r: 0.5)
+        table["dephasing"] = lambda d, r: 0.5
         monkeypatch.setattr(analysis, "FAMILIES", table)
         code, out, _ = run_cli(["threshold", "--family", "dephasing", "--d", "3", "--r", "2"],
                                capsys)

@@ -82,7 +82,7 @@ def test_every_tolerance_constant_has_a_row():
 
 # The bisections take their bracket width from the caller (threshold --tol,
 # the suites' 1e-10), psd_minima its margin (PSD_TOL, EVIDENCE_TOL).
-TAKES_TOL = {"bisect_crossing", "snbc_witness_threshold", "eb_ppt_threshold", "psd_minima"}
+TAKES_TOL = {"bisect_crossing", "snbc_witness_threshold", "psd_minima"}
 
 
 def test_only_functions_given_different_tolerances_take_a_tol():
