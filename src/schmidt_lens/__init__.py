@@ -13,6 +13,7 @@ from .analysis import (
     SweepRecord,
     bisect_crossing,
     eb_ppt_threshold,
+    permutation_covariant_defect,
     phase_covariant_defect,
     relation_report,
     simplex_lattice,

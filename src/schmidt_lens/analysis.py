@@ -4,6 +4,7 @@ depolarizing construction, and channel-set relation reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +69,12 @@ CHUNK_BYTES = 8 * 2**20
 # phase_covariant_defect) for which the reduced two-local kernel is taken.
 # Depolarizing reaches 2.4e-16 (d <= 13, 1001 values of p) and dephasing 0.
 PHASE_COVARIANT_TOL = 1e-14
+# Largest deviation from permutation covariance of what the two-local kernel
+# reads (see _certificate) for which a study evaluates one lattice row per
+# permutation orbit. Depolarizing reaches 1.0e-15 in the unit-image form
+# (permutation_covariant_defect) and 1.6e-15 in the reduced kernel's (d <= 13,
+# 1001 values of p), dephasing 0.
+PERMUTATION_COVARIANT_TOL = 1e-14
 
 
 # Each named family's closed-form witness crossing at (d, r). Its weights and
@@ -202,6 +209,15 @@ def snbc_witness_threshold(family: str, d: int, r: int,
     crossing is the exact breaking threshold: (rd - 1)/(d^2 - 1) for
     depolarizing and (r - 1)/(d - 1) for dephasing, whose r = 1 root lies
     at the bracket edge p = 0.
+
+    The witness proves only that the channel is not r-breaking below the
+    crossing. At the crossing the channel is r-breaking, which makes the
+    threshold tight: the dephasing Choi state there is the uniform average,
+    over the r-subsets S of the basis, of the maximally entangled states on
+    span{|ii> : i in S} (Schmidt rank r), and the depolarizing one is the
+    U ⊗ Ū twirl of that average, a mixture of local unitary images, so its
+    Schmidt number is at most r too (``TestThresholdsAreTight`` in
+    ``tests/test_analysis.py``, d <= 6).
     """
     return bisect_crossing(_witness_curve(family, d, r), 0.0, 1.0, tol)
 
@@ -232,7 +248,7 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
     if channel is not None:
         _check_square(channel, d)
         lattices, charged, lower = 1, "lattice points", "the q grid"
-        reduced = _reduced_parts(_unit_images(channel)) is not None
+        reduced = _kernel_form(channel)[1] is not None
     check_grid_size(p_grid)
     if q_grid < 2:
         raise BudgetError("the q grid needs at least 2 subdivisions")
@@ -340,19 +356,6 @@ def _pattern_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return populations.real, coherences, float(defect)
 
 
-def _reduced_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The reduced kernel's rule, for ``snac_lattice_minimum`` and its budget.
-
-    Populations and squared coherences of a square channel's ``phi =
-    _unit_images(ch)`` when its phase-covariant defect is at most
-    PHASE_COVARIANT_TOL, else None.
-    """
-    populations, coherences, defect = _pattern_parts(phi)
-    if defect > PHASE_COVARIANT_TOL:
-        return None
-    return populations, coherences * coherences
-
-
 def phase_covariant_defect(ch: QuantumChannel) -> float:
     """Largest |entry| of any Φ(|j><l|) outside the phase-covariant pattern.
 
@@ -366,6 +369,78 @@ def phase_covariant_defect(ch: QuantumChannel) -> float:
     if not ch.is_square:
         raise DimensionMismatchError(f"need a square channel, got {ch!r}")
     return _pattern_parts(_unit_images(ch))[2]
+
+
+def _transposition_defect(phi: np.ndarray) -> float:
+    """Largest |entry| of Φ(P|j><l|Pᵀ) - PΦ(|j><l|)Pᵀ over the d - 1 adjacent
+    transpositions P, which generate the symmetric group; ``phi`` is
+    ``_unit_images`` of a square channel."""
+    d = phi.shape[0]
+    defect = 0.0
+    for t in range(d - 1):
+        perm = np.arange(d)
+        perm[[t, t + 1]] = t + 1, t
+        moved = phi[np.ix_(perm, perm, perm, perm)]
+        defect = max(defect, float(np.max(np.abs(moved - phi))))
+    return defect
+
+
+def _spread(m: np.ndarray) -> float:
+    """Largest distance of d x d matrices, stacked on the leading axes, from
+    the form alpha I + beta J: of each diagonal entry from its matrix's
+    [0, 0], of each off-diagonal one from its [0, -1]."""
+    form = np.where(np.eye(m.shape[-1], dtype=bool), m[..., :1, :1], m[..., :1, -1:])
+    return float(np.max(np.abs(m - form)))
+
+
+def permutation_covariant_defect(ch: QuantumChannel) -> float:
+    """Largest |entry| of Φ(P|j><l|Pᵀ) - PΦ(|j><l|)Pᵀ over the adjacent
+    transpositions P.
+
+    The defect is 0 exactly when Φ(PXPᵀ) = PΦ(X)Pᵀ for every permutation
+    matrix P; both named families are such channels up to rounding.
+    ``snac_lattice_minimum`` and ``snac_sweep`` evaluate one lattice row per
+    permutation orbit when the dense kernel's channel has a defect of at most
+    PERMUTATION_COVARIANT_TOL, or the reduced kernel's populations and squared
+    coherences are that close to the form alpha I + beta J (``_certificate``).
+    """
+    if not ch.is_square:
+        raise DimensionMismatchError(f"need a square channel, got {ch!r}")
+    return _transposition_defect(_unit_images(ch))
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_form(ch: QuantumChannel):
+    """``(phi, parts)`` of a square channel: the kernel rule of
+    ``_certificate``, for ``snac_lattice_minimum`` and its budget.
+
+    ``phi`` is ``_unit_images(ch)``. ``parts`` holds the populations and
+    squared coherences of the reduced kernel when the phase-covariant defect
+    is at most PHASE_COVARIANT_TOL, else None (the dense kernel). Kept for
+    the last channel asked, whose Kraus stack is owned and read-only, so that
+    the budget, the lattice rows and the kernel of one study read one
+    decision.
+    """
+    phi = _unit_images(ch)
+    phi.flags.writeable = False
+    populations, coherences, defect = _pattern_parts(phi)
+    if defect > PHASE_COVARIANT_TOL:
+        return phi, None
+    return phi, (populations, coherences * coherences)
+
+
+def _permutation_covariant(ch: QuantumChannel) -> bool:
+    """Whether what the channel's kernel reads is permutation-covariant within
+    PERMUTATION_COVARIANT_TOL (see :func:`_certificate`)."""
+    phi, parts = _kernel_form(ch)
+    defect = _transposition_defect(phi) if parts is None else _spread(np.stack(parts))
+    return defect <= PERMUTATION_COVARIANT_TOL
+
+
+def _orbit_rows(lattice: np.ndarray) -> np.ndarray:
+    """The nondecreasing rows of ``simplex_lattice``: the first row of each
+    permutation orbit, the lattice being lexicographic."""
+    return lattice[np.all(lattice[:, 1:] >= lattice[:, :-1], axis=1)]
 
 
 def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarray,
@@ -444,8 +519,8 @@ def _certificate(ch: QuantumChannel, k: float):
 
     Returns the size of the matrices diagonalized per row and the function
     q -> min eig of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), one value per
-    row of a (points, d) array. The kernel is decided here, once per
-    channel. When every entry of every Φ(|j><l|) outside the
+    row of a (points, d) array. The kernel is decided by ``_kernel_form``,
+    once per channel. When every entry of every Φ(|j><l|) outside the
     phase-covariant pattern (see :func:`two_local_output`) is at most
     PHASE_COVARIANT_TOL = δ, each row costs one d x d eigensolve plus
     d^2 - d diagonal entries (:func:`_reduced_min_eigs`), formed from the
@@ -457,12 +532,28 @@ def _certificate(ch: QuantumChannel, k: float):
     4.8e-11 at d = 13, far below EVIDENCE_TOL. Every other channel takes
     the dense kernel, a stacked d^2 x d^2 eigensolve per row, whose
     d^6-entry pair tensor (``_pair_tensor``) is built once here.
+
+    Permutation covariance (``_permutation_covariant``, asked once per
+    channel by the studies) is read off what the kernel reads, with
+    PERMUTATION_COVARIANT_TOL = ε. For a covariant channel psi_{πq} =
+    (P ⊗ P) psi_q conjugates the output by P ⊗ P, which Lambda_k commutes
+    with, so every row of one permutation orbit has the same value.
+    Reduced kernel: the populations D and the squared coherences c^2 must
+    each be within ε of the form alpha I + beta J, entrywise (O(d^2) work).
+    Replacing them by that exact form moves each X_ab by at most 2ε, each
+    diagonal entry by 2(d + 1)ε and the block by (2d + 3)ε in operator
+    norm, so orbit members' values differ by at most 2(2d + 3)ε: 5.8e-13
+    at d = 13. Dense kernel: ``permutation_covariant_defect`` must be at
+    most ε. A permutation is a product of at most d(d - 1)/2 adjacent
+    transpositions, so each Φ(|j><l|) of the permuted channel is within
+    η = d(d - 1)ε/2 entrywise, and orbit members' values differ by at most
+    (d + 1) d^2 η (2 + dη), the bound above: 9.6e-12 at d = 4 and 3.7e-9
+    at d = 13. The named families sit at rounding, 1.6e-15 or below.
     """
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k={k} outside (0, 1]")
     d = ch.d_in
-    phi = _unit_images(ch)
-    parts = _reduced_parts(phi)
+    phi, parts = _kernel_form(ch)
     if parts is not None:
         populations, squares = parts
         return d, lambda q: _reduced_min_eigs(populations, squares, q, k)
@@ -489,14 +580,20 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
 
     Returns, as exact fractions, the first lattice point in lexicographic
     order whose value is within TIE_TOL of the minimum, and that value.
-    ``lattice`` is ``simplex_lattice(n_subdiv, d)``, or rows of it, when the
-    caller has built it already; other rows raise ValueError. The
-    certificate (:func:`snac_min_eig`) runs on the channel's kernel
-    (:func:`_certificate`) in chunks of CHUNK_BYTES. ``ch`` meets
-    ``_check_square`` at its own dimension.
+    With no ``lattice`` the rows are ``simplex_lattice(n_subdiv, d)``, of
+    which only the nondecreasing ones, the first row of each permutation
+    orbit, are evaluated when the channel is permutation-covariant
+    (:func:`_certificate`): every row of an orbit has the same value up to
+    the drift bounded there, rounding for the named families, so the
+    point reported is the first row of its orbit. ``lattice``, when given,
+    is ``simplex_lattice(n_subdiv, d)`` or rows of it, and every row given
+    is evaluated; other rows raise ValueError. The certificate
+    (:func:`snac_min_eig`) runs on the channel's kernel in chunks of
+    CHUNK_BYTES. ``ch`` meets ``_check_square`` at its own dimension.
     """
     _check_square(ch, ch.d_in)
-    if lattice is None:
+    given = lattice is not None
+    if not given:
         lattice = simplex_lattice(n_subdiv, ch.d_in)
     elif lattice.dtype.kind not in "iu" or lattice.shape[1:] != (ch.d_in,) or not len(lattice):
         raise ValueError(f"a lattice of {lattice.dtype} and shape {lattice.shape} is not an "
@@ -504,6 +601,8 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     elif lattice.min() < 0 or np.any(lattice.sum(axis=1) != n_subdiv):
         raise ValueError(f"lattice rows must be nonnegative and sum to n_subdiv={n_subdiv}")
     size, certificate = _certificate(ch, k)
+    if not given and _permutation_covariant(ch):
+        lattice = _orbit_rows(lattice)
     rows = max(1, CHUNK_BYTES // (16 * size ** 2))
     vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)
                            for i in range(0, len(lattice), rows)])
@@ -518,8 +617,11 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     For each p on a uniform grid in [0, 1], records the minimum of
     :func:`snac_min_eig` over the simplex lattice with ``q_grid``
     subdivisions (``snac_lattice_minimum``) and the minimizing point. The
-    lattice is built once for the whole grid. With no ``channel`` the
-    d-dimensional depolarizing family is minimized at every p; a given
+    lattice and its nondecreasing rows are built once for the whole grid;
+    a permutation-covariant channel (:func:`_certificate`) is minimized
+    over those rows only, as ``snac_lattice_minimum`` does with no lattice
+    given, every other channel over the whole lattice. With no ``channel``
+    the d-dimensional depolarizing family is minimized at every p; a given
     channel, square of dimension d, is minimized once and its minimum
     recorded at every p. Studies over the grid, lattice or
     eigensolver-work budgets (``check_snac_size``) raise BudgetError.
@@ -527,11 +629,16 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     check_snac_size(d, p_grid, q_grid, channel)
     params = np.linspace(0.0, 1.0, p_grid)
     lattice = simplex_lattice(q_grid, d)
-    fixed = None if channel is None else snac_lattice_minimum(channel, k, q_grid, lattice=lattice)
+    orbits = _orbit_rows(lattice)
+
+    def minimum(ch: QuantumChannel) -> tuple[tuple[Fraction, ...], float]:
+        rows = orbits if _permutation_covariant(ch) else lattice
+        return snac_lattice_minimum(ch, k, q_grid, lattice=rows)
+
+    fixed = None if channel is None else minimum(channel)
 
     def record(p: float) -> SnacRecord:
-        q_star, best_val = fixed or snac_lattice_minimum(
-            depolarizing(d, float(p)), k, q_grid, lattice=lattice)
+        q_star, best_val = fixed or minimum(depolarizing(d, float(p)))
         return SnacRecord(float(p), best_val, q_star)
 
     return _ordered_map(record, params)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -251,6 +252,43 @@ class TestThresholds:
         assert calls == [(4, 3, 3)]  # on construction only
         with pytest.raises(NotTracePreservingError, match="exceeds"):
             analysis._check_square(adjoint(ch), 3)
+
+
+class TestThresholdsAreTight:
+    """At each family's witness crossing the channel is r-SNB: its Choi state
+    is a mixture of states of Schmidt rank r, so the crossing is the exact
+    breaking threshold, not only the point where the witness stops firing."""
+
+    @staticmethod
+    def subset_average(d: int, r: int) -> np.ndarray:
+        """Uniform average over the r-subsets S of phi+_S, each of Schmidt rank r."""
+        states = []
+        for subset in itertools.combinations(range(d), r):
+            amp = np.zeros(d * d)
+            amp[[i * d + i for i in subset]] = 1.0 / np.sqrt(r)
+            assert np.linalg.matrix_rank(amp.reshape(d, d)) == r
+            states.append(np.outer(amp, amp))
+        return np.mean(states, axis=0)
+
+    @staticmethod
+    def twirl(x: np.ndarray, d: int) -> np.ndarray:
+        """The U ⊗ Ū twirl in closed form: it keeps <phi+|X|phi+> and Tr X."""
+        phi = np.eye(d).reshape(-1) / np.sqrt(d)
+        proj = np.outer(phi, phi)
+        f = phi @ x @ phi
+        return f * proj + (np.trace(x) - f) * (np.eye(d * d) - proj) / (d * d - 1)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_dephasing_choi_at_the_crossing_is_a_subset_average(self, d):
+        for r in range(1, d + 1):
+            choi = channels._choi_array(dephasing(d, analysis.FAMILIES["dephasing"](d, r)))
+            assert np.max(np.abs(choi - self.subset_average(d, r))) <= 1e-15, r
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_depolarizing_choi_at_the_crossing_is_its_twirl(self, d):
+        for r in range(1, d + 1):
+            choi = channels._choi_array(depolarizing(d, analysis.FAMILIES["depolarizing"](d, r)))
+            assert np.max(np.abs(choi - self.twirl(self.subset_average(d, r), d))) <= 1e-15, r
 
 
 class TestEbPptThreshold:
@@ -696,6 +734,134 @@ class TestPhaseCovariantKernel:
             analysis.check_snac_size(4, 2, 2, random_channel(3, 4, seed=7))
         with pytest.raises(DimensionMismatchError):
             snac_sweep(4, 0.5, 2, 2, channel=random_channel(3, 4, seed=7))
+
+
+def _reduced_calls(monkeypatch):
+    """Count the rows the reduced kernel receives from here on."""
+    calls = []
+    reduced = analysis._reduced_min_eigs
+    monkeypatch.setattr(analysis, "_reduced_min_eigs",
+                        lambda pops, squares, q, k: calls.append(len(q)) or reduced(pops, squares, q, k))
+    return calls
+
+
+def _werner_holevo_mix(d: int, t: float) -> QuantumChannel:
+    """(1 - t) id + t (Tr(X) I - Xᵀ)/(d - 1): permutation-covariant but off the
+    phase-covariant pattern, so it takes the dense kernel."""
+    kraus = [np.sqrt(1.0 - t) * np.eye(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        k = np.zeros((d, d))
+        k[i, j], k[j, i] = 1.0, -1.0
+        kraus.append(np.sqrt(t / (d - 1)) * k)
+    return QuantumChannel(kraus)
+
+
+class TestPermutationOrbits:
+    # q grids per d: every orbit of a small lattice, in a fraction of a second
+    Q_GRID = {2: 12, 3: 12, 4: 8, 5: 6}
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", [depolarizing, dephasing])
+    def test_orbit_rows_give_the_full_lattice_result(self, d, family, monkeypatch):
+        n = self.Q_GRID[d]
+        full = simplex_lattice(n, d)
+        counts = _reduced_calls(monkeypatch)
+        for p in (0.0, 0.2, 0.5, 0.7, 0.9, 1.0):
+            ch = family(d, p)
+            for k in (1 / 3, 1 / 2, 1.0):
+                assert snac_lattice_minimum(ch, k, n) == snac_lattice_minimum(
+                    ch, k, n, lattice=full), (p, k)
+        orbit = int(np.sum(np.all(full[:, 1:] >= full[:, :-1], axis=1)))
+        assert counts == [orbit, len(full)] * 18
+
+    def test_the_kernel_receives_91_of_496_rows_per_p(self, monkeypatch):
+        counts = _reduced_calls(monkeypatch)
+        snac_sweep(3, 0.5, p_grid=21, q_grid=30)
+        assert counts == [91] * 21
+        counts.clear()
+        snac_sweep(3, 0.5, p_grid=5, q_grid=30, channel=channel_from_json(
+            channel_to_json(depolarizing(3, 0.8))))
+        assert counts == [91]
+        counts.clear()
+        snac_lattice_minimum(dephasing(3, 0.5), 0.5, 30)
+        snac_lattice_minimum(dephasing(3, 0.5), 0.5, 30, lattice=simplex_lattice(30, 3))
+        assert counts == [91, 496]
+
+    def test_sorted_rows_are_the_first_of_each_orbit(self):
+        for n, d in ((30, 3), (8, 4), (6, 5), (8, 9)):
+            full = simplex_lattice(n, d)
+            rows = analysis._orbit_rows(full)
+            firsts = {}
+            for row in full.tolist():
+                firsts.setdefault(tuple(sorted(row)), row)
+            assert rows.tolist() == list(firsts.values())
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dense_kernel_takes_the_orbit_path_when_covariant(self, d, monkeypatch):
+        ch = _werner_holevo_mix(d, 0.3)
+        assert analysis.phase_covariant_defect(ch) > 0.05  # t / (d - 1)
+        assert analysis.permutation_covariant_defect(ch) <= 1e-15
+        n = self.Q_GRID[d]
+        full = simplex_lattice(n, d)
+        dense = _dense_calls(monkeypatch)
+        for k in (1 / 3, 1 / 2, 1.0):
+            assert snac_lattice_minimum(ch, k, n) == snac_lattice_minimum(ch, k, n, lattice=full)
+        assert dense == [len(analysis._orbit_rows(full)), len(full)] * 3
+
+    def test_a_random_channel_evaluates_every_row(self, monkeypatch):
+        ch = random_channel(3, 4, seed=7)
+        assert analysis.permutation_covariant_defect(ch) > 0.1
+        dense = _dense_calls(monkeypatch)
+        snac_lattice_minimum(ch, 0.5, 6)
+        snac_sweep(3, 0.5, p_grid=3, q_grid=6, channel=ch)
+        assert dense == [28, 28]
+
+    def test_a_dense_channel_just_above_the_tolerance_evaluates_every_row(self, monkeypatch):
+        covariant = _werner_holevo_mix(3, 0.3)
+        shift = np.roll(np.eye(3), 1, axis=0)
+        eps = 3e-14
+        ch = QuantumChannel([np.sqrt(1.0 - eps) * k for k in covariant.kraus]
+                            + [np.sqrt(eps) * shift])
+        assert (analysis.PERMUTATION_COVARIANT_TOL < analysis.permutation_covariant_defect(ch)
+                < 1e-12)
+        dense = _dense_calls(monkeypatch)
+        snac_lattice_minimum(ch, 0.5, 6)
+        assert dense == [28]
+
+    @pytest.mark.parametrize("eps, rows", [(5e-15, 28), (1e-15, 7)])
+    def test_reduced_inputs_around_the_tolerance(self, eps, rows, monkeypatch):
+        # coherences 1 - 2 eps on |0><2| and |1><2|, 1 on |0><1|: c^2 spreads by 4 eps
+        ch = QuantumChannel([np.sqrt(1.0 - eps) * np.eye(3),
+                             np.sqrt(eps) * np.diag([1.0, 1.0, -1.0])])
+        assert analysis.phase_covariant_defect(ch) == 0.0
+        counts = _reduced_calls(monkeypatch)
+        snac_lattice_minimum(ch, 0.5, 6)
+        assert counts == [rows]
+
+    def test_named_families_sit_well_inside_the_tolerance(self):
+        # measured: at most 8.9e-16 for depolarizing (d <= 13), exactly 0 for dephasing
+        for d in range(2, 14):
+            for p in np.linspace(0.0, 1.0, 11):
+                assert analysis.permutation_covariant_defect(depolarizing(d, p)) <= 1e-15
+                assert analysis.permutation_covariant_defect(dephasing(d, p)) == 0.0
+                assert analysis._permutation_covariant(depolarizing(d, p))
+                assert analysis._permutation_covariant(dephasing(d, p))
+
+    def test_rejects_a_non_square_channel(self):
+        with pytest.raises(DimensionMismatchError):
+            analysis.permutation_covariant_defect(QuantumChannel([np.eye(3, 2)]))
+
+
+class TestUniformMinimizer:
+    # k = 1/2, above each crossing sqrt((d - k)/(k (d^2 - 1))): 0.683, 0.612, 0.461
+    @pytest.mark.parametrize("d, q_grid", [(4, 8), (5, 10), (9, 9)])
+    def test_uniform_point_minimizes_above_the_crossing(self, d, q_grid):
+        k = 0.5
+        assert np.sqrt((d - k) / (k * (d * d - 1))) < 0.7
+        for p in (0.7, 0.8, 0.9, 1.0):
+            q_star, value = snac_lattice_minimum(depolarizing(d, p), k, q_grid)
+            assert q_star == (Fraction(1, d),) * d, p
+            assert abs(value - (p * p * (1 / d - k) + (1 - p * p) * (d - k) / d ** 2)) <= 1e-12
 
 
 class TestRelationReport:

@@ -6,7 +6,11 @@ named families and for a custom sweep of the identity channel read from a
 channel file, at d=3, r=2 and an 11-point grid; for both named families at
 d=9, r=2 and a 101-point grid; and by ``schmidt-lens threshold ...
 --output-path`` for both named families at d in {9, 13} and r in
-{1, d // 2, d - 1}.
+{1, d // 2, d - 1}. The ``snac`` reports were written by ``schmidt-lens snac
+... --output-path`` before its lattice minimum evaluated one row per
+permutation orbit: the two family studies of the benchmark's snac workload
+and the d=9 family study (JSON), and channel-file studies of a covariant and
+a non-covariant channel at d=4.
 """
 
 from pathlib import Path
@@ -14,7 +18,12 @@ from pathlib import Path
 import pytest
 
 from schmidt_lens import cli
-from schmidt_lens.channels import channel_to_json, identity_channel
+from schmidt_lens.channels import (
+    channel_to_json,
+    depolarizing,
+    identity_channel,
+    random_channel,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,3 +60,31 @@ def test_threshold_json_matches_golden(family, d, r, tmp_path):
                      "--output-path", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"threshold_{family}_d{d}_r{r}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, args", [
+    ("snac_depolarizing_d3_k0.5_p21_q30.csv",
+     ["--d", "3", "--k", "0.5", "--p-grid", "21", "--q-grid", "30"]),
+    ("snac_depolarizing_d4_k0.5_p5_q8.csv",
+     ["--d", "4", "--k", "0.5", "--p-grid", "5", "--q-grid", "8"]),
+    ("snac_depolarizing_d9_p11_q8.json",
+     ["--d", "9", "--p-grid", "11", "--q-grid", "8", "--output", "json"]),
+])
+def test_snac_family_report_matches_golden(name, args, tmp_path):
+    out = tmp_path / name
+    assert cli.main(["snac", *args, "--output-path", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("depolarizing_4_0.6", lambda: depolarizing(4, 0.6)),  # permutation-covariant
+    ("random_4_4_7", lambda: random_channel(4, 4, 7)),  # not covariant
+])
+def test_snac_channel_file_csv_matches_golden(name, build, tmp_path):
+    channel_file = tmp_path / f"{name}.json"
+    channel_file.write_text(channel_to_json(build()))
+    out = tmp_path / "snac.csv"
+    code = cli.main(["snac", "--d", "4", "--p-grid", "11", "--q-grid", "20",
+                     "--channel-file", str(channel_file), "--output-path", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"snac_file_{name}_p11_q20.csv").read_bytes()
