@@ -15,8 +15,10 @@ from . import linalg
 from .channels import (
     MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
     QuantumChannel,
+    _KRAUS_FAMILIES,
     _check_tp,
     _family_kraus_traces,
+    _family_point,
     _unit_images,
     depolarizing,
 )
@@ -65,6 +67,19 @@ MAX_SNAC_REDUCED_WORK = 4 * 10**7
 # Byte budget of the stacked certificate matrices (d^2 x d^2 dense, d x d
 # reduced) evaluated at once.
 CHUNK_BYTES = 8 * 2**20
+# Byte budget of the per-parameter arrays a named family's study stacks over
+# its grid at once: the Kraus-trace products and Gram checks of a witness
+# sweep's chunk, or the Kraus stacks and unit images of a snac study's p-chunk
+# (_family_parts). A parameter's work is small, so a few a chunk take most of
+# the gain (d=9 sweep: 7 points), and a study's peak memory stays that of one
+# parameter (at 2**19 the witness-thresholds workload peaked 0.34 MB higher).
+GRID_CHUNK_BYTES = 2**17
+# Byte budget of the d x d blocks and X of one stacked eigensolve of a
+# depolarizing-family snac study (_family_minima): the benchmark's qutrit
+# study (21 p x 91 rows) is one eigensolve, and peak memory stays that of one
+# p at a time (at CHUNK_BYTES, --d 2 --p-grid 1001 --q-grid 9989 peaked 20 MB
+# higher).
+FAMILY_SOLVE_BYTES = 2**19
 # Largest |entry| of Φ(|j><l|) outside the phase-covariant pattern (see
 # phase_covariant_defect) for which the reduced two-local kernel is taken.
 # Depolarizing reaches 2.4e-16 (d <= 13, 1001 values of p) and dephasing 0.
@@ -121,14 +136,23 @@ def _witness_curve(family: str, d: int, r: int, channel: QuantumChannel | None =
     For a named family each point reads the Kraus traces off the family's
     cached basis (``_family_kraus_traces``, with its TP check from the Gram
     diagonals) and builds no channel; the values equal
-    ``channel_witness_value`` of the family's channel bit for bit.
+    ``channel_witness_value`` of the family's channel bit for bit. Its curve
+    also takes an array of p, whose traces it reads in one stacked call,
+    and returns a list of values, each summed by its own ``np.vdot``.
     """
     w = witness(d, r)
     if channel is None:
         if family not in FAMILIES:
             raise UnknownFamilyError(f"unknown family {family!r}; "
                                      f"expected one of {tuple(FAMILIES)}")
-        return lambda p: _witness_from_traces(w, _family_kraus_traces(family, d, p))
+
+        def curve(p):
+            traces = _family_kraus_traces(family, d, p)
+            if traces.ndim == 1:
+                return _witness_from_traces(w, traces)
+            return [_witness_from_traces(w, row) for row in traces]
+
+        return curve
     _check_square(channel, d)
     value = channel_witness_value(w, channel)
     return lambda p: value
@@ -141,25 +165,34 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     Each value is read off the Kraus traces, as ``channel_witness_value``
     reads it. For ``family="custom"`` the fixed ``channel`` is checked once
     (as by ``snac_sweep``) and evaluated once; for the named families the
-    parameter is the channel parameter in [0, 1], and each point takes the
-    traces off the family's cached Kraus basis after checking trace
-    preservation from its Gram diagonals, with no channel built. A channel
-    given without the custom family, or the custom family without one, raises
+    parameter is the channel parameter in [0, 1], and the grid takes its
+    traces off the family's cached Kraus basis in stacked calls of at most
+    GRID_CHUNK_BYTES of products each, after checking trace preservation
+    from its Gram diagonals, with no channel built. A channel given without
+    the custom family, or the custom family without one, raises
     UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
     BudgetError.
     """
     check_grid_size(grid)
     if (family == "custom") != (channel is not None):
         raise UnknownFamilyError("the custom family needs a channel, and only it takes one")
+    params = np.linspace(0.0, 1.0, grid)
     curve = _witness_curve(family, d, r, channel)
+    if channel is None:
+        # the traces and the Gram check of n Kraus operators take 24 n d bytes a p
+        n = len(_KRAUS_FAMILIES[family][1](d).stack)
+        per = max(1, GRID_CHUNK_BYTES // (24 * n * d))
+        values = [v for i in range(0, grid, per) for v in curve(params[i:i + per])]
+    else:
+        values = [curve(0.0)] * grid
 
-    def record(p: float) -> SweepRecord:
-        val = curve(float(p))
+    def record(point) -> SweepRecord:
+        p, val = point
         verdict = (Verdict.CERTIFIED_ABOVE if val < -EVIDENCE_TOL
                    else Verdict.CONSISTENT_WITH_AT_MOST)
         return SweepRecord(float(p), val, verdict)
 
-    return _ordered_map(record, np.linspace(0.0, 1.0, grid))
+    return _ordered_map(record, zip(params, values))
 
 
 def bisect_crossing(f, lo: float, hi: float, tol: float = BISECTION_TOL) -> float:
@@ -336,24 +369,39 @@ def _two_local_array(pair: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (weights @ pair).reshape(*q.shape[:-1], n, n)
 
 
-def _pattern_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+@functools.lru_cache(maxsize=16)
+def _pattern_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into the d^4 unit-image entries Φ(|j><l|)[o, p], C order
+    [j, l, o, p]: the populations (j, j, a, a) and the coherences (j, l, j, l),
+    each a d x d array, and every entry in neither pattern."""
+    flat = np.arange(d**4).reshape((d,) * 4)
+    idx = np.arange(d)
+    populations = flat[idx[:, None], idx[:, None], idx, idx]
+    coherences = flat[idx[:, None], idx, idx[:, None], idx]
+    pattern = np.zeros(d**4, dtype=bool)
+    pattern[populations] = pattern[coherences] = True
+    return populations, coherences, np.flatnonzero(~pattern)
+
+
+def _pattern_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the unit images of a square channel into its phase-covariant parts.
 
+    ``phi`` is indexed [..., j, l, o, p], one channel per leading index.
     Returns the populations D[j, a] = Re Φ(|j><j|)[a, a], the coherences
     c[j, l] = Φ(|j><l|)[j, l] (j != l; 0 on the diagonal) and the defect:
     the largest |entry| of any Φ(|j><l|) outside those two patterns, or
-    imaginary part of a population if larger.
+    imaginary part of a population if larger. Each part is gathered through
+    the fixed indices of ``_pattern_index``.
     """
-    d = phi.shape[0]
+    d = phi.shape[-1]
+    entries = phi.reshape(*phi.shape[:-4], d**4)
+    populations, coherences, off = (entries.take(at, axis=-1)  # C-ordered, unlike [..., at]
+                                    for at in _pattern_index(d))
     idx = np.arange(d)
-    populations = phi[idx[:, None], idx[:, None], idx, idx]
-    coherences = phi[idx[:, None], idx, idx[:, None], idx]
-    coherences[idx, idx] = 0.0
-    rest = phi.copy()
-    rest[idx[:, None], idx, idx[:, None], idx] = 0.0
-    rest[idx[:, None], idx[:, None], idx, idx] = 0.0
-    defect = max(np.max(np.abs(rest)), np.max(np.abs(populations.imag)))
-    return populations.real, coherences, float(defect)
+    coherences[..., idx, idx] = 0.0
+    defect = np.maximum(np.abs(off).max(axis=-1, initial=0.0),
+                        np.abs(populations.imag).max(axis=(-2, -1)))
+    return populations.real, coherences, defect
 
 
 def phase_covariant_defect(ch: QuantumChannel) -> float:
@@ -368,7 +416,7 @@ def phase_covariant_defect(ch: QuantumChannel) -> float:
     """
     if not ch.is_square:
         raise DimensionMismatchError(f"need a square channel, got {ch!r}")
-    return _pattern_parts(_unit_images(ch))[2]
+    return float(_pattern_parts(_unit_images(ch))[2])
 
 
 def _transposition_defect(phi: np.ndarray) -> float:
@@ -385,12 +433,12 @@ def _transposition_defect(phi: np.ndarray) -> float:
     return defect
 
 
-def _spread(m: np.ndarray) -> float:
-    """Largest distance of d x d matrices, stacked on the leading axes, from
-    the form alpha I + beta J: of each diagonal entry from its matrix's
-    [0, 0], of each off-diagonal one from its [0, -1]."""
+def _spread(m: np.ndarray) -> np.ndarray:
+    """Largest distance of each d x d matrix, stacked on the leading axes,
+    from the form alpha I + beta J: of each diagonal entry from its
+    matrix's [0, 0], of each off-diagonal one from its [0, -1]."""
     form = np.where(np.eye(m.shape[-1], dtype=bool), m[..., :1, :1], m[..., :1, -1:])
-    return float(np.max(np.abs(m - form)))
+    return np.abs(m - form).max(axis=(-2, -1))
 
 
 def permutation_covariant_defect(ch: QuantumChannel) -> float:
@@ -418,8 +466,10 @@ def _kernel_form(ch: QuantumChannel):
     squared coherences of the reduced kernel when the phase-covariant defect
     is at most PHASE_COVARIANT_TOL, else None (the dense kernel). Kept for
     the last channel asked, whose Kraus stack is owned and read-only, so that
-    the budget, the lattice rows and the kernel of one study read one
-    decision.
+    the budget, the lattice rows and the kernel of one channel's study (a
+    given channel, or a family p that ``_family_minima`` hands back to the
+    per-channel path) read one decision. The family's stacked path applies
+    the same rule to its own parts and does not come here.
     """
     phi = _unit_images(ch)
     phi.flags.writeable = False
@@ -433,7 +483,7 @@ def _permutation_covariant(ch: QuantumChannel) -> bool:
     """Whether what the channel's kernel reads is permutation-covariant within
     PERMUTATION_COVARIANT_TOL (see :func:`_certificate`)."""
     phi, parts = _kernel_form(ch)
-    defect = _transposition_defect(phi) if parts is None else _spread(np.stack(parts))
+    defect = _transposition_defect(phi) if parts is None else _spread(np.stack(parts)).max()
     return defect <= PERMUTATION_COVARIANT_TOL
 
 
@@ -443,6 +493,26 @@ def _orbit_rows(lattice: np.ndarray) -> np.ndarray:
     return lattice[np.all(lattice[:, 1:] >= lattice[:, :-1], axis=1)]
 
 
+def _reduced_diagonal(populations: np.ndarray, q: np.ndarray, k: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal entries of the reduced two-local certificate at each row
+    of ``q``: T_a - k X_aa, the block's diagonal, and the least of the
+    entries T_a - k X_ab (a != b), where X_ab = sum_j q_j D_j[a] D_j[b] and
+    T_a = sum_b X_ab; X is freed on return, before the blocks are formed.
+    """
+    d = q.shape[-1]
+    lead = populations.shape[:-2]
+    idx = np.arange(d)
+    outer = populations[..., :, :, None] * populations[..., :, None, :]
+    diagonal = (q @ outer.reshape(*lead, d, d * d)).reshape(*lead, -1, d, d)  # X
+    totals = diagonal.sum(axis=-1)
+    diagonal *= -k  # in place: T_a + (-k X_ab) is T_a - k X_ab, bit for bit
+    diagonal += totals[..., None]
+    on_block = diagonal[..., idx, idx]
+    diagonal[..., idx, idx] = np.inf
+    return on_block, diagonal.min(axis=(-2, -1))
+
+
 def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarray,
                       k: float) -> np.ndarray:
     """Two-local certificate of a phase-covariant channel at each row of ``q``.
@@ -450,19 +520,18 @@ def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarra
     ``squares`` holds c_ab^2 (0 on the diagonal). The certificate is the
     smaller of the minimum eigenvalue of the block on span{|aa>},
     M_ab = delta_ab (T_a - k X_aa) - k sqrt(q_a q_b) c_ab^2, and the
-    diagonal entries T_a - k X_ab (a != b), where
-    X_ab = sum_j q_j D_j[a] D_j[b] and T_a = sum_b X_ab.
+    diagonal entries T_a - k X_ab (a != b) (``_reduced_diagonal``).
+    ``populations`` and ``squares`` may carry leading axes, one channel per
+    index, and the values then carry them too, before the rows of ``q``:
+    every block of every channel goes to one stacked eigensolve, each as it
+    would alone.
     """
-    d = q.shape[-1]
-    idx = np.arange(d)
-    outer = populations[:, :, None] * populations[:, None, :]
-    x = (q @ outer.reshape(d, d * d)).reshape(-1, d, d)
-    diagonal = x.sum(axis=2)[:, :, None] - k * x
+    on_block, off_block = _reduced_diagonal(populations, q, k)
+    idx = np.arange(q.shape[-1])
     amp = np.sqrt(q)
-    block = (-k * amp[:, :, None] * amp[:, None, :]) * squares
-    block[:, idx, idx] = diagonal[:, idx, idx]
-    diagonal[:, idx, idx] = np.inf
-    return np.minimum(np.linalg.eigvalsh(block)[:, 0], diagonal.min(axis=(1, 2)))
+    block = (-k * amp[:, :, None] * amp[:, None, :]) * squares[..., None, :, :]
+    block[..., idx, idx] = on_block
+    return np.minimum(np.linalg.eigvalsh(block)[..., 0], off_block)
 
 
 def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
@@ -514,19 +583,27 @@ def two_local_depolarizing_matrix(p: float, q) -> np.ndarray:
     return out
 
 
+def _check_strength(k: float) -> None:
+    """ValueError unless the map strength k lies in (0, 1]."""
+    if not 0.0 < k <= 1.0:
+        raise ValueError(f"k={k} outside (0, 1]")
+
+
 def _certificate(ch: QuantumChannel, k: float):
     """The two-local certificate of a square channel at each row of q.
 
     Returns the size of the matrices diagonalized per row and the function
     q -> min eig of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), one value per
     row of a (points, d) array. The kernel is decided by ``_kernel_form``,
-    once per channel. When every entry of every Φ(|j><l|) outside the
-    phase-covariant pattern (see :func:`two_local_output`) is at most
-    PHASE_COVARIANT_TOL = δ, each row costs one d x d eigensolve plus
-    d^2 - d diagonal entries (:func:`_reduced_min_eigs`), formed from the
-    O(d^4) entries of the Φ(|j><l|) only. Dropping the off-pattern
-    entries moves each Φ(|j><l|) by at most dδ in operator norm, the
-    two-local output by at most d^2 δ (2 + dδ) and, since
+    once per channel; ``_family_parts`` applies the same rule, with the
+    same tolerances, to each p of the depolarizing family. When every
+    entry of every Φ(|j><l|) outside the phase-covariant pattern (see
+    :func:`two_local_output`) is at most PHASE_COVARIANT_TOL = δ, each row
+    costs one d x d eigensolve plus d^2 - d diagonal entries
+    (:func:`_reduced_min_eigs`), formed from the O(d^4) entries of the
+    Φ(|j><l|) only. Dropping the off-pattern entries moves each Φ(|j><l|)
+    by at most dδ in operator norm, the two-local output by at most
+    d^2 δ (2 + dδ) and, since
     ||id ⊗ Lambda_k|| <= d + k, its image by (d + 1) d^2 δ (2 + dδ). By
     Weyl's inequality that bounds the change of the minimum eigenvalue:
     4.8e-11 at d = 13, far below EVIDENCE_TOL. Every other channel takes
@@ -550,8 +627,7 @@ def _certificate(ch: QuantumChannel, k: float):
     (d + 1) d^2 η (2 + dη), the bound above: 9.6e-12 at d = 4 and 3.7e-9
     at d = 13. The named families sit at rounding, 1.6e-15 or below.
     """
-    if not 0.0 < k <= 1.0:
-        raise ValueError(f"k={k} outside (0, 1]")
+    _check_strength(k)
     d = ch.d_in
     phi, parts = _kernel_form(ch)
     if parts is not None:
@@ -606,6 +682,13 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     rows = max(1, CHUNK_BYTES // (16 * size ** 2))
     vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)
                            for i in range(0, len(lattice), rows)])
+    return _first_minimum(lattice, n_subdiv, vals)
+
+
+def _first_minimum(lattice: np.ndarray, n_subdiv: int, vals: np.ndarray
+                   ) -> tuple[tuple[Fraction, ...], float]:
+    """The tie rule: the first row of ``lattice`` whose value in ``vals`` is
+    within TIE_TOL of the minimum, as exact fractions, and that value."""
     best = int(np.argmax(vals <= vals.min() + TIE_TOL))
     return tuple(Fraction(n, n_subdiv) for n in lattice[best].tolist()), float(vals[best])
 
@@ -616,15 +699,18 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
 
     For each p on a uniform grid in [0, 1], records the minimum of
     :func:`snac_min_eig` over the simplex lattice with ``q_grid``
-    subdivisions (``snac_lattice_minimum``) and the minimizing point. The
-    lattice and its nondecreasing rows are built once for the whole grid;
-    a permutation-covariant channel (:func:`_certificate`) is minimized
-    over those rows only, as ``snac_lattice_minimum`` does with no lattice
-    given, every other channel over the whole lattice. With no ``channel``
-    the d-dimensional depolarizing family is minimized at every p; a given
-    channel, square of dimension d, is minimized once and its minimum
-    recorded at every p. Studies over the grid, lattice or
-    eigensolver-work budgets (``check_snac_size``) raise BudgetError.
+    subdivisions and the minimizing point, as ``snac_lattice_minimum``
+    reports them. The lattice and its nondecreasing rows are built once for
+    the whole grid; a permutation-covariant channel (:func:`_certificate`)
+    is minimized over those rows only, as ``snac_lattice_minimum`` does with
+    no lattice given, every other channel over the whole lattice. A given
+    channel, square of dimension d, is minimized once by
+    ``snac_lattice_minimum`` and its minimum recorded at every p. With no
+    ``channel`` the d-dimensional depolarizing family is minimized at every
+    p from stacked reduced kernels (:func:`_family_minima`), with the
+    values, points and errors of ``snac_lattice_minimum(depolarizing(d,
+    p), ...)``. Studies over the grid, lattice or eigensolver-work budgets
+    (``check_snac_size``) raise BudgetError.
     """
     check_snac_size(d, p_grid, q_grid, channel)
     params = np.linspace(0.0, 1.0, p_grid)
@@ -635,13 +721,85 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
         rows = orbits if _permutation_covariant(ch) else lattice
         return snac_lattice_minimum(ch, k, q_grid, lattice=rows)
 
-    fixed = None if channel is None else minimum(channel)
+    if channel is None:
+        minima = [found or minimum(depolarizing(d, float(p)))
+                  for found, p in zip(_family_minima(d, k, params, q_grid, orbits), params)]
+    else:
+        minima = [minimum(channel)] * p_grid
 
-    def record(p: float) -> SnacRecord:
-        q_star, best_val = fixed or minimum(depolarizing(d, float(p)))
+    def record(point) -> SnacRecord:
+        p, (q_star, best_val) = point
         return SnacRecord(float(p), best_val, q_star)
 
-    return _ordered_map(record, params)
+    return _ordered_map(record, zip(params, minima))
+
+
+def _family_parts(d: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced kernel's inputs of depolarizing(d, p) at every p of
+    ``params``: populations, squared coherences, and whether the channel
+    takes the reduced kernel on its orbit rows (phase-covariant defect and
+    permutation spread within tolerance, :func:`_certificate`).
+
+    The weights, the basis and the trace-preservation check are those of
+    ``depolarizing`` (``_family_point``), for a p-chunk at once. The Kraus
+    stacks w·B and their unit images are formed per chunk, each the zgemm
+    ``_unit_images`` runs for one channel, so every value equals the
+    per-channel one bit for bit. At most four d^4-entry complex arrays per
+    p are alive at once (the stack, its conjugate and the unit images, or
+    the unit images and two gathered copies), so a chunk holds
+    GRID_CHUNK_BYTES // (64 d^4) values of p, or one.
+    """
+    populations = np.empty((len(params), d, d))
+    squares = np.empty((len(params), d, d), dtype=complex)
+    reduced = np.empty(len(params), dtype=bool)
+    per = max(1, GRID_CHUNK_BYTES // (64 * d**4))
+    for i in range(0, len(params), per):
+        w, basis, _ = _family_point("depolarizing", d, params[i:i + per])
+        flat = w[:, :, None] * basis.stack.reshape(d * d, d * d)
+        images = flat.swapaxes(1, 2) @ flat.conj()
+        del flat  # freed before _pattern_parts gathers its copies
+        pops, coherences, defect = _pattern_parts(
+            images.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3))
+        populations[i:i + per], squares[i:i + per] = pops, coherences * coherences
+        spread = np.maximum(_spread(pops), _spread(squares[i:i + per]))
+        reduced[i:i + per] = ((defect <= PHASE_COVARIANT_TOL)
+                              & (spread <= PERMUTATION_COVARIANT_TOL))
+    return populations, squares, reduced
+
+
+def _family_minima(d: int, k: float, params: np.ndarray, n_subdiv: int,
+                   orbits: np.ndarray) -> list[tuple[tuple[Fraction, ...], float] | None]:
+    """``snac_lattice_minimum(depolarizing(d, p), k, n_subdiv)`` at every p
+    of ``params``, bit for bit, evaluating only the orbit rows; None at a p
+    left to the per-channel path.
+
+    Every p whose parts (``_family_parts``) take the reduced kernel on the
+    orbit rows is evaluated by :func:`_reduced_min_eigs` with a leading p
+    axis: one stacked eigensolve per chunk of whole p whose blocks and X
+    (24 d^2 bytes a row) fit in FAMILY_SOLVE_BYTES, or of one p. A p whose
+    rows exceed CHUNK_BYTES of blocks is cut into the row chunks
+    ``snac_lattice_minimum`` takes, so every product and block is the one
+    it would form. The point is chosen by the same tie rule
+    (``_first_minimum``). Any other p, which the named family reaches
+    only beyond its measured rounding, gets None: ``snac_sweep`` minimizes
+    its channel under the kernel rule of ``_certificate``. The checks run
+    in the order of the first p: d, p and the stack budget, trace
+    preservation, then k.
+    """
+    populations, squares, reduced = _family_parts(d, params)
+    _check_strength(k)
+    rows = max(1, CHUNK_BYTES // (16 * d * d))
+    per = max(1, FAMILY_SOLVE_BYTES // (24 * d * d * len(orbits)))
+    stacked = np.flatnonzero(reduced)
+    minima = [None] * len(params)
+    for i in range(0, len(stacked), per):
+        at = stacked[i:i + per]
+        values = np.concatenate([_reduced_min_eigs(populations[at], squares[at],
+                                                   orbits[j:j + rows] / n_subdiv, k)
+                                 for j in range(0, len(orbits), rows)], axis=-1)
+        for n, vals in zip(at.tolist(), values):
+            minima[n] = _first_minimum(orbits, n_subdiv, vals)
+    return minima
 
 
 def _pt_min_eig(d: int, p: float) -> float:

@@ -253,9 +253,11 @@ def compose(first: QuantumChannel, then: QuantumChannel) -> QuantumChannel:
 
 
 def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """Parallel concatenation with Kraus set {K_a ⊗ R_b}."""
-    ops = [np.kron(k, r) for k in a.kraus for r in b.kraus]
-    return QuantumChannel(ops)
+    """Parallel concatenation with Kraus set {K_a ⊗ R_b}, a-major: one
+    broadcast product, each entry the one product ``np.kron`` takes."""
+    ka, kb = a._stack, b._stack
+    ops = ka[:, None, :, None, :, None] * kb[None, :, None, :, None, :]
+    return QuantumChannel(ops.reshape(len(ka) * len(kb), a.d_out * b.d_out, a.d_in * b.d_in))
 
 
 def adjoint(ch: QuantumChannel) -> QuantumChannel:
@@ -317,21 +319,40 @@ class KrausBasis(NamedTuple):
             a.flags.writeable = False
         return cls(*arrays)
 
-    def tp_defect(self, w: np.ndarray) -> float:
+    def tp_defect(self, w: np.ndarray) -> float | np.ndarray:
         """max |sum_a w_a^2 B_a†B_a - I|, the trace-preservation defect of
-        w·B, checked against TP_TOL with ``QuantumChannel``'s error."""
-        acc = (self.gram_diagonals * (w * w)).sum(axis=1)
-        return _require_tp(float(np.abs(acc - 1.0).max()))
+        w·B, for each row of weights on w's last axis (a float for one row),
+        checked against TP_TOL with ``QuantumChannel``'s error, which names
+        the first defect over it."""
+        dev = np.abs((self.gram_diagonals * (w * w)[..., None, :]).sum(axis=-1) - 1.0).max(axis=-1)
+        if dev.ndim == 0:
+            return _require_tp(float(dev))
+        _require_tp(float(dev.flat[np.argmin(dev <= TP_TOL)]))  # a NaN defect fails too
+        return dev
 
 
-def _depolarizing_weights(d: int, p: float) -> np.ndarray:
+def _in_unit_interval(p) -> bool:
+    """0 <= p <= 1 for a float, or for every entry of an array; NaN fails."""
+    if isinstance(p, np.ndarray):
+        return bool(((0.0 <= p) & (p <= 1.0)).all())
+    return 0.0 <= p <= 1.0
+
+
+def _weight_rows(p, first, rest, n: int) -> np.ndarray:
+    """n weights (first, rest, ..., rest) on a last axis after p's shape: one
+    row for a float p, one per entry of an array of p."""
+    weights = np.empty(getattr(p, "shape", ()) + (n,))  # np.shape would convert a float
+    weights[...] = rest[..., None]
+    weights[..., 0] = first
+    return weights
+
+
+def _depolarizing_weights(d: int, p) -> np.ndarray:
     if d < 2:
         raise ParamOutOfRangeError("depolarizing needs d >= 2")
-    if not 0.0 <= p <= 1.0:
+    if not _in_unit_interval(p):
         raise ParamOutOfRangeError(f"p={p} outside [0, 1]")
-    weights = np.full(d * d, np.sqrt((1.0 - p) / d**2))
-    weights[0] = np.sqrt(p + (1.0 - p) / d**2)
-    return weights
+    return _weight_rows(p, np.sqrt(p + (1.0 - p) / d**2), np.sqrt((1.0 - p) / d**2), d * d)
 
 
 @functools.lru_cache(maxsize=8)
@@ -341,14 +362,12 @@ def _depolarizing_basis(d: int) -> KrausBasis:
     return KrausBasis.of(np.stack(_shift_clock_products(d)))
 
 
-def _dephasing_weights(d: int, v: float) -> np.ndarray:
+def _dephasing_weights(d: int, v) -> np.ndarray:
     if d < 2:
         raise ParamOutOfRangeError("dephasing needs d >= 2")
-    if not 0.0 <= v <= 1.0:
+    if not _in_unit_interval(v):
         raise ParamOutOfRangeError(f"v={v} outside [0, 1]")
-    weights = np.full(d + 1, np.sqrt(1.0 - v))
-    weights[0] = np.sqrt(v)
-    return weights
+    return _weight_rows(v, np.sqrt(v), np.sqrt(1.0 - v), d + 1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -369,21 +388,23 @@ _KRAUS_FAMILIES = {
 }
 
 
-def _family_point(family: str, d: int, p: float) -> tuple[np.ndarray, KrausBasis, float]:
-    """Weights, basis and Gram-diagonal trace-preservation defect at (d, p)."""
+def _family_point(family: str, d: int, p) -> tuple[np.ndarray, KrausBasis, float | np.ndarray]:
+    """Weights, basis and Gram-diagonal trace-preservation defect at (d, p);
+    for an array of p, one row of weights and one defect per entry."""
     weights, basis = _KRAUS_FAMILIES[family]
     w = weights(d, p)
     b = basis(d)
     return w, b, b.tp_defect(w)
 
 
-def _family_kraus_traces(family: str, d: int, p: float) -> np.ndarray:
-    """Tr K_a of the named family's channel at (d, p), equal bit for bit to
-    ``np.trace`` of the stack that ``depolarizing``/``dephasing`` build, and
-    under the same checks in the same order (parameter range, d budget,
-    TP check from the Gram diagonals); no channel is built."""
+def _family_kraus_traces(family: str, d: int, p) -> np.ndarray:
+    """Tr K_a of the named family's channel at (d, p), one row per entry of
+    an array of p, equal bit for bit to ``np.trace`` of the stack that
+    ``depolarizing``/``dephasing`` build, and under the same checks in the
+    same order (parameter range, d budget, TP check from the Gram
+    diagonals); no channel is built."""
     w, b, _ = _family_point(family, d, p)
-    return (w[:, None] * b.diagonals).sum(axis=1)
+    return (w[..., None] * b.diagonals).sum(axis=-1)
 
 
 def _family_channel(family: str, d: int, p: float) -> QuantumChannel:

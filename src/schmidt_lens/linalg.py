@@ -37,8 +37,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with A as the most significant index block."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with A as the most significant index block: one
+    broadcast product, each entry the one product ``np.kron`` takes."""
+    a, b = as_matrix(a), as_matrix(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:

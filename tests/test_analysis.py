@@ -89,6 +89,20 @@ class TestWitnessSweep:
             else:
                 assert rec.verdict is Verdict.CONSISTENT_WITH_AT_MOST
 
+    def test_a_named_grid_is_read_in_stacked_chunks(self, monkeypatch):
+        chunks, maps = [], []
+        traces, ordered = analysis._family_kraus_traces, analysis._ordered_map
+        monkeypatch.setattr(analysis, "_family_kraus_traces",
+                            lambda f, d, p: chunks.append(np.shape(p)) or traces(f, d, p))
+        monkeypatch.setattr(analysis, "_ordered_map",
+                            lambda fn, items: maps.append(fn) or ordered(fn, items))
+        snbc_witness_sweep("dephasing", 3, 2, grid=11)
+        assert chunks == [(11,)] and len(maps) == 1
+        chunks.clear()
+        snbc_witness_sweep("depolarizing", 9, 2, grid=101)  # 81 Kraus operators
+        assert sum(n for n, in chunks) == 101 and len(chunks) > 1
+        assert all(24 * 81 * 9 * n <= analysis.GRID_CHUNK_BYTES for n, in chunks)
+
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
             snbc_witness_sweep("bogus", 3, 2, grid=5)
@@ -683,13 +697,16 @@ class TestPhaseCovariantKernel:
             (p, value, q_star) for p in np.linspace(0.0, 1.0, 4).tolist()]
 
     def test_default_family_is_minimized_at_every_p(self, monkeypatch):
-        minimized = []
+        # every p in one stacked kernel call, with no channel built or minimized
         minimum = analysis.snac_lattice_minimum
+        minimized, stacked = [], []
         monkeypatch.setattr(analysis, "snac_lattice_minimum",
                             lambda ch, *a, **kw: minimized.append(ch) or minimum(ch, *a, **kw))
+        reduced = analysis._reduced_min_eigs
+        monkeypatch.setattr(analysis, "_reduced_min_eigs", lambda pops, squares, q, k: (
+            stacked.append(pops.shape[:-2]) or reduced(pops, squares, q, k)))
         records = snac_sweep(3, 0.5, p_grid=3, q_grid=4)
-        assert [np.array_equal(ch._stack, depolarizing(3, p)._stack)
-                for ch, p in zip(minimized, (0.0, 0.5, 1.0))] == [True] * 3
+        assert minimized == [] and stacked == [(3,)]
         assert [(r.q_star, r.value) for r in records] == [
             minimum(depolarizing(3, p), 0.5, 4) for p in (0.0, 0.5, 1.0)]
 
@@ -776,8 +793,12 @@ class TestPermutationOrbits:
 
     def test_the_kernel_receives_91_of_496_rows_per_p(self, monkeypatch):
         counts = _reduced_calls(monkeypatch)
+        ps = []
+        reduced = analysis._reduced_min_eigs
+        monkeypatch.setattr(analysis, "_reduced_min_eigs", lambda pops, squares, q, k: (
+            ps.append(pops.shape[:-2]) or reduced(pops, squares, q, k)))
         snac_sweep(3, 0.5, p_grid=21, q_grid=30)
-        assert counts == [91] * 21
+        assert counts == [91] and ps == [(21,)]  # the family's 21 p in one call
         counts.clear()
         snac_sweep(3, 0.5, p_grid=5, q_grid=30, channel=channel_from_json(
             channel_to_json(depolarizing(3, 0.8))))
@@ -850,6 +871,88 @@ class TestPermutationOrbits:
     def test_rejects_a_non_square_channel(self):
         with pytest.raises(DimensionMismatchError):
             analysis.permutation_covariant_defect(QuantumChannel([np.eye(3, 2)]))
+
+
+def _per_channel(d, k, p_grid, q_grid):
+    """The family study at every p through snac_lattice_minimum on its channel."""
+    return [snac_lattice_minimum(depolarizing(d, p), k, q_grid)
+            for p in np.linspace(0.0, 1.0, p_grid).tolist()]
+
+
+class TestStackedFamilyStudy:
+    # q grids per d: a few orbit rows each, up to d = 13
+    Q_GRID = {2: 12, 3: 12, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4, 9: 3, 10: 3, 11: 2, 12: 2, 13: 2}
+
+    @pytest.mark.parametrize("d", sorted(Q_GRID))
+    def test_equals_the_per_channel_minimum_bit_for_bit(self, d):
+        n = self.Q_GRID[d]
+        for k in (1 / 3, 1 / 2, 1.0):
+            records = snac_sweep(d, k, p_grid=5, q_grid=n)
+            assert [r.parameter for r in records] == [0.0, 0.25, 0.5, 0.75, 1.0]
+            assert [(r.q_star, r.value) for r in records] == _per_channel(d, k, 5, n), k
+
+    @pytest.mark.parametrize("tol, stacked", [(-1.0, []), (0.0, [(1,)])])
+    def test_a_p_over_the_tolerances_takes_the_per_channel_path(self, tol, stacked,
+                                                                monkeypatch):
+        # below every defect of the family (-1), or at 0, which only p = 1 meets
+        monkeypatch.setattr(analysis, "PHASE_COVARIANT_TOL", tol)
+        monkeypatch.setattr(analysis, "PERMUTATION_COVARIANT_TOL", tol)
+        for d in (2, 3, 4):
+            want = _per_channel(d, 0.5, 5, self.Q_GRID[d])
+            minimized, calls = [], []
+            minimum, reduced = analysis.snac_lattice_minimum, analysis._reduced_min_eigs
+            with monkeypatch.context() as spy:
+                spy.setattr(analysis, "snac_lattice_minimum", lambda ch, *a, **kw: (
+                    minimized.append(ch) or minimum(ch, *a, **kw)))
+                spy.setattr(analysis, "_reduced_min_eigs", lambda pops, squares, q, k: (
+                    calls.append(pops.shape[:-2]) or reduced(pops, squares, q, k)))
+                records = snac_sweep(d, 0.5, p_grid=5, q_grid=self.Q_GRID[d])
+            assert [(r.q_star, r.value) for r in records] == want, d
+            assert len(minimized) == 5 - len(stacked)
+            assert [c for c in calls if c] == stacked  # () is a per-channel call
+
+    def test_chunks_give_the_per_channel_result(self, monkeypatch):
+        # one p per chunk, and 7-row chunks inside each p's 91 orbit rows
+        monkeypatch.setattr(analysis, "GRID_CHUNK_BYTES", 1)
+        monkeypatch.setattr(analysis, "FAMILY_SOLVE_BYTES", 1)
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", 16 * 3 ** 2 * 7)
+        rows = []
+        reduced = analysis._reduced_min_eigs
+        with monkeypatch.context() as spy:
+            spy.setattr(analysis, "_reduced_min_eigs", lambda pops, squares, q, k: (
+                rows.append((pops.shape[:-2], len(q))) or reduced(pops, squares, q, k)))
+            records = snac_sweep(3, 0.5, p_grid=4, q_grid=30)
+        assert rows == [((1,), 7)] * 13 * 4
+        assert [(r.q_star, r.value) for r in records] == _per_channel(3, 0.5, 4, 30)
+
+    def test_the_benchmark_study_is_one_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        snac_sweep(3, 0.5, p_grid=21, q_grid=30)
+        assert calls == [(21, 91, 3, 3)]
+
+    def test_peak_memory_is_one_p_at_a_time(self):
+        # at d = 13 one p's unit images (16 d^4 bytes) exceed GRID_CHUNK_BYTES,
+        # so a chunk holds one p: at most four such arrays, plus every p's
+        # weights and parts (32 d^2 bytes each); all 130 p at once would be 237 MB
+        d, p_grid = 13, 130
+        snac_sweep(d, 0.5, p_grid=2, q_grid=4)  # the basis cache is not this study's
+        tracemalloc.start()
+        try:
+            snac_sweep(d, 0.5, p_grid=p_grid, q_grid=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (4 * 16 * d**4 + 32 * p_grid * d**2)
+
+    def test_checks_run_in_the_order_of_the_first_p(self):
+        with pytest.raises(ParamOutOfRangeError, match="d >= 2"):
+            snac_sweep(1, 2.0, p_grid=2, q_grid=2)
+        with pytest.raises(ValueError, match=r"k=2\.0 outside"):
+            snac_sweep(3, 2.0, p_grid=2, q_grid=2)
+        with pytest.raises(ValueError, match=r"k=2\.0 outside"):
+            snac_lattice_minimum(depolarizing(3, 0.0), 2.0, 2)
 
 
 class TestUniformMinimizer:

@@ -402,6 +402,15 @@ class TestTensor:
         t = tensor(a, b)
         assert max(linalg.matrix_rank(k) for k in t.kraus) == 4
 
+    def test_stack_is_the_kron_of_each_pair_a_major(self, rng):
+        pairs = [(depolarizing(3, 0.4), depolarizing(3, 0.4)),
+                 (random_channel(2, 3, rng), random_channel(3, 2, rng)),
+                 (QuantumChannel([np.eye(3, 2)]), random_channel(2, 4, rng)),
+                 (random_channel(4, 1, rng), QuantumChannel([np.eye(4, 2)]))]
+        for a, b in pairs:
+            old = np.stack([np.kron(k, r) for k in a.kraus for r in b.kraus])
+            assert tensor(a, b)._stack.tobytes() == old.tobytes()
+
     def test_action_on_product(self, rng):
         a, b = random_channel(2, 3, rng), random_channel(3, 2, rng)
         ra, rb = random_density(2, rng), random_density(3, rng)
@@ -549,6 +558,26 @@ class TestKrausBasis:
                 assert build(d, p)._stack.tobytes() == want.tobytes(), (d, p)
                 traces = np.trace(want, axis1=1, axis2=2)  # signed zeros included
                 assert channels._family_kraus_traces(family, d, p).tobytes() == traces.tobytes()
+
+    def test_a_grid_of_parameters_gives_each_point_bit_for_bit(self, family):
+        weights, basis = channels._KRAUS_FAMILIES[family]
+        for d in range(2, 14):
+            params = np.array(family_params(d))
+            w, b = weights(d, params), basis(d)
+            assert w.tobytes() == np.stack([weights(d, p) for p in params]).tobytes()
+            assert b.tp_defect(w).tolist() == [b.tp_defect(row) for row in w]
+            traces = channels._family_kraus_traces(family, d, params)
+            assert traces.tobytes() == np.stack(
+                [channels._family_kraus_traces(family, d, p) for p in params]).tobytes()
+        with pytest.raises(ParamOutOfRangeError, match="outside"):
+            weights(3, np.array([0.5, 1.5]))
+
+    def test_a_grid_names_its_first_defect_over_the_tolerance(self, family):
+        weights, basis = channels._KRAUS_FAMILIES[family]
+        w = weights(3, np.array([0.2, 0.4, 0.6])) * np.sqrt([[1.0], [1.0 + 2e-9], [1.0 + 4e-9]])
+        with pytest.raises(NotTracePreservingError,
+                           match=r"max \|sum K†K - I\| = 2\.000e-09 exceeds 1\.0e-09"):
+            basis(3).tp_defect(w)
 
     def test_gram_defect_is_the_kraus_sum(self, family):
         # the reference is the Kraus sum of the built stack in extended precision:

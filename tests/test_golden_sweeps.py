@@ -10,14 +10,18 @@ d=9, r=2 and a 101-point grid; and by ``schmidt-lens threshold ...
 ... --output-path`` before its lattice minimum evaluated one row per
 permutation orbit: the two family studies of the benchmark's snac workload
 and the d=9 family study (JSON), and channel-file studies of a covariant and
-a non-covariant channel at d=4.
+a non-covariant channel at d=4. Three more family studies were written
+before the family's p grid was minimized in stacked kernels: d=13 (20 p),
+d=2 (JSON, k=1) and d=5 (300 p, q-grid 15), whose p grid spans several
+p-chunks and several eigensolves.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from schmidt_lens import cli
+from schmidt_lens import analysis, cli
 from schmidt_lens.channels import (
     channel_to_json,
     depolarizing,
@@ -69,11 +73,26 @@ def test_threshold_json_matches_golden(family, d, r, tmp_path):
      ["--d", "4", "--k", "0.5", "--p-grid", "5", "--q-grid", "8"]),
     ("snac_depolarizing_d9_p11_q8.json",
      ["--d", "9", "--p-grid", "11", "--q-grid", "8", "--output", "json"]),
+    ("snac_depolarizing_d13_k0.5_p20_q4.csv",
+     ["--d", "13", "--k", "0.5", "--p-grid", "20", "--q-grid", "4"]),
+    ("snac_depolarizing_d2_k1.0_p101_q50.json",
+     ["--d", "2", "--k", "1.0", "--p-grid", "101", "--q-grid", "50", "--output", "json"]),
+    ("snac_depolarizing_d5_k0.5_p300_q15.csv",
+     ["--d", "5", "--k", "0.5", "--p-grid", "300", "--q-grid", "15"]),
 ])
 def test_snac_family_report_matches_golden(name, args, tmp_path):
     out = tmp_path / name
     assert cli.main(["snac", *args, "--output-path", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_the_d5_golden_study_crosses_chunk_boundaries(monkeypatch):
+    chunks, solves = [], []
+    parts, eigvalsh = analysis._pattern_parts, np.linalg.eigvalsh
+    monkeypatch.setattr(analysis, "_pattern_parts", lambda phi: chunks.append(1) or parts(phi))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape[0]) or eigvalsh(a))
+    analysis.snac_sweep(5, 0.5, p_grid=300, q_grid=15)
+    assert len(chunks) > 1 and len(solves) > 1 and sum(solves) == 300
 
 
 @pytest.mark.parametrize("name, build", [

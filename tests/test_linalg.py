@@ -26,6 +26,16 @@ class TestKron:
         assert np.array_equal(out, np.diag([1.0, 1.0, 0.0, 0.0]))
         assert linalg.matrix_rank(out) == 2
 
+    def test_equals_np_kron_bit_for_bit(self, rng):
+        shapes = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (4, 4), (1, 5), (5, 1)]
+        for sa in shapes:
+            for sb in shapes:
+                a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
+                b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
+                assert np.array_equal(linalg.kron(a, b), np.kron(a, b)), (sa, sb)
+                real = rng.standard_normal(sa)
+                assert linalg.kron(real, b).tobytes() == np.kron(real + 0j, b).tobytes()
+
     def test_rank_multiplicativity_random(self, rng):
         for _ in range(50):
             a = random_rank_matrix(3, 2, rng)
