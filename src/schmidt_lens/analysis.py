@@ -49,6 +49,11 @@ BISECTION_TOL = 1e-9
 ROOT_REL_TOL = 8.0 * float(np.finfo(float).eps)
 # Lattice values within this of the minimum tie (eigensolver rounding is ~1e-16).
 TIE_TOL = 1e-13
+# A reduced-kernel row whose Gershgorin lower bound, less this margin, lies
+# more than TIE_TOL above the least upper bound of its call cannot be chosen,
+# and its eigensolve is skipped (_reduced_min_eigs). The margin covers the
+# rounding of eigvalsh and of the bounds, about 1e-15 for d <= 16.
+PRUNE_TOL = 1e-12
 # Simplex lattices above this many points are refused before any is built.
 MAX_LATTICE_POINTS = 10**6
 # MAX_KRAUS_STACK_BYTES, imported from channels, whose basis cache it bounds,
@@ -74,11 +79,12 @@ CHUNK_BYTES = 8 * 2**20
 # the gain (d=9 sweep: 7 points), and a study's peak memory stays that of one
 # parameter (at 2**19 the witness-thresholds workload peaked 0.34 MB higher).
 GRID_CHUNK_BYTES = 2**17
-# Byte budget of the d x d blocks and X of one stacked eigensolve of a
-# depolarizing-family snac study (_family_minima): the benchmark's qutrit
-# study (21 p x 91 rows) is one eigensolve, and peak memory stays that of one
-# p at a time (at CHUNK_BYTES, --d 2 --p-grid 1001 --q-grid 9989 peaked 20 MB
-# higher).
+# Byte budget of one stacked reduced-kernel call of a depolarizing-family snac
+# study (_family_minima), 24 d^2 + 8 d + 24 bytes a row: the complex blocks
+# solved and their real weights (X before them), the block diagonals, and the
+# off-block entries, bounds and solved indices. The benchmark's qutrit study
+# (21 p x 91 rows) is one call, and peak memory stays that of one p at a time
+# (at CHUNK_BYTES, --d 2 --p-grid 1001 --q-grid 9989 peaked 20 MB higher).
 FAMILY_SOLVE_BYTES = 2**19
 # Largest |entry| of Φ(|j><l|) outside the phase-covariant pattern (see
 # phase_covariant_defect) for which the reduced two-local kernel is taken.
@@ -487,10 +493,24 @@ def _permutation_covariant(ch: QuantumChannel) -> bool:
     return defect <= PERMUTATION_COVARIANT_TOL
 
 
-def _orbit_rows(lattice: np.ndarray) -> np.ndarray:
-    """The nondecreasing rows of ``simplex_lattice``: the first row of each
-    permutation orbit, the lattice being lexicographic."""
-    return lattice[np.all(lattice[:, 1:] >= lattice[:, :-1], axis=1)]
+def _orbit_rows(n_subdiv: int, dims: int) -> np.ndarray:
+    """The nondecreasing rows of ``simplex_lattice(n_subdiv, dims)``, in its
+    lexicographic order, built without it: the first row of each permutation
+    orbit, one per partition of n_subdiv into at most dims parts. Refused
+    (BudgetError) where that lattice is.
+    """
+    check_lattice_size(n_subdiv, dims)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    low, rest = np.zeros(1, dtype=np.int64), np.array([n_subdiv])
+    for slots in range(dims, 1, -1):
+        # each prefix takes every next entry from its last one (low) up to
+        # rest // slots, so that the entries after it can be no smaller
+        counts = rest // slots - low + 1
+        prefix = np.repeat(np.arange(len(rows)), counts)
+        step = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts, counts)
+        low = low[prefix] + step
+        rows, rest = np.column_stack((rows[prefix], low)), rest[prefix] - low
+    return np.column_stack((rows, rest))
 
 
 def _reduced_diagonal(populations: np.ndarray, q: np.ndarray, k: float
@@ -523,15 +543,49 @@ def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarra
     diagonal entries T_a - k X_ab (a != b) (``_reduced_diagonal``).
     ``populations`` and ``squares`` may carry leading axes, one channel per
     index, and the values then carry them too, before the rows of ``q``:
-    every block of every channel goes to one stacked eigensolve, each as it
-    would alone.
+    every block solved, of every channel, goes to one stacked eigensolve,
+    which gives each the bits it would have alone.
+
+    Only a row that can come within TIE_TOL of its channel's minimum is
+    solved. From the entries already formed, each row has a lower bound
+    L = min(min_a (M_aa - sum_{b != a} |M_ab|), off) (Gershgorin, each
+    |M_ab| taken as the larger of the two triangles' entries, so that it
+    holds for the Hermitian matrix eigvalsh reads off either) and an upper
+    bound U = min(min_a M_aa, off), where off is the least diagonal entry
+    off the block. A row with L - PRUNE_TOL > min U + TIE_TOL, the minimum
+    over the rows of this call, keeps L as its value and is not solved;
+    every other row is, and its value is exact. With δ for the rounding of
+    eigvalsh and of the bounds (about 1e-15, far below PRUNE_TOL): the row
+    of least U is solved (L <= U) and computes at most min U + δ, so the
+    computed minimum m is at most min U + δ; a skipped row, solved, would
+    compute at least L - δ > m + TIE_TOL, and its L lies above that too. So
+    neither is the minimum nor ties with it, and ``_first_minimum`` picks the
+    row and value the full eigensolve gives. The minimum of a study's rows
+    is at most that of one call's, so the rule holds call by call, for the
+    CHUNK_BYTES and FAMILY_SOLVE_BYTES chunks too. A NaN bound fails the
+    test and its row is solved, and so is a single row (its L <= U).
     """
     on_block, off_block = _reduced_diagonal(populations, q, k)
-    idx = np.arange(q.shape[-1])
+    d = q.shape[-1]
+    idx = np.arange(d)
     amp = np.sqrt(q)
-    block = (-k * amp[:, :, None] * amp[:, None, :]) * squares[..., None, :, :]
-    block[..., idx, idx] = on_block
-    return np.minimum(np.linalg.eigvalsh(block)[..., 0], off_block)
+    # |M_ab| / k sqrt(q_a q_b): the larger of |c_ab^2| and |c_ba^2|, for either triangle
+    magnitudes = np.abs(squares)
+    magnitudes = np.maximum(magnitudes, magnitudes.swapaxes(-1, -2))
+    lower = np.minimum((on_block - k * amp * (amp @ magnitudes)).min(axis=-1), off_block)
+    upper = np.minimum(on_block.min(axis=-1), off_block)
+    solved = np.flatnonzero(~(lower - PRUNE_TOL > upper.min(axis=-1, keepdims=True) + TIE_TOL))
+    del magnitudes, upper
+    kept = amp[solved % len(q)]
+    weights = -k * kept[:, :, None] * kept[:, None, :]
+    del kept
+    block = squares.reshape(-1, d, d)[solved // len(q)]
+    np.multiply(weights, block, out=block)  # the product of the full stack, bit for bit
+    del weights
+    block[:, idx, idx] = on_block.reshape(-1, d)[solved]
+    lower.reshape(-1)[solved] = np.minimum(np.linalg.eigvalsh(block)[:, 0],
+                                           off_block.reshape(-1)[solved])
+    return lower
 
 
 def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
@@ -599,7 +653,7 @@ def _certificate(ch: QuantumChannel, k: float):
     same tolerances, to each p of the depolarizing family. When every
     entry of every Φ(|j><l|) outside the phase-covariant pattern (see
     :func:`two_local_output`) is at most PHASE_COVARIANT_TOL = δ, each row
-    costs one d x d eigensolve plus d^2 - d diagonal entries
+    costs at most one d x d eigensolve plus d^2 - d diagonal entries
     (:func:`_reduced_min_eigs`), formed from the O(d^4) entries of the
     Φ(|j><l|) only. Dropping the off-pattern entries moves each Φ(|j><l|)
     by at most dδ in operator norm, the two-local output by at most
@@ -658,10 +712,11 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     order whose value is within TIE_TOL of the minimum, and that value.
     With no ``lattice`` the rows are ``simplex_lattice(n_subdiv, d)``, of
     which only the nondecreasing ones, the first row of each permutation
-    orbit, are evaluated when the channel is permutation-covariant
-    (:func:`_certificate`): every row of an orbit has the same value up to
-    the drift bounded there, rounding for the named families, so the
-    point reported is the first row of its orbit. ``lattice``, when given,
+    orbit, are built (:func:`_orbit_rows`) and evaluated when the channel is
+    permutation-covariant (:func:`_certificate`): every row of an orbit has
+    the same value up to the drift bounded there, rounding for the named
+    families, so the point reported is the first row of its orbit. The full
+    lattice is built only for any other channel. ``lattice``, when given,
     is ``simplex_lattice(n_subdiv, d)`` or rows of it, and every row given
     is evaluated; other rows raise ValueError. The certificate
     (:func:`snac_min_eig`) runs on the channel's kernel in chunks of
@@ -670,15 +725,16 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     _check_square(ch, ch.d_in)
     given = lattice is not None
     if not given:
-        lattice = simplex_lattice(n_subdiv, ch.d_in)
+        check_lattice_size(n_subdiv, ch.d_in)
     elif lattice.dtype.kind not in "iu" or lattice.shape[1:] != (ch.d_in,) or not len(lattice):
         raise ValueError(f"a lattice of {lattice.dtype} and shape {lattice.shape} is not an "
                          f"integer (points >= 1, d={ch.d_in}) array")
     elif lattice.min() < 0 or np.any(lattice.sum(axis=1) != n_subdiv):
         raise ValueError(f"lattice rows must be nonnegative and sum to n_subdiv={n_subdiv}")
     size, certificate = _certificate(ch, k)
-    if not given and _permutation_covariant(ch):
-        lattice = _orbit_rows(lattice)
+    if not given:
+        lattice = (_orbit_rows if _permutation_covariant(ch) else simplex_lattice)(
+            n_subdiv, ch.d_in)
     rows = max(1, CHUNK_BYTES // (16 * size ** 2))
     vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)
                            for i in range(0, len(lattice), rows)])
@@ -700,32 +756,25 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     For each p on a uniform grid in [0, 1], records the minimum of
     :func:`snac_min_eig` over the simplex lattice with ``q_grid``
     subdivisions and the minimizing point, as ``snac_lattice_minimum``
-    reports them. The lattice and its nondecreasing rows are built once for
-    the whole grid; a permutation-covariant channel (:func:`_certificate`)
-    is minimized over those rows only, as ``snac_lattice_minimum`` does with
-    no lattice given, every other channel over the whole lattice. A given
-    channel, square of dimension d, is minimized once by
-    ``snac_lattice_minimum`` and its minimum recorded at every p. With no
+    reports them. A given channel, square of dimension d, is minimized once
+    by ``snac_lattice_minimum`` and its minimum recorded at every p. With no
     ``channel`` the d-dimensional depolarizing family is minimized at every
-    p from stacked reduced kernels (:func:`_family_minima`), with the
-    values, points and errors of ``snac_lattice_minimum(depolarizing(d,
-    p), ...)``. Studies over the grid, lattice or eigensolver-work budgets
+    p from stacked reduced kernels (:func:`_family_minima`) over the
+    nondecreasing lattice rows (:func:`_orbit_rows`), built once for the
+    whole grid and never from the full lattice, with the values, points and
+    errors of ``snac_lattice_minimum(depolarizing(d, p), ...)``, which
+    minimizes any p beyond the covariance tolerances. Studies over the
+    grid, lattice or eigensolver-work budgets
     (``check_snac_size``) raise BudgetError.
     """
     check_snac_size(d, p_grid, q_grid, channel)
     params = np.linspace(0.0, 1.0, p_grid)
-    lattice = simplex_lattice(q_grid, d)
-    orbits = _orbit_rows(lattice)
-
-    def minimum(ch: QuantumChannel) -> tuple[tuple[Fraction, ...], float]:
-        rows = orbits if _permutation_covariant(ch) else lattice
-        return snac_lattice_minimum(ch, k, q_grid, lattice=rows)
-
     if channel is None:
-        minima = [found or minimum(depolarizing(d, float(p)))
-                  for found, p in zip(_family_minima(d, k, params, q_grid, orbits), params)]
+        found = _family_minima(d, k, params, q_grid, _orbit_rows(q_grid, d))
+        minima = [at or snac_lattice_minimum(depolarizing(d, float(p)), k, q_grid)
+                  for at, p in zip(found, params)]
     else:
-        minima = [minimum(channel)] * p_grid
+        minima = [snac_lattice_minimum(channel, k, q_grid)] * p_grid
 
     def record(point) -> SnacRecord:
         p, (q_star, best_val) = point
@@ -775,8 +824,8 @@ def _family_minima(d: int, k: float, params: np.ndarray, n_subdiv: int,
 
     Every p whose parts (``_family_parts``) take the reduced kernel on the
     orbit rows is evaluated by :func:`_reduced_min_eigs` with a leading p
-    axis: one stacked eigensolve per chunk of whole p whose blocks and X
-    (24 d^2 bytes a row) fit in FAMILY_SOLVE_BYTES, or of one p. A p whose
+    axis: one call, and at most one stacked eigensolve, per chunk of whole p
+    whose rows fit in FAMILY_SOLVE_BYTES, or of one p. A p whose
     rows exceed CHUNK_BYTES of blocks is cut into the row chunks
     ``snac_lattice_minimum`` takes, so every product and block is the one
     it would form. The point is chosen by the same tie rule
@@ -789,7 +838,7 @@ def _family_minima(d: int, k: float, params: np.ndarray, n_subdiv: int,
     populations, squares, reduced = _family_parts(d, params)
     _check_strength(k)
     rows = max(1, CHUNK_BYTES // (16 * d * d))
-    per = max(1, FAMILY_SOLVE_BYTES // (24 * d * d * len(orbits)))
+    per = max(1, FAMILY_SOLVE_BYTES // ((24 * d * d + 8 * d + 24) * len(orbits)))
     stacked = np.flatnonzero(reduced)
     minima = [None] * len(params)
     for i in range(0, len(stacked), per):

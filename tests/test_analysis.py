@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -676,12 +677,20 @@ class TestPhaseCovariantKernel:
         assert peak <= 1.1 * pair.nbytes
 
     def test_sweep_builds_the_lattice_once(self, monkeypatch):
+        # the family and a covariant channel build their orbit rows only,
+        # any other channel the full lattice
         built = []
-        lattice = analysis.simplex_lattice
-        monkeypatch.setattr(analysis, "simplex_lattice",
-                            lambda n, dims: built.append((n, dims)) or lattice(n, dims))
+        for name in ("simplex_lattice", "_orbit_rows"):
+            monkeypatch.setattr(analysis, name, lambda n, dims, name=name, fn=getattr(
+                analysis, name): built.append((name, n, dims)) or fn(n, dims))
         snac_sweep(3, 0.5, p_grid=4, q_grid=6)
-        assert built == [(6, 3)]
+        assert built == [("_orbit_rows", 6, 3)]
+        built.clear()
+        snac_sweep(3, 0.5, p_grid=4, q_grid=6, channel=depolarizing(3, 0.8))
+        assert built == [("_orbit_rows", 6, 3)]
+        built.clear()
+        snac_sweep(3, 0.5, p_grid=4, q_grid=6, channel=random_channel(3, 4, seed=7))
+        assert built == [("simplex_lattice", 6, 3)]
 
     def test_fixed_channel_is_minimized_once(self, monkeypatch):
         # a channel file fixes one channel for every p
@@ -811,7 +820,7 @@ class TestPermutationOrbits:
     def test_sorted_rows_are_the_first_of_each_orbit(self):
         for n, d in ((30, 3), (8, 4), (6, 5), (8, 9)):
             full = simplex_lattice(n, d)
-            rows = analysis._orbit_rows(full)
+            rows = analysis._orbit_rows(n, d)
             firsts = {}
             for row in full.tolist():
                 firsts.setdefault(tuple(sorted(row)), row)
@@ -827,7 +836,7 @@ class TestPermutationOrbits:
         dense = _dense_calls(monkeypatch)
         for k in (1 / 3, 1 / 2, 1.0):
             assert snac_lattice_minimum(ch, k, n) == snac_lattice_minimum(ch, k, n, lattice=full)
-        assert dense == [len(analysis._orbit_rows(full)), len(full)] * 3
+        assert dense == [len(analysis._orbit_rows(n, d)), len(full)] * 3
 
     def test_a_random_channel_evaluates_every_row(self, monkeypatch):
         ch = random_channel(3, 4, seed=7)
@@ -858,6 +867,35 @@ class TestPermutationOrbits:
         counts = _reduced_calls(monkeypatch)
         snac_lattice_minimum(ch, 0.5, 6)
         assert counts == [rows]
+
+    def test_orbit_rows_are_the_nondecreasing_rows_of_the_lattice(self):
+        # partitions[d][n]: the partitions of n into at most d parts
+        partitions = np.zeros((9, 31), dtype=int)
+        partitions[:, 0] = 1
+        for d in range(1, 9):
+            for n in range(1, 31):
+                partitions[d, n] = partitions[d - 1, n] + (partitions[d, n - d] if n >= d else 0)
+        for d in range(1, 9):
+            for n in range(1, 31):
+                size = math.comb(n + d - 1, d - 1)
+                if size > analysis.MAX_LATTICE_POINTS:
+                    with pytest.raises(BudgetError):
+                        analysis._orbit_rows(n, d)
+                    continue
+                rows = analysis._orbit_rows(n, d)
+                assert rows.dtype == np.int64 and rows.shape == (partitions[d, n], d)
+                if size <= 10**5:
+                    full = simplex_lattice(n, d)
+                    assert np.array_equal(
+                        rows, full[np.all(full[:, 1:] >= full[:, :-1], axis=1)]), (n, d)
+                else:  # every partition once, nondecreasing, in lexicographic order
+                    assert np.all(rows >= 0) and np.all(rows.sum(axis=1) == n)
+                    assert np.all(rows[:, 1:] >= rows[:, :-1])
+                    later = rows[1:] - rows[:-1]
+                    first = np.argmax(later != 0, axis=1)
+                    assert np.all(later[np.arange(len(later)), first] > 0)
+        with pytest.raises(BudgetError):
+            analysis._orbit_rows(0, 3)
 
     def test_named_families_sit_well_inside_the_tolerance(self):
         # measured: at most 8.9e-16 for depolarizing (d <= 13), exactly 0 for dephasing
@@ -926,11 +964,12 @@ class TestStackedFamilyStudy:
         assert [(r.q_star, r.value) for r in records] == _per_channel(3, 0.5, 4, 30)
 
     def test_the_benchmark_study_is_one_eigensolve(self, monkeypatch):
+        # of the 21 x 91 blocks, the 782 that can reach the tie window
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         snac_sweep(3, 0.5, p_grid=21, q_grid=30)
-        assert calls == [(21, 91, 3, 3)]
+        assert calls == [(782, 3, 3)]
 
     def test_peak_memory_is_one_p_at_a_time(self):
         # at d = 13 one p's unit images (16 d^4 bytes) exceed GRID_CHUNK_BYTES,
@@ -953,6 +992,136 @@ class TestStackedFamilyStudy:
             snac_sweep(3, 2.0, p_grid=2, q_grid=2)
         with pytest.raises(ValueError, match=r"k=2\.0 outside"):
             snac_lattice_minimum(depolarizing(3, 0.0), 2.0, 2)
+
+
+def _full_reduced_min_eigs(populations, squares, q, k):
+    """The reduced-kernel certificate with every block solved, in one stack."""
+    on_block, off_block = analysis._reduced_diagonal(populations, q, k)
+    idx = np.arange(q.shape[-1])
+    amp = np.sqrt(q)
+    block = (-k * amp[:, :, None] * amp[:, None, :]) * squares[..., None, :, :]
+    block[..., idx, idx] = on_block
+    return np.minimum(np.linalg.eigvalsh(block)[..., 0], off_block)
+
+
+def _solved_rows(monkeypatch):
+    """The number of blocks each eigvalsh call receives."""
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+    return rows
+
+
+class TestPrunedEigensolves:
+    # q grids per d: small lattices, with d = 9 and 13 on a few orbit rows
+    Q_GRID = {2: 30, 3: 20, 4: 12, 5: 10, 6: 8, 9: 5, 13: 3}
+    P = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+
+    @staticmethod
+    def _reference(ch, k, n):
+        """snac_lattice_minimum's answer from the full eigensolve of every
+        orbit row, in its CHUNK_BYTES row chunks (X is a product per chunk)."""
+        populations, squares = analysis._kernel_form(ch)[1]
+        rows = analysis._orbit_rows(n, ch.d_in)
+        per = max(1, analysis.CHUNK_BYTES // (16 * ch.d_in ** 2))
+        return analysis._first_minimum(rows, n, np.concatenate([
+            _full_reduced_min_eigs(populations, squares, rows[i:i + per] / n, k)
+            for i in range(0, len(rows), per)]))
+
+    def _check_rows(self, populations, squares, q, k):
+        """Pruned values against the full ones: equal where solved; a skipped
+        row keeps its lower bound, and both lie above the tie window."""
+        full = _full_reduced_min_eigs(populations, squares, q, k)
+        pruned = analysis._reduced_min_eigs(populations, squares, q, k)
+        window = full.min(axis=-1, keepdims=True) + analysis.TIE_TOL
+        skipped = pruned != full
+        assert np.all(full[skipped] > np.broadcast_to(window, full.shape)[skipped])
+        assert np.all(pruned[skipped] > np.broadcast_to(window, full.shape)[skipped])
+        assert np.all(pruned[skipped] <= full[skipped] + analysis.PRUNE_TOL)
+        return int(skipped.sum())
+
+    @pytest.mark.parametrize("d", sorted(Q_GRID))
+    @pytest.mark.parametrize("family", [depolarizing, dephasing])
+    def test_each_channel_gives_the_full_eigensolve_result(self, d, family):
+        n = self.Q_GRID[d]
+        rows = analysis._orbit_rows(n, d)
+        skipped = 0
+        for p in self.P:
+            ch = family(d, p)
+            for k in (1 / d, 1 / 3, 1 / 2, 1.0):
+                got = snac_lattice_minimum(ch, k, n)
+                want = self._reference(ch, k, n)
+                assert got == want and repr(got[1]) == repr(want[1]), (p, k)
+                skipped += self._check_rows(*analysis._kernel_form(ch)[1], rows / n, k)
+        assert skipped > 0 or d >= 9  # few orbit rows there, and nothing to skip
+
+    @pytest.mark.parametrize("d", sorted(Q_GRID))
+    def test_the_family_study_gives_the_full_eigensolve_result(self, d, monkeypatch):
+        n = self.Q_GRID[d]
+        for chunked in (False, True):
+            if chunked:  # one p a call, 3-row chunks inside each p
+                monkeypatch.setattr(analysis, "FAMILY_SOLVE_BYTES", 1)
+                monkeypatch.setattr(analysis, "CHUNK_BYTES", 16 * d * d * 3)
+            for k in (1 / d, 1 / 3, 1 / 2, 1.0):
+                records = snac_sweep(d, k, p_grid=11, q_grid=n)
+                want = [self._reference(depolarizing(d, r.parameter), k, n) for r in records]
+                assert [(r.q_star, r.value) for r in records] == want, (chunked, k)
+
+    def test_a_given_channel_gives_the_full_eigensolve_result(self, monkeypatch):
+        ch = channel_from_json(channel_to_json(depolarizing(4, 0.6)))
+        for n in (8, 20):
+            for k in (1 / 4, 1 / 3, 1 / 2, 1.0):
+                want = self._reference(ch, k, n)
+                assert snac_lattice_minimum(ch, k, n) == want
+                records = snac_sweep(4, k, p_grid=3, q_grid=n, channel=ch)
+                assert [(r.q_star, r.value) for r in records] == [want] * 3
+
+    def test_the_stacked_family_parts_skip_only_rows_above_the_window(self):
+        skipped = {}
+        for d, n in ((3, 30), (4, 12), (9, 5), (13, 3)):
+            populations, squares, _ = analysis._family_parts(d, np.linspace(0.0, 1.0, 21))
+            q = analysis._orbit_rows(n, d) / n
+            skipped[d] = sum(self._check_rows(populations, squares, q, k)
+                             for k in (1 / d, 1 / 3, 1 / 2, 1.0))
+        assert skipped[3] > 0 and skipped[4] > 0
+
+    def test_a_study_where_every_row_ties_keeps_the_first_row(self, monkeypatch):
+        # the completely depolarizing channel: every lattice row has one value
+        for d, n in ((3, 30), (5, 10), (13, 3)):
+            rows = analysis._orbit_rows(n, d)
+            populations, squares = analysis._kernel_form(depolarizing(d, 0.0))[1]
+            for k in (1 / d, 1 / 2, 1.0):
+                full = _full_reduced_min_eigs(populations, squares, rows / n, k)
+                assert np.all(full <= full.min() + analysis.TIE_TOL)
+                with monkeypatch.context() as spy:
+                    solved = _solved_rows(spy)
+                    got = snac_lattice_minimum(depolarizing(d, 0.0), k, n)
+                assert solved == [len(rows)]  # nothing skipped
+                assert got == (tuple(Fraction(int(x), n) for x in rows[0]), float(full[0]))
+
+    def test_a_single_row_is_always_solved(self, monkeypatch):
+        ch = depolarizing(3, 0.7)
+        populations, squares = analysis._kernel_form(ch)[1]
+        points = ([1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [1 / 3] * 3)
+        want = [float(_full_reduced_min_eigs(populations, squares, np.array([q]), 0.5)[0])
+                for q in points]
+        solved = _solved_rows(monkeypatch)
+        assert [snac_min_eig(ch, q, 0.5) for q in points] == want
+        assert solved == [1, 1, 1]
+
+    def test_a_nan_bound_sends_its_row_to_the_solver(self, monkeypatch):
+        # a NaN coherence makes the bounds NaN: no row is skipped, and the
+        # eigensolve fails as the full one does
+        populations, squares = analysis._kernel_form(depolarizing(3, 0.5))[1]
+        squares = squares.copy()
+        squares[1, 0] = squares[0, 1] = np.nan
+        q = analysis._orbit_rows(6, 3) / 6
+        with pytest.raises(np.linalg.LinAlgError):
+            _full_reduced_min_eigs(populations, squares, q, 0.5)
+        solved = _solved_rows(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError):
+            analysis._reduced_min_eigs(populations, squares, q, 0.5)
+        assert solved == [len(q)]
 
 
 class TestUniformMinimizer:

@@ -18,7 +18,6 @@ p-chunks and several eigensolves.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from schmidt_lens import analysis, cli
@@ -87,10 +86,12 @@ def test_snac_family_report_matches_golden(name, args, tmp_path):
 
 
 def test_the_d5_golden_study_crosses_chunk_boundaries(monkeypatch):
+    # p-chunks of unit images, and the p of each stacked reduced-kernel call
     chunks, solves = [], []
-    parts, eigvalsh = analysis._pattern_parts, np.linalg.eigvalsh
+    parts, reduced = analysis._pattern_parts, analysis._reduced_min_eigs
     monkeypatch.setattr(analysis, "_pattern_parts", lambda phi: chunks.append(1) or parts(phi))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape[0]) or eigvalsh(a))
+    monkeypatch.setattr(analysis, "_reduced_min_eigs", lambda pops, squares, q, k: (
+        solves.append(pops.shape[0]) or reduced(pops, squares, q, k)))
     analysis.snac_sweep(5, 0.5, p_grid=300, q_grid=15)
     assert len(chunks) > 1 and len(solves) > 1 and sum(solves) == 300
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from schmidt_lens import cli
+from schmidt_lens.channels import channel_to_json, random_channel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,9 +33,15 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
-def test_traced_commands_record_the_benchmark_spans(tracing, capsys):
+def test_traced_commands_record_the_benchmark_spans(tracing, capsys, tmp_path):
+    # the family builds only its orbit rows; a channel that is not
+    # permutation-covariant builds the full simplex lattice
+    channel_file = tmp_path / "random.json"
+    channel_file.write_text(channel_to_json(random_channel(2, 2, seed=0)))
+    lines = LINES + [["snac", "--d", "2", "--p-grid", "2", "--q-grid", "2",
+                      "--channel-file", str(channel_file)]]
     with tracing.Tracer().installed() as tracer:
-        codes = [cli.main(args) for args in LINES]
+        codes = [cli.main(args) for args in lines]
     capsys.readouterr()
-    assert codes == [0] * len(LINES)
+    assert codes == [0] * len(lines)
     assert SPANS <= {span[0] for span in tracer.spans}
