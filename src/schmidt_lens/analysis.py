@@ -80,18 +80,19 @@ CHUNK_BYTES = 8 * 2**20
 # parameter (at 2**19 the witness-thresholds workload peaked 0.34 MB higher).
 GRID_CHUNK_BYTES = 2**17
 # Byte budget of one stacked reduced-kernel call of a depolarizing-family snac
-# study (_family_minima), 24 d^2 + 8 d + 24 bytes a row: the complex blocks
+# study (_reduced_minima), 24 d^2 + 8 d + 24 bytes a row: the complex blocks
 # solved and their real weights (X before them), the block diagonals, and the
 # off-block entries, bounds and solved indices. The benchmark's qutrit study
 # (21 p x 91 rows) is one call, and peak memory stays that of one p at a time
 # (at CHUNK_BYTES, --d 2 --p-grid 1001 --q-grid 9989 peaked 20 MB higher).
 FAMILY_SOLVE_BYTES = 2**19
 # Largest |entry| of Φ(|j><l|) outside the phase-covariant pattern (see
-# phase_covariant_defect) for which the reduced two-local kernel is taken.
-# Depolarizing reaches 2.4e-16 (d <= 13, 1001 values of p) and dephasing 0.
+# phase_covariant_defect) for which the reduced two-local kernel is taken
+# (_kernel_parts). Depolarizing reaches 2.4e-16 (d <= 13, 1001 values of p)
+# and dephasing 0.
 PHASE_COVARIANT_TOL = 1e-14
 # Largest deviation from permutation covariance of what the two-local kernel
-# reads (see _certificate) for which a study evaluates one lattice row per
+# reads (see _orbit_covariant) for which a study evaluates one lattice row per
 # permutation orbit. Depolarizing reaches 1.0e-15 in the unit-image form
 # (permutation_covariant_defect) and 1.6e-15 in the reduced kernel's (d <= 13,
 # 1001 values of p), dephasing 0.
@@ -280,14 +281,15 @@ def check_snac_size(d: int, p_grid: int, q_grid: int,
     BudgetError below a minimum size or above any budget. One lattice is
     charged per p for the depolarizing family, one in all for a given
     channel (checked by ``_check_square``), against
-    MAX_SNAC_REDUCED_WORK when it takes the reduced kernel of
-    ``snac_lattice_minimum``, else against MAX_SNAC_EIG_WORK.
+    MAX_SNAC_REDUCED_WORK when it takes the reduced kernel by the rule of
+    ``snac_lattice_minimum`` (:func:`_kernel_parts`), else against
+    MAX_SNAC_EIG_WORK.
     """
     lattices, charged, lower, reduced = p_grid, "p points x lattice points", "the grids or d", True
     if channel is not None:
         _check_square(channel, d)
         lattices, charged, lower = 1, "lattice points", "the q grid"
-        reduced = _kernel_form(channel)[1] is not None
+        reduced = _kernel_parts(_unit_images(channel))[2]
     check_grid_size(p_grid)
     if q_grid < 2:
         raise BudgetError("the q grid needs at least 2 subdivisions")
@@ -417,25 +419,25 @@ def phase_covariant_defect(ch: QuantumChannel) -> float:
     each |j><j| to a real diagonal matrix, so the defect is 0; both named
     families are such channels up to rounding. The imaginary parts of those
     diagonal entries, rounding only, count towards the defect too.
-    ``snac_lattice_minimum`` takes its reduced kernel when the defect is at
-    most PHASE_COVARIANT_TOL.
+    The two-local certificate takes its reduced kernel when the defect is at
+    most PHASE_COVARIANT_TOL (:func:`_kernel_parts`).
     """
     if not ch.is_square:
         raise DimensionMismatchError(f"need a square channel, got {ch!r}")
     return float(_pattern_parts(_unit_images(ch))[2])
 
 
-def _transposition_defect(phi: np.ndarray) -> float:
+def _transposition_defect(phi: np.ndarray) -> np.ndarray:
     """Largest |entry| of Φ(P|j><l|Pᵀ) - PΦ(|j><l|)Pᵀ over the d - 1 adjacent
-    transpositions P, which generate the symmetric group; ``phi`` is
-    ``_unit_images`` of a square channel."""
-    d = phi.shape[0]
-    defect = 0.0
+    transpositions P, which generate the symmetric group, for each channel
+    on the leading axes of ``phi`` (``_unit_images`` of square channels)."""
+    d = phi.shape[-1]
+    defect = np.zeros(phi.shape[:-4])
     for t in range(d - 1):
         perm = np.arange(d)
         perm[[t, t + 1]] = t + 1, t
-        moved = phi[np.ix_(perm, perm, perm, perm)]
-        defect = max(defect, float(np.max(np.abs(moved - phi))))
+        moved = phi[(..., *np.ix_(perm, perm, perm, perm))]
+        defect = np.maximum(defect, np.abs(moved - phi).max(axis=(-4, -3, -2, -1)))
     return defect
 
 
@@ -454,42 +456,64 @@ def permutation_covariant_defect(ch: QuantumChannel) -> float:
     The defect is 0 exactly when Φ(PXPᵀ) = PΦ(X)Pᵀ for every permutation
     matrix P; both named families are such channels up to rounding.
     ``snac_lattice_minimum`` and ``snac_sweep`` evaluate one lattice row per
-    permutation orbit when the dense kernel's channel has a defect of at most
-    PERMUTATION_COVARIANT_TOL, or the reduced kernel's populations and squared
-    coherences are that close to the form alpha I + beta J (``_certificate``).
+    permutation orbit when a channel on the dense kernel has a defect of at
+    most PERMUTATION_COVARIANT_TOL, and one on the reduced kernel has its
+    populations and squared coherences that close to the form
+    alpha I + beta J (:func:`_orbit_covariant`).
     """
     if not ch.is_square:
         raise DimensionMismatchError(f"need a square channel, got {ch!r}")
-    return _transposition_defect(_unit_images(ch))
+    return float(_transposition_defect(_unit_images(ch)))
 
 
-@functools.lru_cache(maxsize=1)
-def _kernel_form(ch: QuantumChannel):
-    """``(phi, parts)`` of a square channel: the kernel rule of
-    ``_certificate``, for ``snac_lattice_minimum`` and its budget.
+def _kernel_parts(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel rule of the two-local certificate, for each square channel
+    on the leading axes of its unit images ``phi`` (``_unit_images``).
 
-    ``phi`` is ``_unit_images(ch)``. ``parts`` holds the populations and
-    squared coherences of the reduced kernel when the phase-covariant defect
-    is at most PHASE_COVARIANT_TOL, else None (the dense kernel). Kept for
-    the last channel asked, whose Kraus stack is owned and read-only, so that
-    the budget, the lattice rows and the kernel of one channel's study (a
-    given channel, or a family p that ``_family_minima`` hands back to the
-    per-channel path) read one decision. The family's stacked path applies
-    the same rule to its own parts and does not come here.
+    Returns the populations D, the squared coherences c^2 (0 on the
+    diagonal) and whether the channel takes the reduced kernel: whether
+    every entry of every Φ(|j><l|) outside the phase-covariant pattern (see
+    :func:`two_local_output`) is at most PHASE_COVARIANT_TOL = δ
+    (``_pattern_parts``). Then each lattice row costs at most one d x d
+    eigensolve plus d^2 - d diagonal entries (:func:`_reduced_min_eigs`),
+    formed from the O(d^4) entries of the Φ(|j><l|) only. Dropping the
+    off-pattern entries moves each Φ(|j><l|) by at most dδ in operator norm,
+    the two-local output by at most d^2 δ (2 + dδ) and, since
+    ||id ⊗ Lambda_k|| <= d + k, its image by (d + 1) d^2 δ (2 + dδ). By
+    Weyl's inequality that bounds the change of the minimum eigenvalue:
+    4.8e-11 at d = 13, far below EVIDENCE_TOL. Every other channel takes the
+    dense kernel (:func:`_certificate`).
     """
-    phi = _unit_images(ch)
-    phi.flags.writeable = False
     populations, coherences, defect = _pattern_parts(phi)
-    if defect > PHASE_COVARIANT_TOL:
-        return phi, None
-    return phi, (populations, coherences * coherences)
+    return populations, coherences * coherences, defect <= PHASE_COVARIANT_TOL
 
 
-def _permutation_covariant(ch: QuantumChannel) -> bool:
-    """Whether what the channel's kernel reads is permutation-covariant within
-    PERMUTATION_COVARIANT_TOL (see :func:`_certificate`)."""
-    phi, parts = _kernel_form(ch)
-    defect = _transposition_defect(phi) if parts is None else _spread(np.stack(parts)).max()
+def _orbit_covariant(phi: np.ndarray, populations: np.ndarray, squares: np.ndarray,
+                     reduced: np.ndarray) -> np.ndarray:
+    """Whether a study may evaluate one lattice row per permutation orbit,
+    for each channel of ``_kernel_parts(phi)`` = (populations, squares,
+    reduced): whether what its kernel reads is permutation-covariant within
+    PERMUTATION_COVARIANT_TOL = ε.
+
+    For a covariant channel psi_{πq} = (P ⊗ P) psi_q conjugates the output
+    by P ⊗ P, which Lambda_k commutes with, so every row of one permutation
+    orbit has the same value. Reduced kernel: the populations D and the
+    squared coherences c^2 must each be within ε of the form
+    alpha I + beta J, entrywise (O(d^2) work). Replacing them by that exact
+    form moves each X_ab by at most 2ε, each diagonal entry by 2(d + 1)ε and
+    the block by (2d + 3)ε in operator norm, so orbit members' values differ
+    by at most 2(2d + 3)ε: 5.8e-13 at d = 13. Dense kernel: the defect of
+    ``permutation_covariant_defect``, read off ``phi``, must be at most ε.
+    A permutation is a product of at most d(d - 1)/2 adjacent
+    transpositions, so each Φ(|j><l|) of the permuted channel is within
+    η = d(d - 1)ε/2 entrywise, and orbit members' values differ by at most
+    (d + 1) d^2 η (2 + dη), the bound of ``_kernel_parts``: 9.6e-12 at d = 4
+    and 3.7e-9 at d = 13. The named families sit at rounding, 1.6e-15 or
+    below.
+    """
+    defect = np.maximum(_spread(populations), _spread(squares))
+    if not np.all(reduced):
+        defect = np.where(reduced, defect, _transposition_defect(phi))
     return defect <= PERMUTATION_COVARIANT_TOL
 
 
@@ -562,20 +586,23 @@ def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarra
     neither is the minimum nor ties with it, and ``_first_minimum`` picks the
     row and value the full eigensolve gives. The minimum of a study's rows
     is at most that of one call's, so the rule holds call by call, for the
-    CHUNK_BYTES and FAMILY_SOLVE_BYTES chunks too. A NaN bound fails the
-    test and its row is solved, and so is a single row (its L <= U).
+    CHUNK_BYTES chunks of ``_reduced_minima`` too. A NaN bound fails the
+    test and its row is solved. A single row (``snac_min_eig``) has L <= U,
+    so it is solved without forming the bounds.
     """
     on_block, off_block = _reduced_diagonal(populations, q, k)
     d = q.shape[-1]
     idx = np.arange(d)
     amp = np.sqrt(q)
-    # |M_ab| / k sqrt(q_a q_b): the larger of |c_ab^2| and |c_ba^2|, for either triangle
-    magnitudes = np.abs(squares)
-    magnitudes = np.maximum(magnitudes, magnitudes.swapaxes(-1, -2))
-    lower = np.minimum((on_block - k * amp * (amp @ magnitudes)).min(axis=-1), off_block)
-    upper = np.minimum(on_block.min(axis=-1), off_block)
-    solved = np.flatnonzero(~(lower - PRUNE_TOL > upper.min(axis=-1, keepdims=True) + TIE_TOL))
-    del magnitudes, upper
+    lower, solved = off_block, np.arange(off_block.size)
+    if len(q) > 1:
+        # |M_ab| / k sqrt(q_a q_b): the larger of |c_ab^2| and |c_ba^2|, for either triangle
+        magnitudes = np.abs(squares)
+        magnitudes = np.maximum(magnitudes, magnitudes.swapaxes(-1, -2))
+        lower = np.minimum((on_block - k * amp * (amp @ magnitudes)).min(axis=-1), off_block)
+        upper = np.minimum(on_block.min(axis=-1), off_block)
+        solved = np.flatnonzero(~(lower - PRUNE_TOL > upper.min(axis=-1, keepdims=True) + TIE_TOL))
+        del magnitudes, upper
     kept = amp[solved % len(q)]
     weights = -k * kept[:, :, None] * kept[:, None, :]
     del kept
@@ -643,52 +670,17 @@ def _check_strength(k: float) -> None:
         raise ValueError(f"k={k} outside (0, 1]")
 
 
-def _certificate(ch: QuantumChannel, k: float):
-    """The two-local certificate of a square channel at each row of q.
-
-    Returns the size of the matrices diagonalized per row and the function
-    q -> min eig of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), one value per
-    row of a (points, d) array. The kernel is decided by ``_kernel_form``,
-    once per channel; ``_family_parts`` applies the same rule, with the
-    same tolerances, to each p of the depolarizing family. When every
-    entry of every Φ(|j><l|) outside the phase-covariant pattern (see
-    :func:`two_local_output`) is at most PHASE_COVARIANT_TOL = δ, each row
-    costs at most one d x d eigensolve plus d^2 - d diagonal entries
-    (:func:`_reduced_min_eigs`), formed from the O(d^4) entries of the
-    Φ(|j><l|) only. Dropping the off-pattern entries moves each Φ(|j><l|)
-    by at most dδ in operator norm, the two-local output by at most
-    d^2 δ (2 + dδ) and, since
-    ||id ⊗ Lambda_k|| <= d + k, its image by (d + 1) d^2 δ (2 + dδ). By
-    Weyl's inequality that bounds the change of the minimum eigenvalue:
-    4.8e-11 at d = 13, far below EVIDENCE_TOL. Every other channel takes
-    the dense kernel, a stacked d^2 x d^2 eigensolve per row, whose
-    d^6-entry pair tensor (``_pair_tensor``) is built once here.
-
-    Permutation covariance (``_permutation_covariant``, asked once per
-    channel by the studies) is read off what the kernel reads, with
-    PERMUTATION_COVARIANT_TOL = ε. For a covariant channel psi_{πq} =
-    (P ⊗ P) psi_q conjugates the output by P ⊗ P, which Lambda_k commutes
-    with, so every row of one permutation orbit has the same value.
-    Reduced kernel: the populations D and the squared coherences c^2 must
-    each be within ε of the form alpha I + beta J, entrywise (O(d^2) work).
-    Replacing them by that exact form moves each X_ab by at most 2ε, each
-    diagonal entry by 2(d + 1)ε and the block by (2d + 3)ε in operator
-    norm, so orbit members' values differ by at most 2(2d + 3)ε: 5.8e-13
-    at d = 13. Dense kernel: ``permutation_covariant_defect`` must be at
-    most ε. A permutation is a product of at most d(d - 1)/2 adjacent
-    transpositions, so each Φ(|j><l|) of the permuted channel is within
-    η = d(d - 1)ε/2 entrywise, and orbit members' values differ by at most
-    (d + 1) d^2 η (2 + dη), the bound above: 9.6e-12 at d = 4 and 3.7e-9
-    at d = 13. The named families sit at rounding, 1.6e-15 or below.
+def _certificate(phi: np.ndarray, k: float):
+    """The dense two-local kernel of a square channel with unit images
+    ``phi``: q -> min eig of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), one
+    value per row of a (points, d) array, from a stacked d^2 x d^2
+    eigensolve per row, whose d^6-entry pair tensor (``_pair_tensor``) is
+    built once here. A channel that meets the phase-covariant rule takes the
+    reduced kernel instead (:func:`_kernel_parts`).
     """
-    _check_strength(k)
-    d = ch.d_in
-    phi, parts = _kernel_form(ch)
-    if parts is not None:
-        populations, squares = parts
-        return d, lambda q: _reduced_min_eigs(populations, squares, q, k)
+    d = phi.shape[0]
     pair = _pair_tensor(phi)
-    return d * d, lambda q: np.linalg.eigvalsh(
+    return lambda q: np.linalg.eigvalsh(
         _id_lambda_matrix(_two_local_array(pair, q), d, d, k))[:, 0]
 
 
@@ -696,11 +688,17 @@ def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
     """The certificate ``snac_lattice_minimum`` minimizes, at one q.
 
     Minimum eigenvalue of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), where
-    |psi_q> = sum_j sqrt(q_j) |jj> and Φ meets ``_check_square`` at len(q).
+    |psi_q> = sum_j sqrt(q_j) |jj> and Φ meets ``_check_square`` at len(q),
+    on the kernel that ``_kernel_parts`` decides.
     """
     q = _as_simplex(q)
     _check_square(ch, q.size)
-    return float(_certificate(ch, k)[1](q[None])[0])
+    _check_strength(k)
+    phi = _unit_images(ch)
+    populations, squares, reduced = _kernel_parts(phi)
+    if reduced:
+        return float(_reduced_min_eigs(populations, squares, q[None], k)[0])
+    return float(_certificate(phi, k)(q[None])[0])
 
 
 def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
@@ -713,32 +711,40 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     With no ``lattice`` the rows are ``simplex_lattice(n_subdiv, d)``, of
     which only the nondecreasing ones, the first row of each permutation
     orbit, are built (:func:`_orbit_rows`) and evaluated when the channel is
-    permutation-covariant (:func:`_certificate`): every row of an orbit has
-    the same value up to the drift bounded there, rounding for the named
-    families, so the point reported is the first row of its orbit. The full
-    lattice is built only for any other channel. ``lattice``, when given,
-    is ``simplex_lattice(n_subdiv, d)`` or rows of it, and every row given
-    is evaluated; other rows raise ValueError. The certificate
-    (:func:`snac_min_eig`) runs on the channel's kernel in chunks of
-    CHUNK_BYTES. ``ch`` meets ``_check_square`` at its own dimension.
+    permutation-covariant (:func:`_orbit_covariant`): every row of an orbit
+    has the same value up to the drift bounded there, rounding for the
+    named families, so the point reported is the first row of its orbit.
+    The full lattice is built only for any other channel. ``lattice``, when
+    given, is ``simplex_lattice(n_subdiv, d)`` or rows of it, and every row
+    given is evaluated; other rows raise ValueError. The certificate
+    (:func:`snac_min_eig`) runs on the kernel ``_kernel_parts`` decides, in
+    row chunks of CHUNK_BYTES; the reduced one through ``_reduced_minima``,
+    as for the family's p grid. ``ch`` meets ``_check_square`` at its own
+    dimension.
     """
     _check_square(ch, ch.d_in)
+    d = ch.d_in
     given = lattice is not None
     if not given:
-        check_lattice_size(n_subdiv, ch.d_in)
-    elif lattice.dtype.kind not in "iu" or lattice.shape[1:] != (ch.d_in,) or not len(lattice):
+        check_lattice_size(n_subdiv, d)
+    elif lattice.dtype.kind not in "iu" or lattice.shape[1:] != (d,) or not len(lattice):
         raise ValueError(f"a lattice of {lattice.dtype} and shape {lattice.shape} is not an "
-                         f"integer (points >= 1, d={ch.d_in}) array")
+                         f"integer (points >= 1, d={d}) array")
     elif lattice.min() < 0 or np.any(lattice.sum(axis=1) != n_subdiv):
         raise ValueError(f"lattice rows must be nonnegative and sum to n_subdiv={n_subdiv}")
-    size, certificate = _certificate(ch, k)
+    _check_strength(k)
+    phi = _unit_images(ch)
+    populations, squares, reduced = parts = _kernel_parts(phi)
     if not given:
-        lattice = (_orbit_rows if _permutation_covariant(ch) else simplex_lattice)(
-            n_subdiv, ch.d_in)
-    rows = max(1, CHUNK_BYTES // (16 * size ** 2))
-    vals = np.concatenate([certificate(lattice[i:i + rows] / n_subdiv)
-                           for i in range(0, len(lattice), rows)])
-    return _first_minimum(lattice, n_subdiv, vals)
+        lattice = (_orbit_rows if _orbit_covariant(phi, *parts) else simplex_lattice)(
+            n_subdiv, d)
+    if reduced:
+        return _reduced_minima(populations[None], squares[None], np.arange(1), k, n_subdiv,
+                               lattice, 1)[0]
+    certificate = _certificate(phi, k)
+    rows = max(1, CHUNK_BYTES // (16 * d ** 4))
+    return _first_minimum(lattice, n_subdiv, np.concatenate([
+        certificate(lattice[i:i + rows] / n_subdiv) for i in range(0, len(lattice), rows)]))
 
 
 def _first_minimum(lattice: np.ndarray, n_subdiv: int, vals: np.ndarray
@@ -759,20 +765,27 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     reports them. A given channel, square of dimension d, is minimized once
     by ``snac_lattice_minimum`` and its minimum recorded at every p. With no
     ``channel`` the d-dimensional depolarizing family is minimized at every
-    p from stacked reduced kernels (:func:`_family_minima`) over the
-    nondecreasing lattice rows (:func:`_orbit_rows`), built once for the
-    whole grid and never from the full lattice, with the values, points and
-    errors of ``snac_lattice_minimum(depolarizing(d, p), ...)``, which
-    minimizes any p beyond the covariance tolerances. Studies over the
-    grid, lattice or eigensolver-work budgets
-    (``check_snac_size``) raise BudgetError.
+    p by the minimizer of ``snac_lattice_minimum`` (:func:`_reduced_minima`,
+    FAMILY_SOLVE_BYTES of rows a call) on its stacked parts
+    (:func:`_family_parts`) and the orbit rows (:func:`_orbit_rows`), built
+    once for the grid, with the values, points and errors of
+    ``snac_lattice_minimum(depolarizing(d, p), ...)``, which minimizes any p
+    beyond the covariance tolerances. The checks run in the order of the
+    first p: d, p and the stack budget, trace preservation, then k. Studies
+    over the grid, lattice or eigensolver-work budgets (``check_snac_size``)
+    raise BudgetError.
     """
     check_snac_size(d, p_grid, q_grid, channel)
     params = np.linspace(0.0, 1.0, p_grid)
     if channel is None:
-        found = _family_minima(d, k, params, q_grid, _orbit_rows(q_grid, d))
-        minima = [at or snac_lattice_minimum(depolarizing(d, float(p)), k, q_grid)
-                  for at, p in zip(found, params)]
+        populations, squares, stacked = _family_parts(d, params)
+        _check_strength(k)
+        orbits = _orbit_rows(q_grid, d)
+        per = max(1, FAMILY_SOLVE_BYTES // ((24 * d * d + 8 * d + 24) * len(orbits)))
+        found = iter(_reduced_minima(populations, squares, np.flatnonzero(stacked), k, q_grid,
+                                     orbits, per))
+        minima = [next(found) if s else snac_lattice_minimum(depolarizing(d, p), k, q_grid)
+                  for s, p in zip(stacked.tolist(), params.tolist())]
     else:
         minima = [snac_lattice_minimum(channel, k, q_grid)] * p_grid
 
@@ -784,70 +797,50 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
 
 
 def _family_parts(d: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reduced kernel's inputs of depolarizing(d, p) at every p of
-    ``params``: populations, squared coherences, and whether the channel
-    takes the reduced kernel on its orbit rows (phase-covariant defect and
-    permutation spread within tolerance, :func:`_certificate`).
+    """``_kernel_parts`` of depolarizing(d, p) at every p of ``params``, the
+    third part being whether the p takes the stacked reduced kernel on its
+    orbit rows (:func:`_orbit_covariant` too).
 
-    The weights, the basis and the trace-preservation check are those of
-    ``depolarizing`` (``_family_point``), for a p-chunk at once. The Kraus
-    stacks w·B and their unit images are formed per chunk, each the zgemm
-    ``_unit_images`` runs for one channel, so every value equals the
+    The weights, basis and trace-preservation check are those of
+    ``depolarizing`` (``_family_point``) and the unit images those of
+    ``_unit_images``, for a p-chunk at once, so every value equals the
     per-channel one bit for bit. At most four d^4-entry complex arrays per
     p are alive at once (the stack, its conjugate and the unit images, or
     the unit images and two gathered copies), so a chunk holds
-    GRID_CHUNK_BYTES // (64 d^4) values of p, or one.
+    GRID_CHUNK_BYTES // (64 d^4) values of p, or one; its parts go straight
+    into the outputs.
     """
     populations = np.empty((len(params), d, d))
     squares = np.empty((len(params), d, d), dtype=complex)
-    reduced = np.empty(len(params), dtype=bool)
+    stacked = np.empty(len(params), dtype=bool)
     per = max(1, GRID_CHUNK_BYTES // (64 * d**4))
     for i in range(0, len(params), per):
         w, basis, _ = _family_point("depolarizing", d, params[i:i + per])
-        flat = w[:, :, None] * basis.stack.reshape(d * d, d * d)
-        images = flat.swapaxes(1, 2) @ flat.conj()
-        del flat  # freed before _pattern_parts gathers its copies
-        pops, coherences, defect = _pattern_parts(
-            images.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3))
-        populations[i:i + per], squares[i:i + per] = pops, coherences * coherences
-        spread = np.maximum(_spread(pops), _spread(squares[i:i + per]))
-        reduced[i:i + per] = ((defect <= PHASE_COVARIANT_TOL)
-                              & (spread <= PERMUTATION_COVARIANT_TOL))
-    return populations, squares, reduced
+        phi = _unit_images(w[:, :, None, None] * basis.stack)
+        parts = _kernel_parts(phi)
+        populations[i:i + per], squares[i:i + per], reduced = parts
+        stacked[i:i + per] = reduced & _orbit_covariant(phi, *parts)
+    return populations, squares, stacked
 
 
-def _family_minima(d: int, k: float, params: np.ndarray, n_subdiv: int,
-                   orbits: np.ndarray) -> list[tuple[tuple[Fraction, ...], float] | None]:
-    """``snac_lattice_minimum(depolarizing(d, p), k, n_subdiv)`` at every p
-    of ``params``, bit for bit, evaluating only the orbit rows; None at a p
-    left to the per-channel path.
-
-    Every p whose parts (``_family_parts``) take the reduced kernel on the
-    orbit rows is evaluated by :func:`_reduced_min_eigs` with a leading p
-    axis: one call, and at most one stacked eigensolve, per chunk of whole p
-    whose rows fit in FAMILY_SOLVE_BYTES, or of one p. A p whose
-    rows exceed CHUNK_BYTES of blocks is cut into the row chunks
-    ``snac_lattice_minimum`` takes, so every product and block is the one
-    it would form. The point is chosen by the same tie rule
-    (``_first_minimum``). Any other p, which the named family reaches
-    only beyond its measured rounding, gets None: ``snac_sweep`` minimizes
-    its channel under the kernel rule of ``_certificate``. The checks run
-    in the order of the first p: d, p and the stack budget, trace
-    preservation, then k.
+def _reduced_minima(populations: np.ndarray, squares: np.ndarray, at: np.ndarray, k: float,
+                    n_subdiv: int, lattice: np.ndarray, per: int
+                    ) -> list[tuple[tuple[Fraction, ...], float]]:
+    """The tie rule's point and value (``_first_minimum``) of the reduced
+    kernel over the rows of ``lattice``, for each channel ``at`` on the
+    leading axis of ``populations`` and ``squares``: :func:`_reduced_min_eigs`
+    takes ``per`` channels a call, gathered per call, and each one's rows in
+    chunks of CHUNK_BYTES of blocks. Each point and value is the one a call
+    per channel gives.
     """
-    populations, squares, reduced = _family_parts(d, params)
-    _check_strength(k)
-    rows = max(1, CHUNK_BYTES // (16 * d * d))
-    per = max(1, FAMILY_SOLVE_BYTES // ((24 * d * d + 8 * d + 24) * len(orbits)))
-    stacked = np.flatnonzero(reduced)
-    minima = [None] * len(params)
-    for i in range(0, len(stacked), per):
-        at = stacked[i:i + per]
-        values = np.concatenate([_reduced_min_eigs(populations[at], squares[at],
-                                                   orbits[j:j + rows] / n_subdiv, k)
-                                 for j in range(0, len(orbits), rows)], axis=-1)
-        for n, vals in zip(at.tolist(), values):
-            minima[n] = _first_minimum(orbits, n_subdiv, vals)
+    rows = max(1, CHUNK_BYTES // (16 * lattice.shape[1] ** 2))
+    minima = []
+    for i in range(0, len(at), per):
+        chunk = at[i:i + per]
+        values = np.concatenate([_reduced_min_eigs(populations[chunk], squares[chunk],
+                                                   lattice[j:j + rows] / n_subdiv, k)
+                                 for j in range(0, len(lattice), rows)], axis=-1)
+        minima += [_first_minimum(lattice, n_subdiv, vals) for vals in values]
     return minima
 
 

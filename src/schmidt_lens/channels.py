@@ -193,14 +193,19 @@ def _choi_array(ch: QuantumChannel) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
-def _unit_images(ch: QuantumChannel) -> np.ndarray:
-    """Φ(|j><l|) for every matrix unit, indexed [j, l, o, p] (o, p the output).
+def _unit_images(kraus) -> np.ndarray:
+    """Φ(|j><l|) for every matrix unit, indexed [..., j, l, o, p] (o, p the output).
 
-    Entry sum_a K_a[o, j] conj(K_a[p, l]), as one matrix product over a.
+    ``kraus`` is a channel or a Kraus stack (..., n, d_out, d_in) with one
+    channel per leading index, which the images keep. Entry
+    sum_a K_a[o, j] conj(K_a[p, l]), as one matrix product over a per channel.
     """
-    d_out, d_in = ch.d_out, ch.d_in
-    flat = ch._stack.reshape(len(ch), -1)
-    return (flat.T @ flat.conj()).reshape(d_out, d_in, d_out, d_in).transpose(1, 3, 0, 2)
+    stack = kraus._stack if isinstance(kraus, QuantumChannel) else kraus
+    *lead, n, d_out, d_in = stack.shape
+    flat = stack.reshape(*lead, n, d_out * d_in)
+    images = (flat.swapaxes(-1, -2) @ flat.conj()).reshape(*lead, d_out, d_in, d_out, d_in)
+    m = len(lead)
+    return images.transpose(*range(m), m + 1, m + 3, m, m + 2)  # o, j, p, l -> j, l, o, p
 
 
 def choi(ch: QuantumChannel) -> ChoiMatrix:

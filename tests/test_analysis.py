@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -761,6 +763,21 @@ class TestPhaseCovariantKernel:
         with pytest.raises(DimensionMismatchError):
             snac_sweep(4, 0.5, 2, 2, channel=random_channel(3, 4, seed=7))
 
+    @pytest.mark.parametrize("build", [lambda: depolarizing(3, 0.6),
+                                       lambda: random_channel(3, 4, seed=7)],
+                             ids=["reduced", "dense"])
+    def test_no_study_keeps_its_channel_alive(self, build):
+        # nothing is cached on a channel: once the caller drops it, it is freed
+        ch = build()
+        analysis.check_snac_size(3, 2, 4, ch)
+        snac_sweep(3, 0.5, p_grid=2, q_grid=4, channel=ch)
+        snac_lattice_minimum(ch, 0.5, 4)
+        snac_min_eig(ch, [0.2, 0.3, 0.5], 0.5)
+        ref = weakref.ref(ch)
+        del ch
+        gc.collect()
+        assert ref() is None
+
 
 def _reduced_calls(monkeypatch):
     """Count the rows the reduced kernel receives from here on."""
@@ -780,6 +797,12 @@ def _werner_holevo_mix(d: int, t: float) -> QuantumChannel:
         k[i, j], k[j, i] = 1.0, -1.0
         kraus.append(np.sqrt(t / (d - 1)) * k)
     return QuantumChannel(kraus)
+
+
+def _orbit_covariant(ch: QuantumChannel) -> bool:
+    """Whether the studies evaluate one lattice row per permutation orbit of ``ch``."""
+    phi = _unit_images(ch)
+    return bool(analysis._orbit_covariant(phi, *analysis._kernel_parts(phi)))
 
 
 class TestPermutationOrbits:
@@ -903,8 +926,8 @@ class TestPermutationOrbits:
             for p in np.linspace(0.0, 1.0, 11):
                 assert analysis.permutation_covariant_defect(depolarizing(d, p)) <= 1e-15
                 assert analysis.permutation_covariant_defect(dephasing(d, p)) == 0.0
-                assert analysis._permutation_covariant(depolarizing(d, p))
-                assert analysis._permutation_covariant(dephasing(d, p))
+                assert _orbit_covariant(depolarizing(d, p))
+                assert _orbit_covariant(dephasing(d, p))
 
     def test_rejects_a_non_square_channel(self):
         with pytest.raises(DimensionMismatchError):
@@ -994,6 +1017,13 @@ class TestStackedFamilyStudy:
             snac_lattice_minimum(depolarizing(3, 0.0), 2.0, 2)
 
 
+def _reduced_parts(ch: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The populations and squared coherences of a channel on the reduced kernel."""
+    populations, squares, reduced = analysis._kernel_parts(_unit_images(ch))
+    assert reduced
+    return populations, squares
+
+
 def _full_reduced_min_eigs(populations, squares, q, k):
     """The reduced-kernel certificate with every block solved, in one stack."""
     on_block, off_block = analysis._reduced_diagonal(populations, q, k)
@@ -1021,7 +1051,7 @@ class TestPrunedEigensolves:
     def _reference(ch, k, n):
         """snac_lattice_minimum's answer from the full eigensolve of every
         orbit row, in its CHUNK_BYTES row chunks (X is a product per chunk)."""
-        populations, squares = analysis._kernel_form(ch)[1]
+        populations, squares = _reduced_parts(ch)
         rows = analysis._orbit_rows(n, ch.d_in)
         per = max(1, analysis.CHUNK_BYTES // (16 * ch.d_in ** 2))
         return analysis._first_minimum(rows, n, np.concatenate([
@@ -1052,7 +1082,7 @@ class TestPrunedEigensolves:
                 got = snac_lattice_minimum(ch, k, n)
                 want = self._reference(ch, k, n)
                 assert got == want and repr(got[1]) == repr(want[1]), (p, k)
-                skipped += self._check_rows(*analysis._kernel_form(ch)[1], rows / n, k)
+                skipped += self._check_rows(*_reduced_parts(ch), rows / n, k)
         assert skipped > 0 or d >= 9  # few orbit rows there, and nothing to skip
 
     @pytest.mark.parametrize("d", sorted(Q_GRID))
@@ -1089,7 +1119,7 @@ class TestPrunedEigensolves:
         # the completely depolarizing channel: every lattice row has one value
         for d, n in ((3, 30), (5, 10), (13, 3)):
             rows = analysis._orbit_rows(n, d)
-            populations, squares = analysis._kernel_form(depolarizing(d, 0.0))[1]
+            populations, squares = _reduced_parts(depolarizing(d, 0.0))
             for k in (1 / d, 1 / 2, 1.0):
                 full = _full_reduced_min_eigs(populations, squares, rows / n, k)
                 assert np.all(full <= full.min() + analysis.TIE_TOL)
@@ -1101,7 +1131,7 @@ class TestPrunedEigensolves:
 
     def test_a_single_row_is_always_solved(self, monkeypatch):
         ch = depolarizing(3, 0.7)
-        populations, squares = analysis._kernel_form(ch)[1]
+        populations, squares = _reduced_parts(ch)
         points = ([1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [1 / 3] * 3)
         want = [float(_full_reduced_min_eigs(populations, squares, np.array([q]), 0.5)[0])
                 for q in points]
@@ -1112,7 +1142,7 @@ class TestPrunedEigensolves:
     def test_a_nan_bound_sends_its_row_to_the_solver(self, monkeypatch):
         # a NaN coherence makes the bounds NaN: no row is skipped, and the
         # eigensolve fails as the full one does
-        populations, squares = analysis._kernel_form(depolarizing(3, 0.5))[1]
+        populations, squares = _reduced_parts(depolarizing(3, 0.5))
         squares = squares.copy()
         squares[1, 0] = squares[0, 1] = np.nan
         q = analysis._orbit_rows(6, 3) / 6
