@@ -136,33 +136,29 @@ def _ordered_map(fn, items):
     return [fn(x) for x in items]
 
 
-def _witness_curve(family: str, d: int, r: int, channel: QuantumChannel | None = None):
-    """p -> Tr(W C_Φ), the curve ``snbc_witness_sweep`` samples and
-    ``snbc_witness_threshold`` bisects; constant for a given ``channel``.
+def _witness_curve(family: str, d: int, r: int):
+    """p -> Tr(W C_Φ) of the named family, the curve ``snbc_witness_sweep``
+    samples and ``snbc_witness_threshold`` bisects.
 
-    For a named family each point reads the Kraus traces off the family's
-    cached basis (``_family_kraus_traces``, with its TP check from the Gram
-    diagonals) and builds no channel; the values equal
-    ``channel_witness_value`` of the family's channel bit for bit. Its curve
-    also takes an array of p, whose traces it reads in one stacked call,
-    and returns a list of values, each summed by its own ``np.vdot``.
+    Each point reads the Kraus traces off the family's cached basis
+    (``_family_kraus_traces``, with its TP check from the Gram diagonals)
+    and builds no channel; the values equal ``channel_witness_value`` of
+    the family's channel bit for bit. The curve also takes an array of p,
+    whose traces it reads in one stacked call, and returns a list of
+    values, each summed by its own ``np.vdot``.
     """
     w = witness(d, r)
-    if channel is None:
-        if family not in FAMILIES:
-            raise UnknownFamilyError(f"unknown family {family!r}; "
-                                     f"expected one of {tuple(FAMILIES)}")
+    if family not in FAMILIES:
+        raise UnknownFamilyError(f"unknown family {family!r}; "
+                                 f"expected one of {tuple(FAMILIES)}")
 
-        def curve(p):
-            traces = _family_kraus_traces(family, d, p)
-            if traces.ndim == 1:
-                return _witness_from_traces(w, traces)
-            return [_witness_from_traces(w, row) for row in traces]
+    def curve(p):
+        traces = _family_kraus_traces(family, d, p)
+        if traces.ndim == 1:
+            return _witness_from_traces(w, traces)
+        return [_witness_from_traces(w, row) for row in traces]
 
-        return curve
-    _check_square(channel, d)
-    value = channel_witness_value(w, channel)
-    return lambda p: value
+    return curve
 
 
 def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
@@ -184,14 +180,16 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     if (family == "custom") != (channel is not None):
         raise UnknownFamilyError("the custom family needs a channel, and only it takes one")
     params = np.linspace(0.0, 1.0, grid)
-    curve = _witness_curve(family, d, r, channel)
     if channel is None:
+        curve = _witness_curve(family, d, r)
         # the traces and the Gram check of n Kraus operators take 24 n d bytes a p
         n = len(_KRAUS_FAMILIES[family][1](d).stack)
         per = max(1, GRID_CHUNK_BYTES // (24 * n * d))
         values = [v for i in range(0, grid, per) for v in curve(params[i:i + per])]
     else:
-        values = [curve(0.0)] * grid
+        w = witness(d, r)
+        _check_square(channel, d)
+        values = [channel_witness_value(w, channel)] * grid
 
     def record(point) -> SweepRecord:
         p, val = point
@@ -318,23 +316,34 @@ def check_lattice_size(n_subdiv: int, dims: int) -> int:
 def simplex_lattice(n_subdiv: int, dims: int) -> np.ndarray:
     """All integer compositions (n_0, ..., n_{dims-1}) with sum n_subdiv.
 
-    One integer array of shape (points, dims), rows in lexicographic
-    order; row (n_i) represents q_i = n_i / n_subdiv. Lattices above
-    MAX_LATTICE_POINTS raise BudgetError.
+    One int64 array of shape (points, dims), rows in lexicographic order
+    (:func:`_lattice_rows`); row (n_i) represents q_i = n_i / n_subdiv.
+    Lattices above MAX_LATTICE_POINTS raise BudgetError.
+    """
+    return _lattice_rows(n_subdiv, dims, False)
+
+
+def _lattice_rows(n_subdiv: int, dims: int, nondecreasing: bool) -> np.ndarray:
+    """The rows of ``simplex_lattice(n_subdiv, dims)``, in its lexicographic
+    order: all of them, or only the nondecreasing ones, the first row of each
+    permutation orbit (one per partition of n_subdiv into at most dims
+    parts). Refused (BudgetError) where the full lattice is.
     """
     check_lattice_size(n_subdiv, dims)
-    sums = np.arange(n_subdiv, -1, -1)
-    # tail: the compositions of every s = n_subdiv, ..., 0 into m parts, in
-    # blocks of descending s, each block lexicographic; m grows to dims - 1.
-    tail = sums[:, None]
-    for _ in range(dims - 2):
-        total = tail.sum(axis=1)
-        starts = np.searchsorted(-total, -sums)  # first row of each block
-        tail = np.concatenate([np.column_stack((s - total[i:], tail[i:]))
-                               for s, i in zip(sums.tolist(), starts.tolist())])
-    if dims == 1:
-        return tail[:1]
-    return np.column_stack((n_subdiv - tail.sum(axis=1), tail))
+    columns = []
+    last, rest = np.zeros(1, dtype=np.int64), np.full(1, n_subdiv, dtype=np.int64)
+    for slots in range(dims, 1, -1):
+        # each prefix takes every next entry from 0 up to rest, or, for the
+        # nondecreasing rows, from its last one up to rest // slots, so that
+        # the entries after it can be no smaller
+        low = last if nondecreasing else 0
+        counts = (rest // slots if nondecreasing else rest) - low + 1
+        last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
+        for i, column in enumerate(columns):  # one at a time: one old column outlives its copy
+            columns[i] = np.repeat(column, counts)
+        columns.append(last)
+        rest = np.repeat(rest, counts) - last
+    return np.column_stack((*columns, rest))
 
 
 def _as_simplex(q) -> np.ndarray:
@@ -517,26 +526,6 @@ def _orbit_covariant(phi: np.ndarray, populations: np.ndarray, squares: np.ndarr
     return defect <= PERMUTATION_COVARIANT_TOL
 
 
-def _orbit_rows(n_subdiv: int, dims: int) -> np.ndarray:
-    """The nondecreasing rows of ``simplex_lattice(n_subdiv, dims)``, in its
-    lexicographic order, built without it: the first row of each permutation
-    orbit, one per partition of n_subdiv into at most dims parts. Refused
-    (BudgetError) where that lattice is.
-    """
-    check_lattice_size(n_subdiv, dims)
-    rows = np.zeros((1, 0), dtype=np.int64)
-    low, rest = np.zeros(1, dtype=np.int64), np.array([n_subdiv])
-    for slots in range(dims, 1, -1):
-        # each prefix takes every next entry from its last one (low) up to
-        # rest // slots, so that the entries after it can be no smaller
-        counts = rest // slots - low + 1
-        prefix = np.repeat(np.arange(len(rows)), counts)
-        step = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts, counts)
-        low = low[prefix] + step
-        rows, rest = np.column_stack((rows[prefix], low)), rest[prefix] - low
-    return np.column_stack((rows, rest))
-
-
 def _reduced_diagonal(populations: np.ndarray, q: np.ndarray, k: float
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal entries of the reduced two-local certificate at each row
@@ -701,22 +690,19 @@ def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
     return float(_certificate(phi, k)(q[None])[0])
 
 
-def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
-                         lattice: np.ndarray | None = None
+def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int
                          ) -> tuple[tuple[Fraction, ...], float]:
     """Minimize the annihilation certificate over the simplex lattice.
 
     Returns, as exact fractions, the first lattice point in lexicographic
     order whose value is within TIE_TOL of the minimum, and that value.
-    With no ``lattice`` the rows are ``simplex_lattice(n_subdiv, d)``, of
-    which only the nondecreasing ones, the first row of each permutation
-    orbit, are built (:func:`_orbit_rows`) and evaluated when the channel is
+    The rows are ``simplex_lattice(n_subdiv, d)``, of which only the
+    nondecreasing ones, the first row of each permutation orbit, are built
+    (:func:`_lattice_rows`) and evaluated when the channel is
     permutation-covariant (:func:`_orbit_covariant`): every row of an orbit
     has the same value up to the drift bounded there, rounding for the
     named families, so the point reported is the first row of its orbit.
-    The full lattice is built only for any other channel. ``lattice``, when
-    given, is ``simplex_lattice(n_subdiv, d)`` or rows of it, and every row
-    given is evaluated; other rows raise ValueError. The certificate
+    The full lattice is built only for any other channel. The certificate
     (:func:`snac_min_eig`) runs on the kernel ``_kernel_parts`` decides, in
     row chunks of CHUNK_BYTES; the reduced one through ``_reduced_minima``,
     as for the family's p grid. ``ch`` meets ``_check_square`` at its own
@@ -724,20 +710,12 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int,
     """
     _check_square(ch, ch.d_in)
     d = ch.d_in
-    given = lattice is not None
-    if not given:
-        check_lattice_size(n_subdiv, d)
-    elif lattice.dtype.kind not in "iu" or lattice.shape[1:] != (d,) or not len(lattice):
-        raise ValueError(f"a lattice of {lattice.dtype} and shape {lattice.shape} is not an "
-                         f"integer (points >= 1, d={d}) array")
-    elif lattice.min() < 0 or np.any(lattice.sum(axis=1) != n_subdiv):
-        raise ValueError(f"lattice rows must be nonnegative and sum to n_subdiv={n_subdiv}")
+    check_lattice_size(n_subdiv, d)
     _check_strength(k)
     phi = _unit_images(ch)
     populations, squares, reduced = parts = _kernel_parts(phi)
-    if not given:
-        lattice = (_orbit_rows if _orbit_covariant(phi, *parts) else simplex_lattice)(
-            n_subdiv, d)
+    lattice = (_lattice_rows(n_subdiv, d, True) if _orbit_covariant(phi, *parts)
+               else simplex_lattice(n_subdiv, d))
     if reduced:
         return _reduced_minima(populations[None], squares[None], np.arange(1), k, n_subdiv,
                                lattice, 1)[0]
@@ -767,10 +745,10 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     ``channel`` the d-dimensional depolarizing family is minimized at every
     p by the minimizer of ``snac_lattice_minimum`` (:func:`_reduced_minima`,
     FAMILY_SOLVE_BYTES of rows a call) on its stacked parts
-    (:func:`_family_parts`) and the orbit rows (:func:`_orbit_rows`), built
-    once for the grid, with the values, points and errors of
-    ``snac_lattice_minimum(depolarizing(d, p), ...)``, which minimizes any p
-    beyond the covariance tolerances. The checks run in the order of the
+    (:func:`_family_parts`) and the orbit rows of ``snac_lattice_minimum``
+    (:func:`_lattice_rows`), built once for the grid, with the values,
+    points and errors of ``snac_lattice_minimum(depolarizing(d, p), ...)``,
+    which minimizes any p beyond the covariance tolerances. The checks run in the order of the
     first p: d, p and the stack budget, trace preservation, then k. Studies
     over the grid, lattice or eigensolver-work budgets (``check_snac_size``)
     raise BudgetError.
@@ -780,7 +758,7 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     if channel is None:
         populations, squares, stacked = _family_parts(d, params)
         _check_strength(k)
-        orbits = _orbit_rows(q_grid, d)
+        orbits = _lattice_rows(q_grid, d, True)
         per = max(1, FAMILY_SOLVE_BYTES // ((24 * d * d + 8 * d + 24) * len(orbits)))
         found = iter(_reduced_minima(populations, squares, np.flatnonzero(stacked), k, q_grid,
                                      orbits, per))

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -348,6 +349,75 @@ class TestSimplexLattice:
         assert pts == sorted(pts)
         assert all(sum(pt) == n for pt in pts)
 
+    # every (n, d) of the oracles: d <= 13, n <= 30, at most 2 * 10**4 lattice points
+    ORACLE = [(n, d) for d in range(1, 14) for n in range(1, 31)
+              if math.comb(n + d - 1, d - 1) <= 2 * 10**4]
+
+    @staticmethod
+    def _stars_and_bars(n, d):
+        """Every composition of n into d parts, one per placement of d - 1
+        bars among n + d - 1 slots (the parts are the gaps between them),
+        sorted."""
+        count = math.comb(n + d - 1, d - 1)
+        bars = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(n + d - 1), d - 1)), dtype=np.int64).reshape(count, d - 1)
+        edges = np.column_stack((np.full(count, -1), bars, np.full(count, n + d - 1)))
+        rows = np.diff(edges, axis=1) - 1
+        return rows[np.lexsort(rows.T[::-1])]
+
+    @staticmethod
+    @functools.cache
+    def _partitions(n, largest):
+        """The partitions of n into parts of at most ``largest``, each part
+        no larger than the one before it (recursive)."""
+        if n == 0:
+            return ((),)
+        return tuple((part, *rest) for part in range(min(n, largest), 0, -1)
+                     for rest in TestSimplexLattice._partitions(n - part, part))
+
+    def _orbit_oracle(self, n, d):
+        """The partitions of n into at most d parts, each written as a
+        nondecreasing row of d entries, sorted."""
+        rows = sorted([0] * (d - len(parts)) + list(reversed(parts))
+                      for parts in self._partitions(n, n) if len(parts) <= d)
+        return np.array(rows, dtype=np.int64)
+
+    def test_the_lattice_is_the_stars_and_bars_list(self):
+        for n, d in self.ORACLE:
+            pts = simplex_lattice(n, d)
+            assert pts.dtype == np.int64 and np.array_equal(pts, self._stars_and_bars(n, d)), (n, d)
+
+    def test_the_orbit_rows_are_the_partitions(self):
+        for n, d in self.ORACLE:
+            rows = analysis._lattice_rows(n, d, True)
+            assert rows.dtype == np.int64 and np.array_equal(rows, self._orbit_oracle(n, d)), (n, d)
+
+    def test_both_refuse_where_the_size_check_does(self, monkeypatch):
+        # at the oracles' size (the budget lowered to 2 * 10**4), and at the
+        # real budget's edge for d = 2, where every size fits in memory
+        builds = (simplex_lattice, lambda n, d: analysis._lattice_rows(n, d, True))
+        cases = [(n, d) for d in range(0, 14) for n in range(0, 31)]
+        with monkeypatch.context() as small:
+            small.setattr(analysis, "MAX_LATTICE_POINTS", 2 * 10**4)
+            self._check_refusals(cases, builds)
+        self._check_refusals([(10**6 - 1, 2), (10**6, 2)], builds)
+
+    @staticmethod
+    def _check_refusals(cases, builds):
+        refused = 0
+        for n, d in cases:
+            try:
+                check_lattice_size(n, d)
+            except BudgetError:
+                refused += 1
+                for build in builds:
+                    with pytest.raises(BudgetError):
+                        build(n, d)
+            else:
+                for build in builds:
+                    assert build(n, d).shape[1:] == (d,)
+        assert 0 < refused < len(cases)
+
 
 class TestTwoLocalOutput:
     def test_identity_channel_corner(self):
@@ -521,23 +591,6 @@ class TestSnacSweep:
         with pytest.raises(DimensionMismatchError):
             snac_min_eig(depolarizing(3, 0.5), np.full(4, 0.25), 0.5)
 
-    def test_rejects_a_lattice_that_does_not_match(self):
-        ch = random_channel(3, 4, 7)
-        bad = {
-            "sum to n_subdiv=3": simplex_lattice(5, 3),  # rows of another n_subdiv
-            "d=3": simplex_lattice(3, 4),  # width of another d
-            "negative": np.array([[-1, 2, 2], [1, 1, 1]]),
-            "integer": simplex_lattice(3, 3) * 1.0,
-        }
-        for message, lattice in bad.items():
-            with pytest.raises(ValueError, match=message):
-                snac_lattice_minimum(ch, 0.5, 3, lattice=lattice)
-        for lattice in (simplex_lattice(3, 3)[0], np.zeros((0, 3), dtype=int)):
-            with pytest.raises(ValueError, match="shape"):
-                snac_lattice_minimum(ch, 0.5, 3, lattice=lattice)
-        assert (snac_lattice_minimum(ch, 0.5, 3, lattice=simplex_lattice(3, 3))
-                == snac_lattice_minimum(ch, 0.5, 3))
-
     def test_lattice_budget(self):
         assert check_lattice_size(30, 3) == 496
         assert check_lattice_size(1, analysis.MAX_LATTICE_POINTS) == analysis.MAX_LATTICE_POINTS
@@ -555,6 +608,12 @@ class TestSnacSweep:
         # below p = 7/10 the minimum migrates to a simplex corner
         records = snac_sweep(3, 0.5, p_grid=2, q_grid=6, channel=depolarizing(3, 0.3))
         assert sorted(float(f) for f in records[0].q_star) == [0.0, 0.0, 1.0]
+
+
+def _given_rows(monkeypatch, rows):
+    """From here on, every study evaluates exactly the lattice rows ``rows``,
+    whichever rows it would pick itself."""
+    monkeypatch.setattr(analysis, "_lattice_rows", lambda n, dims, nondecreasing: rows)
 
 
 def _dense_calls(monkeypatch):
@@ -594,7 +653,9 @@ class TestPhaseCovariantKernel:
         dense = _dense_calls(monkeypatch)
         for pt in simplex_lattice(3, d):
             for k in (1 / 3, 1 / 2, 1.0):
-                row = snac_lattice_minimum(ch, k, 3, lattice=pt[None])[1]
+                with monkeypatch.context() as one_row:
+                    _given_rows(one_row, pt[None])
+                    row = snac_lattice_minimum(ch, k, 3)[1]
                 assert snac_min_eig(ch, pt / 3, k) == row, (pt, k)
         assert (dense == []) == (family != "random")
 
@@ -682,17 +743,20 @@ class TestPhaseCovariantKernel:
         # the family and a covariant channel build their orbit rows only,
         # any other channel the full lattice
         built = []
-        for name in ("simplex_lattice", "_orbit_rows"):
-            monkeypatch.setattr(analysis, name, lambda n, dims, name=name, fn=getattr(
-                analysis, name): built.append((name, n, dims)) or fn(n, dims))
+        rows, full = analysis._lattice_rows, analysis.simplex_lattice
+        monkeypatch.setattr(analysis, "_lattice_rows", lambda n, dims, nondecreasing: (
+            built.append(("_lattice_rows", n, dims, nondecreasing))
+            or rows(n, dims, nondecreasing)))
+        monkeypatch.setattr(analysis, "simplex_lattice", lambda n, dims: (
+            built.append(("simplex_lattice", n, dims)) or full(n, dims)))
         snac_sweep(3, 0.5, p_grid=4, q_grid=6)
-        assert built == [("_orbit_rows", 6, 3)]
+        assert built == [("_lattice_rows", 6, 3, True)]
         built.clear()
         snac_sweep(3, 0.5, p_grid=4, q_grid=6, channel=depolarizing(3, 0.8))
-        assert built == [("_orbit_rows", 6, 3)]
+        assert built == [("_lattice_rows", 6, 3, True)]
         built.clear()
         snac_sweep(3, 0.5, p_grid=4, q_grid=6, channel=random_channel(3, 4, seed=7))
-        assert built == [("simplex_lattice", 6, 3)]
+        assert built == [("simplex_lattice", 6, 3), ("_lattice_rows", 6, 3, False)]
 
     def test_fixed_channel_is_minimized_once(self, monkeypatch):
         # a channel file fixes one channel for every p
@@ -818,8 +882,10 @@ class TestPermutationOrbits:
         for p in (0.0, 0.2, 0.5, 0.7, 0.9, 1.0):
             ch = family(d, p)
             for k in (1 / 3, 1 / 2, 1.0):
-                assert snac_lattice_minimum(ch, k, n) == snac_lattice_minimum(
-                    ch, k, n, lattice=full), (p, k)
+                orbits = snac_lattice_minimum(ch, k, n)
+                with monkeypatch.context() as every_row:
+                    _given_rows(every_row, full)
+                    assert orbits == snac_lattice_minimum(ch, k, n), (p, k)
         orbit = int(np.sum(np.all(full[:, 1:] >= full[:, :-1], axis=1)))
         assert counts == [orbit, len(full)] * 18
 
@@ -837,13 +903,14 @@ class TestPermutationOrbits:
         assert counts == [91]
         counts.clear()
         snac_lattice_minimum(dephasing(3, 0.5), 0.5, 30)
-        snac_lattice_minimum(dephasing(3, 0.5), 0.5, 30, lattice=simplex_lattice(30, 3))
+        _given_rows(monkeypatch, simplex_lattice(30, 3))
+        snac_lattice_minimum(dephasing(3, 0.5), 0.5, 30)
         assert counts == [91, 496]
 
     def test_sorted_rows_are_the_first_of_each_orbit(self):
         for n, d in ((30, 3), (8, 4), (6, 5), (8, 9)):
             full = simplex_lattice(n, d)
-            rows = analysis._orbit_rows(n, d)
+            rows = analysis._lattice_rows(n, d, True)
             firsts = {}
             for row in full.tolist():
                 firsts.setdefault(tuple(sorted(row)), row)
@@ -855,11 +922,14 @@ class TestPermutationOrbits:
         assert analysis.phase_covariant_defect(ch) > 0.05  # t / (d - 1)
         assert analysis.permutation_covariant_defect(ch) <= 1e-15
         n = self.Q_GRID[d]
-        full = simplex_lattice(n, d)
+        full, orbits = simplex_lattice(n, d), analysis._lattice_rows(n, d, True)
         dense = _dense_calls(monkeypatch)
         for k in (1 / 3, 1 / 2, 1.0):
-            assert snac_lattice_minimum(ch, k, n) == snac_lattice_minimum(ch, k, n, lattice=full)
-        assert dense == [len(analysis._orbit_rows(n, d)), len(full)] * 3
+            orbit_minimum = snac_lattice_minimum(ch, k, n)
+            with monkeypatch.context() as every_row:
+                _given_rows(every_row, full)
+                assert orbit_minimum == snac_lattice_minimum(ch, k, n)
+        assert dense == [len(orbits), len(full)] * 3
 
     def test_a_random_channel_evaluates_every_row(self, monkeypatch):
         ch = random_channel(3, 4, seed=7)
@@ -903,9 +973,9 @@ class TestPermutationOrbits:
                 size = math.comb(n + d - 1, d - 1)
                 if size > analysis.MAX_LATTICE_POINTS:
                     with pytest.raises(BudgetError):
-                        analysis._orbit_rows(n, d)
+                        analysis._lattice_rows(n, d, True)
                     continue
-                rows = analysis._orbit_rows(n, d)
+                rows = analysis._lattice_rows(n, d, True)
                 assert rows.dtype == np.int64 and rows.shape == (partitions[d, n], d)
                 if size <= 10**5:
                     full = simplex_lattice(n, d)
@@ -918,7 +988,7 @@ class TestPermutationOrbits:
                     first = np.argmax(later != 0, axis=1)
                     assert np.all(later[np.arange(len(later)), first] > 0)
         with pytest.raises(BudgetError):
-            analysis._orbit_rows(0, 3)
+            analysis._lattice_rows(0, 3, True)
 
     def test_named_families_sit_well_inside_the_tolerance(self):
         # measured: at most 8.9e-16 for depolarizing (d <= 13), exactly 0 for dephasing
@@ -1052,7 +1122,7 @@ class TestPrunedEigensolves:
         """snac_lattice_minimum's answer from the full eigensolve of every
         orbit row, in its CHUNK_BYTES row chunks (X is a product per chunk)."""
         populations, squares = _reduced_parts(ch)
-        rows = analysis._orbit_rows(n, ch.d_in)
+        rows = analysis._lattice_rows(n, ch.d_in, True)
         per = max(1, analysis.CHUNK_BYTES // (16 * ch.d_in ** 2))
         return analysis._first_minimum(rows, n, np.concatenate([
             _full_reduced_min_eigs(populations, squares, rows[i:i + per] / n, k)
@@ -1074,7 +1144,7 @@ class TestPrunedEigensolves:
     @pytest.mark.parametrize("family", [depolarizing, dephasing])
     def test_each_channel_gives_the_full_eigensolve_result(self, d, family):
         n = self.Q_GRID[d]
-        rows = analysis._orbit_rows(n, d)
+        rows = analysis._lattice_rows(n, d, True)
         skipped = 0
         for p in self.P:
             ch = family(d, p)
@@ -1110,7 +1180,7 @@ class TestPrunedEigensolves:
         skipped = {}
         for d, n in ((3, 30), (4, 12), (9, 5), (13, 3)):
             populations, squares, _ = analysis._family_parts(d, np.linspace(0.0, 1.0, 21))
-            q = analysis._orbit_rows(n, d) / n
+            q = analysis._lattice_rows(n, d, True) / n
             skipped[d] = sum(self._check_rows(populations, squares, q, k)
                              for k in (1 / d, 1 / 3, 1 / 2, 1.0))
         assert skipped[3] > 0 and skipped[4] > 0
@@ -1118,7 +1188,7 @@ class TestPrunedEigensolves:
     def test_a_study_where_every_row_ties_keeps_the_first_row(self, monkeypatch):
         # the completely depolarizing channel: every lattice row has one value
         for d, n in ((3, 30), (5, 10), (13, 3)):
-            rows = analysis._orbit_rows(n, d)
+            rows = analysis._lattice_rows(n, d, True)
             populations, squares = _reduced_parts(depolarizing(d, 0.0))
             for k in (1 / d, 1 / 2, 1.0):
                 full = _full_reduced_min_eigs(populations, squares, rows / n, k)
@@ -1145,7 +1215,7 @@ class TestPrunedEigensolves:
         populations, squares = _reduced_parts(depolarizing(3, 0.5))
         squares = squares.copy()
         squares[1, 0] = squares[0, 1] = np.nan
-        q = analysis._orbit_rows(6, 3) / 6
+        q = analysis._lattice_rows(6, 3, True) / 6
         with pytest.raises(np.linalg.LinAlgError):
             _full_reduced_min_eigs(populations, squares, q, 0.5)
         solved = _solved_rows(monkeypatch)

@@ -13,15 +13,20 @@ and the d=9 family study (JSON), and channel-file studies of a covariant and
 a non-covariant channel at d=4. Three more family studies were written
 before the family's p grid was minimized in stacked kernels: d=13 (20 p),
 d=2 (JSON, k=1) and d=5 (300 p, q-grid 15), whose p grid spans several
-p-chunks and several eigensolves.
+p-chunks and several eigensolves. The channel-file study of the qutrit
+decay channel (amplitude damping, gamma = 0.3) was written before the full
+lattice and the orbit rows came from one generator; it is the pairing of
+the reduced kernel with the full lattice.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schmidt_lens import analysis, cli
 from schmidt_lens.channels import (
+    QuantumChannel,
     channel_to_json,
     depolarizing,
     identity_channel,
@@ -108,3 +113,28 @@ def test_snac_channel_file_csv_matches_golden(name, build, tmp_path):
                      "--channel-file", str(channel_file), "--output-path", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"snac_file_{name}_p11_q20.csv").read_bytes()
+
+
+def _amplitude_damping(d: int, gamma: float) -> QuantumChannel:
+    """K_0 = diag(1, sqrt(1 - gamma), ...) and K_j = sqrt(gamma)|j-1><j|."""
+    kraus = [np.diag([1.0] + [np.sqrt(1.0 - gamma)] * (d - 1))]
+    for j in range(1, d):
+        k = np.zeros((d, d))
+        k[j - 1, j] = np.sqrt(gamma)
+        kraus.append(k)
+    return QuantumChannel(kraus)
+
+
+def test_snac_reduced_kernel_on_the_full_lattice_matches_golden(tmp_path, monkeypatch):
+    # phase-covariant, so the reduced kernel; not permutation-covariant, so all 496 rows
+    channel_file = tmp_path / "amplitude_damping.json"
+    channel_file.write_text(channel_to_json(_amplitude_damping(3, 0.3)))
+    rows, reduced = [], analysis._reduced_min_eigs
+    monkeypatch.setattr(analysis, "_reduced_min_eigs", lambda pops, squares, q, k: (
+        rows.append(len(q)) or reduced(pops, squares, q, k)))
+    out = tmp_path / "snac.csv"
+    code = cli.main(["snac", "--d", "3", "--p-grid", "11", "--q-grid", "30",
+                     "--channel-file", str(channel_file), "--output-path", str(out)])
+    assert code == 0 and rows == [496]
+    assert out.read_bytes() == (
+        GOLDEN / "snac_file_amplitude_damping_3_0.3_p11_q30.csv").read_bytes()
