@@ -328,22 +328,37 @@ def _lattice_rows(n_subdiv: int, dims: int, nondecreasing: bool) -> np.ndarray:
     order: all of them, or only the nondecreasing ones, the first row of each
     permutation orbit (one per partition of n_subdiv into at most dims
     parts). Refused (BudgetError) where the full lattice is.
+
+    The rows grow one entry at a time from their prefixes: each prefix takes
+    every next entry from 0 up to what is left of n_subdiv, or, for the
+    nondecreasing rows, from its last entry up to the rest // slots, so that
+    the entries after it can be no smaller. A step writes its table in place:
+    each prefix's run of rows gets, in its first row, that row less the last
+    row of the run before it, in every other row the steps (0, ..., 0, 1, -1),
+    and one running sum down the rows gives the table. So a build peaks at
+    its result and the first rows of the runs of its last step.
     """
     check_lattice_size(n_subdiv, dims)
-    columns = []
-    last, rest = np.zeros(1, dtype=np.int64), np.full(1, n_subdiv, dtype=np.int64)
+    table = np.full((1, 1), n_subdiv, dtype=np.int64)  # a row per prefix: entries, then rest
     for slots in range(dims, 1, -1):
-        # each prefix takes every next entry from 0 up to rest, or, for the
-        # nondecreasing rows, from its last one up to rest // slots, so that
-        # the entries after it can be no smaller
-        low = last if nondecreasing else 0
+        k = table.shape[1] - 1
+        rest = table[:, k]
+        low = table[:, k - 1] if nondecreasing and k else 0
         counts = (rest // slots if nondecreasing else rest) - low + 1
-        last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
-        for i, column in enumerate(columns):  # one at a time: one old column outlives its copy
-            columns[i] = np.repeat(column, counts)
-        columns.append(last)
-        rest = np.repeat(rest, counts) - last
-    return np.column_stack((*columns, rest))
+        steps = np.zeros(k + 2, dtype=np.int64)
+        steps[k:] = 1, -1
+        jumps = np.empty((len(table), k + 2), dtype=np.int64)  # each run's first row
+        jumps[:, :k] = table[:, :k]
+        jumps[:, k] = low
+        jumps[:, k + 1] = rest - low
+        jumps[1:] -= jumps[:-1] + (counts[:-1, None] - 1) * steps  # less the last row before
+        ends = np.cumsum(counts)
+        del table, rest, low  # held in jumps now: freed before the next table is built
+        table = np.empty((int(ends[-1]), k + 2), dtype=np.int64)
+        table[...] = steps
+        table[ends - counts] = jumps
+        np.cumsum(table.T, axis=1, out=table.T)
+    return table
 
 
 def _as_simplex(q) -> np.ndarray:
@@ -364,26 +379,29 @@ def _check_square(ch: QuantumChannel, d: int) -> None:
 def _pair_tensor(phi: np.ndarray) -> np.ndarray:
     """Row jl holds Φ(|j><l|) ⊗ Φ(|j><l|), flattened: a (d_in^2, d_out^4) array.
 
-    ``phi`` is ``_unit_images(ch)``. The einsum writes into a C-ordered
-    array so that the reshape is a view, not a second copy of the d^6
-    tensor: the einsum's own result is not C-contiguous.
+    ``phi`` is ``_unit_images(ch)``, or a stack of them whose leading axes the
+    result keeps. The einsum writes into a C-ordered array so that the
+    reshape is a view, not a second copy of the d^6 tensor: the einsum's own
+    result is not C-contiguous.
     """
-    d_in, _, d_out, _ = phi.shape
-    pair = np.empty((d_in, d_in) + (d_out,) * 4, dtype=phi.dtype)
-    np.einsum("jlop,jlrs->jlorps", phi, phi, out=pair)
-    return pair.reshape(d_in * d_in, -1)
+    *lead, d_in, _, d_out, _ = phi.shape
+    pair = np.empty((*lead, d_in, d_in) + (d_out,) * 4, dtype=phi.dtype)
+    np.einsum("...jlop,...jlrs->...jlorps", phi, phi, out=pair)
+    return pair.reshape(*lead, d_in * d_in, -1)
 
 
 def _two_local_array(pair: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Unvalidated (Φ ⊗ Φ)|psi_q><psi_q| for each simplex point on q's last axis.
+    """Unvalidated (Φ ⊗ Φ)|psi_q><psi_q| for each simplex point on q's last
+    axis, or, for a stack of pair tensors, for each channel at one q.
 
     By linearity, sum_jl sqrt(q_j q_l) Φ(|j><l|) ⊗ Φ(|j><l|), with those
     products the rows of ``pair`` (``_pair_tensor``).
     """
     amp = np.sqrt(q)
     weights = np.einsum("...j,...l->...jl", amp, amp).reshape(*q.shape[:-1], -1)
-    n = math.isqrt(pair.shape[1])
-    return (weights @ pair).reshape(*q.shape[:-1], n, n)
+    out = weights @ pair
+    n = math.isqrt(pair.shape[-1])
+    return out.reshape(*out.shape[:-1], n, n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -683,11 +701,22 @@ def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
     q = _as_simplex(q)
     _check_square(ch, q.size)
     _check_strength(k)
-    phi = _unit_images(ch)
+    return float(_min_eigs(_unit_images(ch)[None], q, k)[0])
+
+
+def _min_eigs(phi: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
+    """``snac_min_eig`` at one q of each square channel on the leading axis of
+    its unit images ``phi``, with the bits of a call per channel: the
+    channels that take the reduced kernel in one stacked call
+    (:func:`_reduced_min_eigs`), any other on the dense one."""
     populations, squares, reduced = _kernel_parts(phi)
-    if reduced:
-        return float(_reduced_min_eigs(populations, squares, q[None], k)[0])
-    return float(_certificate(phi, k)(q[None])[0])
+    values = np.empty(len(phi))
+    if reduced.any():
+        values[reduced] = _reduced_min_eigs(populations[reduced], squares[reduced], q[None],
+                                            k)[:, 0]
+    for i in np.flatnonzero(~reduced):
+        values[i] = _certificate(phi[i], k)(q[None])[0]
+    return values
 
 
 def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int
@@ -793,12 +822,18 @@ def _family_parts(d: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     stacked = np.empty(len(params), dtype=bool)
     per = max(1, GRID_CHUNK_BYTES // (64 * d**4))
     for i in range(0, len(params), per):
-        w, basis, _ = _family_point("depolarizing", d, params[i:i + per])
-        phi = _unit_images(w[:, :, None, None] * basis.stack)
+        phi = _family_unit_images(d, params[i:i + per])
         parts = _kernel_parts(phi)
         populations[i:i + per], squares[i:i + per], reduced = parts
         stacked[i:i + per] = reduced & _orbit_covariant(phi, *parts)
     return populations, squares, stacked
+
+
+def _family_unit_images(d: int, params: np.ndarray) -> np.ndarray:
+    """``_unit_images(depolarizing(d, p))`` for every p of ``params``, with the
+    checks of ``depolarizing`` (``_family_point``) and the same bits."""
+    w, basis, _ = _family_point("depolarizing", d, params)
+    return _unit_images(w[:, :, None, None] * basis.stack)
 
 
 def _reduced_minima(populations: np.ndarray, squares: np.ndarray, at: np.ndarray, k: float,

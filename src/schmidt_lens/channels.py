@@ -25,7 +25,7 @@ from .errors import (
     NotTracePreservingError,
     ParamOutOfRangeError,
 )
-from .states import DensityMatrix, haar_unitary
+from .states import DensityMatrix, _state_prefix, as_density_stack, haar_unitary
 
 TP_TOL = 1e-9
 CHOI_TRACE_TOL = 1e-10
@@ -82,7 +82,7 @@ class QuantumChannel:
         """max |sum K†K - I|, computed once (the stack is owned and read-only);
         a named family's channel holds the defect of its Gram-diagonal check."""
         if self._tp_defect is None:
-            self._tp_defect = _kraus_sum_defect(self._stack)
+            self._tp_defect = float(_kraus_sum_defect(self._stack))
         return self._tp_defect
 
     @functools.cached_property
@@ -100,24 +100,37 @@ class QuantumChannel:
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out}, n_kraus={len(self)})"
 
 
-def _kraus_sum_defect(stack: np.ndarray) -> float:
-    """max |sum_a K_a†K_a - I| of an (n, d_out, d_in) Kraus stack."""
-    flat = stack.reshape(-1, stack.shape[2])  # rows (a, o): sum K†K = flat† flat
+def _kraus_sum_defect(stack: np.ndarray) -> np.ndarray:
+    """max |sum_a K_a†K_a - I| of an (..., n, d_out, d_in) Kraus stack, one
+    defect per leading index (a 0-d array for one stack)."""
+    *lead, n, d_out, d_in = stack.shape
+    flat = stack.reshape(*lead, n * d_out, d_in)  # rows (a, o): sum K†K = flat† flat
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/NaN
-        acc = flat.conj().T @ flat
-    return float(np.max(np.abs(acc - np.eye(stack.shape[2]))))
+        acc = flat.conj().swapaxes(-1, -2) @ flat
+    return np.abs(acc - np.eye(d_in)).max(axis=(-2, -1))
 
 
-def _require_tp(dev: float) -> float:
-    """``dev`` itself; NotTracePreservingError unless it is at most TP_TOL."""
-    if not dev <= TP_TOL:  # a NaN defect (overflowed entries) fails too
-        raise NotTracePreservingError(f"max |sum K†K - I| = {dev:.3e} exceeds {TP_TOL:.1e}")
+def _require_tp(dev):
+    """``dev`` itself, one defect or an array of them; NotTracePreservingError
+    naming the first that is not at most TP_TOL (a NaN defect, from
+    overflowed entries, fails too)."""
+    first = dev if isinstance(dev, float) else float(dev.flat[np.argmin(dev <= TP_TOL)])
+    if not first <= TP_TOL:
+        raise NotTracePreservingError(f"max |sum K†K - I| = {first:.3e} exceeds {TP_TOL:.1e}")
     return dev
 
 
 def _check_tp(ch: QuantumChannel) -> None:
     """NotTracePreservingError unless ``ch.trace_preservation_defect() <= TP_TOL``."""
     _require_tp(ch.trace_preservation_defect())
+
+
+def _tp_kraus(stack: np.ndarray) -> np.ndarray:
+    """``stack`` itself, a Kraus stack (..., n, d_out, d_in), once each Kraus
+    set on its leading axes passes the trace-preservation check of
+    ``QuantumChannel``."""
+    _require_tp(_kraus_sum_defect(stack))
+    return stack
 
 
 class ChoiMatrix(DensityMatrix):
@@ -141,20 +154,53 @@ class ChoiMatrix(DensityMatrix):
             raise DimensionMismatchError(
                 f"shape {m.shape} does not match d_in*d_out = {d_in * d_out}"
             )
-        tr = np.trace(m)
-        if abs(tr - 1.0) > CHOI_TRACE_TOL:
-            raise NotTracePreservingError(f"Choi trace {complex(tr)} deviates from 1")
+        _check_choi_trace(m)
         super().__init__(m, (d_in, d_out))
         self.d_in, self.d_out = self.dims
-        marg = np.einsum("ikjk->ij", self.matrix.reshape(d_in, d_out, d_in, d_out))
-        dev = np.max(np.abs(marg - np.eye(d_in) / d_in))
-        if dev > CHOI_MARGINAL_TOL:
-            raise NotTracePreservingError(
-                f"input marginal deviates from I/d by {dev:.3e}"
-            )
+        _check_input_marginal(self.matrix, d_in, d_out)
 
     def __repr__(self):
         return f"ChoiMatrix(d_in={self.d_in}, d_out={self.d_out})"
+
+
+def _check_choi_trace(m: np.ndarray) -> None:
+    """NotTracePreservingError unless the trace of the Choi matrix ``m``, or
+    of each of an (n, D, D) stack, is within CHOI_TRACE_TOL of 1; the error
+    names the first failing state of a stack."""
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > CHOI_TRACE_TOL)
+    if bad.size:
+        raise NotTracePreservingError(
+            f"{_state_prefix(m, bad[0])}Choi trace {complex(tr.flat[bad[0]])} deviates from 1")
+
+
+def _marginal_defects(h: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """max |Tr_out C - I/d_in| of the Choi matrix ``h`` on (d_in, d_out), or
+    of each of a stack, on its leading axes."""
+    marg = np.einsum("...ikjk->...ij", h.reshape(*h.shape[:-2], d_in, d_out, d_in, d_out))
+    return np.abs(marg - np.eye(d_in) / d_in).max(axis=(-2, -1))
+
+
+def _check_input_marginal(h: np.ndarray, d_in: int, d_out: int) -> None:
+    """NotTracePreservingError unless every ``_marginal_defects`` is at most
+    CHOI_MARGINAL_TOL; the error names the first failing state of a stack."""
+    dev = _marginal_defects(h, d_in, d_out)
+    bad = np.flatnonzero(dev > CHOI_MARGINAL_TOL)
+    if bad.size:
+        raise NotTracePreservingError(
+            f"{_state_prefix(h, bad[0])}input marginal deviates from I/d by {dev.flat[bad[0]]:.3e}")
+
+
+def _choi_states(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """The checks of ``ChoiMatrix``, in its order, on an (n, D, D) stack of
+    Choi matrices on (d_in, d_out): trace, then ``as_density_stack``, then
+    the input marginal. Returns the validated Hermitian parts, as each
+    ``ChoiMatrix`` would store them; each error names the first failing state.
+    """
+    _check_choi_trace(m)
+    h = as_density_stack(m)
+    _check_input_marginal(h, d_in, d_out)
+    return h
 
 
 def identity_channel(d: int) -> QuantumChannel:
@@ -183,14 +229,18 @@ def apply_on_B(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out.reshape(da * ch.d_out, da * ch.d_out), (da, ch.d_out))
 
 
-def _choi_array(ch: QuantumChannel) -> np.ndarray:
+def _choi_array(kraus) -> np.ndarray:
     """(1/d_in) sum_a vec(K_a) vec(K_a)†, vec index i_in * d_out + i_out.
 
-    Equals (id ⊗ Φ)|phi+><phi+| for a square channel; unvalidated, so it
-    also serves non-trace-preserving Kraus sets such as an adjoint.
+    ``kraus`` is a channel or a Kraus stack (..., n, d_out, d_in) with one
+    Kraus set per leading index, which the result keeps. Equals
+    (id ⊗ Φ)|phi+><phi+| for a square channel; unvalidated, so it also
+    serves non-trace-preserving Kraus sets such as an adjoint.
     """
-    vecs = ch._stack.transpose(0, 2, 1).reshape(len(ch), -1) / np.sqrt(ch.d_in)
-    return vecs.T @ vecs.conj()
+    stack = kraus._stack if isinstance(kraus, QuantumChannel) else kraus
+    *lead, n, d_out, d_in = stack.shape
+    vecs = stack.swapaxes(-1, -2).reshape(*lead, n, d_in * d_out) / np.sqrt(d_in)
+    return vecs.swapaxes(-1, -2) @ vecs.conj()
 
 
 def _unit_images(kraus) -> np.ndarray:
@@ -221,18 +271,26 @@ def choi(ch: QuantumChannel) -> ChoiMatrix:
     return ChoiMatrix(_choi_array(ch), ch.d_in, ch.d_in)
 
 
-def _kraus_from_choi_matrix(matrix: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]:
-    """Eigenvector Kraus operators of a (Hermitian, PSD) Choi-like matrix."""
-    vals, vecs = linalg.hermitian_eig(matrix)
-    lmax = float(vals[-1])
-    if lmax <= 0:
-        raise NotPSDError("Choi matrix has no positive eigenvalue")
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > CANONICAL_EIG_TOL * lmax:
-            # v indexed (i_in, i_out) row-major; K[out, in] = sqrt(d*lam) v[in*d_out + out]
-            ops.append(np.sqrt(d_in * lam) * v.reshape(d_in, d_out).T)
-    return ops
+def _kraus_from_choi_matrix(matrix: np.ndarray, d_in: int, d_out: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvector Kraus operators of a (Hermitian, PSD) Choi-like matrix, or
+    of each matrix of an (n, D, D) stack (``linalg.hermitian_eig``'s rule).
+
+    Returns the stack (..., D, d_out, d_in) of every eigenvector's operator,
+    in ascending order of eigenvalue, and which are kept: those whose
+    eigenvalue exceeds CANONICAL_EIG_TOL times the largest. A dropped
+    operator is zero. NotPSDError, naming the first failing matrix of a
+    stack, if a largest eigenvalue is not positive.
+    """
+    vals, vecs = linalg._hermitian_eigh(matrix)
+    lmax = vals[..., -1:]
+    bad = np.flatnonzero(~(lmax > 0))
+    if bad.size:
+        raise NotPSDError(f"{_state_prefix(matrix, bad[0])}Choi matrix has no positive eigenvalue")
+    kept = vals > CANONICAL_EIG_TOL * lmax
+    # column v indexed (i_in, i_out) row-major; K[out, in] = sqrt(d*lam) v[in*d_out + out]
+    columns = vecs.swapaxes(-1, -2).reshape(*vals.shape, d_in, d_out).swapaxes(-1, -2)
+    return np.sqrt(d_in * np.where(kept, vals, 0.0))[..., None, None] * columns, kept
 
 
 def canonical_kraus(c: ChoiMatrix) -> QuantumChannel:
@@ -244,7 +302,8 @@ def canonical_kraus(c: ChoiMatrix) -> QuantumChannel:
     eigendecomposition takes it as it is, and the round trip
     choi(canonical_kraus(c)) reproduces the input to about 1e-8.
     """
-    return QuantumChannel(_kraus_from_choi_matrix(c.matrix, c.d_in, c.d_out))
+    ops, kept = _kraus_from_choi_matrix(c.matrix, c.d_in, c.d_out)
+    return QuantumChannel(ops[kept])
 
 
 def compose(first: QuantumChannel, then: QuantumChannel) -> QuantumChannel:
@@ -253,8 +312,15 @@ def compose(first: QuantumChannel, then: QuantumChannel) -> QuantumChannel:
         raise DimensionMismatchError(
             f"cannot chain d_out={first.d_out} into d_in={then.d_in}"
         )
-    ops = [l @ k for l in then.kraus for k in first.kraus]
-    return QuantumChannel(ops)
+    return QuantumChannel(_composed(first._stack, then._stack))
+
+
+def _composed(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """The Kraus stack {L_b K_a}, b-major, of ``then`` after ``first`` for each
+    pair of Kraus stacks on their leading axes; each product is the one
+    ``L_b @ K_a`` takes."""
+    out = then[..., :, None, :, :] @ first[..., None, :, :, :]
+    return out.reshape(*out.shape[:-4], -1, *out.shape[-2:])
 
 
 def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
@@ -267,7 +333,12 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
 
 def adjoint(ch: QuantumChannel) -> QuantumChannel:
     """Heisenberg-picture adjoint, Kraus set {K_a†}; unital, CP, not TP."""
-    return QuantumChannel([linalg.dagger(k) for k in ch.kraus], check_tp=False)
+    return QuantumChannel(_adjoint_kraus(ch._stack), check_tp=False)
+
+
+def _adjoint_kraus(stack: np.ndarray) -> np.ndarray:
+    """The Kraus operators K_a† of each Kraus stack on the leading axes."""
+    return stack.conj().swapaxes(-1, -2)
 
 
 def _shift_clock_products(d: int) -> list[np.ndarray]:
@@ -330,10 +401,7 @@ class KrausBasis(NamedTuple):
         checked against TP_TOL with ``QuantumChannel``'s error, which names
         the first defect over it."""
         dev = np.abs((self.gram_diagonals * (w * w)[..., None, :]).sum(axis=-1) - 1.0).max(axis=-1)
-        if dev.ndim == 0:
-            return _require_tp(float(dev))
-        _require_tp(float(dev.flat[np.argmin(dev <= TP_TOL)]))  # a NaN defect fails too
-        return dev
+        return _require_tp(float(dev) if dev.ndim == 0 else dev)
 
 
 def _in_unit_interval(p) -> bool:
@@ -451,7 +519,12 @@ def action_distance(a: QuantumChannel, b: QuantumChannel) -> float:
     """Max entrywise difference of the two channel actions over all matrix units."""
     if (a.d_in, a.d_out) != (b.d_in, b.d_out):
         raise DimensionMismatchError("channels act on different spaces")
-    return float(np.max(np.abs(_unit_images(a) - _unit_images(b))))
+    return float(_action_distances(a._stack, b._stack))
+
+
+def _action_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``action_distance`` of each pair of Kraus stacks on their leading axes."""
+    return np.abs(_unit_images(a) - _unit_images(b)).max(axis=(-4, -3, -2, -1))
 
 
 def random_channel(d: int, n_kraus: int, seed) -> QuantumChannel:
@@ -459,9 +532,17 @@ def random_channel(d: int, n_kraus: int, seed) -> QuantumChannel:
     if n_kraus < 1:
         raise ValueError("n_kraus must be >= 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n_kraus * d, d)) + 1j * rng.standard_normal((n_kraus * d, d))
-    q, _ = np.linalg.qr(g)
-    return QuantumChannel([q[i * d:(i + 1) * d, :] for i in range(n_kraus)])
+    return QuantumChannel(_stinespring_kraus(rng.standard_normal(2 * n_kraus * d * d), d, n_kraus))
+
+
+def _stinespring_kraus(g: np.ndarray, d: int, n_kraus: int) -> np.ndarray:
+    """The Kraus stack (..., n_kraus, d, d) of ``random_channel`` from its draws
+    on the last axis of ``g`` (..., 2 n_kraus d^2): the blocks of d rows of Q in
+    the QR of the (n_kraus d) x d complex Gaussian matrix, whose real and then
+    imaginary parts are drawn row-major."""
+    part = g.reshape(*g.shape[:-1], 2, n_kraus * d, d)
+    q, _ = np.linalg.qr(part[..., 0, :, :] + 1j * part[..., 1, :, :])
+    return q.reshape(*q.shape[:-2], n_kraus, d, d)
 
 
 def random_channel_with_kraus_rank(d: int, r: int, seed) -> QuantumChannel:

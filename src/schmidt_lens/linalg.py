@@ -31,17 +31,18 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with A as the most significant index block: one
-    broadcast product, each entry the one product ``np.kron`` takes."""
-    a, b = as_matrix(a), as_matrix(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """Kronecker product with A as the most significant index block."""
+    return _kron(as_matrix(a), as_matrix(b))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kron`` of each pair of matrices on the last two axes, leading axes
+    broadcast: one broadcast product, each entry the one product ``np.kron``
+    takes."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -49,17 +50,24 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
     Input within ``HERMITICITY_TOL * max|h|`` of Hermitian is symmetrized as
     (h + h†)/2 before decomposition; larger violations raise
-    NotHermitianError.
+    NotHermitianError (:func:`_hermitian_eigh`).
     """
-    h = as_matrix(h, square=True)
-    scale = np.max(np.abs(h)) if h.size else 0.0
-    deviation = np.max(np.abs(h - dagger(h))) if h.size else 0.0
-    if deviation > HERMITICITY_TOL * max(scale, 1e-300):
-        raise NotHermitianError(
-            f"max |h - h†| = {deviation:.3e} exceeds {HERMITICITY_TOL:.1e} * max|h|"
-        )
-    vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
-    return vals, vecs
+    return _hermitian_eigh(as_matrix(h, square=True))
+
+
+def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eig`` of a finite square matrix or of each matrix of an
+    (n, D, D) stack, in one stacked ``eigh``; the error names the first
+    matrix of a stack that is not Hermitian within the tolerance."""
+    dagger_h = np.swapaxes(h.conj(), -1, -2)
+    scale = np.abs(h).max(axis=(-2, -1), initial=0.0)
+    deviation = np.abs(h - dagger_h).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(deviation > HERMITICITY_TOL * np.maximum(scale, 1e-300))
+    if bad.size:
+        at = f"matrix {bad[0]}: " if h.ndim == 3 else ""
+        raise NotHermitianError(f"{at}max |h - h†| = {deviation.flat[bad[0]]:.3e} exceeds "
+                                f"{HERMITICITY_TOL:.1e} * max|h|")
+    return np.linalg.eigh((h + dagger_h) / 2.0)
 
 
 def psd_minima(h: np.ndarray, tol: float) -> np.ndarray | None:
@@ -90,10 +98,14 @@ def singular_values(a) -> np.ndarray:
 
 def matrix_rank(a) -> int:
     """Number of singular values above ``RANK_TOL * sigma_max`` (0 for the zero matrix)."""
-    s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
+    return int(_ranks(singular_values(a)))
+
+
+def _ranks(s: np.ndarray) -> np.ndarray:
+    """The rank rule of ``matrix_rank`` for each row of descending singular
+    values on the last axis of ``s``: the count above ``RANK_TOL`` times the
+    row's first, so 0 for a zero (or empty) matrix."""
+    return np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
 
 
 def _check_bipartite_shape(m: np.ndarray, dims: tuple[int, int]) -> None:

@@ -190,8 +190,8 @@ def sn_upper_bound_via_kraus(ch: QuantumChannel) -> int:
     if not ch.is_square:
         raise DimensionMismatchError("Kraus-rank bound needs a square channel")
     d = ch.d_in
-    ops = _kraus_from_choi_matrix(_choi_array(ch), d, d)
-    return max(linalg.matrix_rank(k) for k in ops)
+    ops, kept = _kraus_from_choi_matrix(_choi_array(ch), d, d)
+    return int(linalg._ranks(np.linalg.svd(ops[kept], compute_uv=False)).max())
 
 
 def isotropic_sn_threshold(d: int, r: int) -> float:

@@ -50,8 +50,8 @@ class PureState:
             raise DimensionMismatchError(
                 f"{v.size} amplitudes do not match dims {dims}"
             )
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > NORM_TOL:
+        norm, bad = _off_norms(v)
+        if bad.size:
             raise ValueError(f"state norm {float(norm)} deviates from 1 beyond {NORM_TOL}")
         self.amplitudes = v
         self.dims = dims
@@ -75,6 +75,14 @@ class PureState:
 
     def __repr__(self):
         return f"PureState(dim={self.dim}, dims={self.dims})"
+
+
+def _off_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The norms of the amplitude vectors on the last axis of ``v`` and the
+    flat indices of those that deviate from 1 beyond NORM_TOL (a NaN norm
+    too), the rule of ``PureState`` for one vector or a stack of them."""
+    norm = np.linalg.norm(v, axis=-1)
+    return norm, np.flatnonzero(~(np.abs(norm - 1.0) <= NORM_TOL))
 
 
 class DensityMatrix:
@@ -128,13 +136,32 @@ def max_entangled(d: int) -> PureState:
 
 def schmidt_coefficients(psi: PureState) -> np.ndarray:
     """Squared singular values of the coefficient matrix, descending, summing to 1."""
-    s = linalg.singular_values(psi.coefficient_matrix())
+    return _schmidt_coefficients(psi.coefficient_matrix())
+
+
+def _schmidt_coefficients(c: np.ndarray) -> np.ndarray:
+    """``schmidt_coefficients`` of each coefficient matrix on the last two axes of ``c``."""
+    s = np.linalg.svd(c, compute_uv=False)
     return s * s
+
+
+def _pure_schmidt_coefficients(amp: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    """``schmidt_coefficients(PureState(v, (dA, dB)))`` of each amplitude row v
+    of ``amp``, under its norm check and error (the first failing row's)."""
+    norm, bad = _off_norms(amp)
+    if bad.size:
+        raise ValueError(f"state norm {float(norm[bad[0]])} deviates from 1 beyond {NORM_TOL}")
+    return _schmidt_coefficients(amp.reshape(-1, dA, dB))
 
 
 def schmidt_rank(psi: PureState) -> int:
     """Number of Schmidt coefficients above 1e-9."""
-    return int(np.count_nonzero(schmidt_coefficients(psi) > 1e-9))
+    return int(_schmidt_ranks(schmidt_coefficients(psi)))
+
+
+def _schmidt_ranks(coefficients: np.ndarray) -> np.ndarray:
+    """``schmidt_rank``'s count for each row of Schmidt coefficients on the last axis."""
+    return np.count_nonzero(coefficients > 1e-9, axis=-1)
 
 
 def as_density_stack(m: np.ndarray) -> np.ndarray:
@@ -150,35 +177,39 @@ def as_density_stack(m: np.ndarray) -> np.ndarray:
     a ``channels.ChoiMatrix``, stores.
     """
 
-    def at(i: int) -> str:
-        return f"state {i}: " if m.ndim == 3 else ""
-
     dagger = np.swapaxes(m.conj(), -1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf reads as NaN
         deviation = np.abs(m - dagger).max(axis=(-2, -1))
     bad = np.flatnonzero(~(deviation <= PSD_TOL))  # a NaN or inf entry fails here too
     if bad.size:
-        raise NotHermitianError(f"{at(bad[0])}max |rho - rho†| = {deviation.flat[bad[0]]:.3e}")
+        raise NotHermitianError(
+            f"{_state_prefix(m, bad[0])}max |rho - rho†| = {deviation.flat[bad[0]]:.3e}")
     h = m + dagger
     h /= 2.0
     tr = np.trace(h, axis1=-2, axis2=-1)
     bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
     if bad.size:
-        raise ValueError(
-            f"{at(bad[0])}trace {float(tr.real.flat[bad[0]])} deviates from 1 beyond {TRACE_TOL}"
-        )
+        raise ValueError(f"{_state_prefix(m, bad[0])}trace {float(tr.real.flat[bad[0]])} "
+                         f"deviates from 1 beyond {TRACE_TOL}")
     lo = linalg.psd_minima(h, PSD_TOL)
     if lo is not None:
         bad = np.flatnonzero(lo < -PSD_TOL)
         if bad.size:
-            raise NotPSDError(
-                f"{at(bad[0])}minimum eigenvalue {lo.flat[bad[0]]:.3e} below -{PSD_TOL}"
-            )
+            raise NotPSDError(f"{_state_prefix(m, bad[0])}minimum eigenvalue "
+                              f"{lo.flat[bad[0]]:.3e} below -{PSD_TOL}")
     return h
 
 
+def _state_prefix(m: np.ndarray, i: int) -> str:
+    """How an error names state ``i`` of ``m``: "state i: " for an (n, D, D)
+    stack, nothing for one matrix."""
+    return f"state {i}: " if m.ndim == 3 else ""
+
+
 def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from complex Gaussian matrices (..., d, d): QR, then fix R's phases."""
+    """Haar unitaries from complex Gaussian matrices (..., d, d): QR, then fix
+    R's phases; for (..., d, r) Gaussian columns, the first r columns of those
+    unitaries (reduced QR)."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
@@ -187,8 +218,15 @@ def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-random d x d unitary via QR of a complex Gaussian matrix."""
     rng = np.random.default_rng(rng)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    return _haar_from_gaussian(z)
+    return _haar_from_gaussian(_complex_gaussians(rng.standard_normal(2 * d * d), d))
+
+
+def _complex_gaussians(g: np.ndarray, d: int) -> np.ndarray:
+    """The (..., d, d) complex Gaussian matrices of ``haar_unitary`` from its
+    draws on the last axis of ``g`` (..., 2 d^2): the real parts, then the
+    imaginary ones, each row-major."""
+    part = g.reshape(*g.shape[:-1], 2, d, d)
+    return (part[..., 0, :, :] + 1j * part[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def _check_rank(dA: int, dB: int, r: int) -> None:
@@ -217,16 +255,21 @@ def _schmidt_amplitudes(dA: int, dB: int, lam: np.ndarray, g: np.ndarray) -> np.
     Row t of ``lam`` (T, r) holds the Dirichlet coefficients; row t of
     ``g`` (T, 2*(dA^2 + dB^2)) the real then imaginary Gaussian parts of
     the A basis and then of the B basis, in the order ``haar_unitary``
-    draws them.
+    draws them. Each basis is the first r columns of that Haar unitary,
+    taken from a QR of the first r columns of its Gaussian matrix: the
+    Householder reflections of a column read no column after it, so these
+    are the bits of the full QR's first r columns. Both bases go to one QR
+    when dA == dB.
     """
     lam = np.maximum(lam, COEFFICIENT_FLOOR)
     lam = lam / lam.sum(axis=-1, keepdims=True)
     r = lam.shape[-1]
-    bases = []
-    for d, part in ((dA, g[:, :2 * dA * dA]), (dB, g[:, 2 * dA * dA:])):
-        part = part.reshape(-1, 2, d, d)
-        z = (part[:, 0] + 1j * part[:, 1]) / np.sqrt(2.0)
-        bases.append(_haar_from_gaussian(z)[..., :r])
+    z = [_complex_gaussians(g[:, :2 * dA * dA], dA)[..., :r],
+         _complex_gaussians(g[:, 2 * dA * dA:], dB)[..., :r]]
+    if dA == dB:
+        bases = _haar_from_gaussian(np.stack(z, axis=1)).swapaxes(0, 1)
+    else:
+        bases = [_haar_from_gaussian(part) for part in z]
     amp = np.einsum("ti,tai,tbi->tab", np.sqrt(lam), *bases)
     return amp.reshape(len(lam), dA * dB)
 
@@ -266,18 +309,20 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
     weights = np.zeros((n, max_terms))
     lam = np.empty((n, max_terms, r))
     g = np.empty((n, max_terms, 2 * (dA * dA + dB * dB)))
-    used = np.zeros((n, max_terms), dtype=bool)
+    counts = [max_terms] * n
+    exponential, normal = rng.standard_exponential, rng.standard_normal
     for i in range(n):
-        terms = int(rng.integers(1, max_terms + 1)) if draw_terms else max_terms
-        rng.standard_exponential(out=weights[i, :terms])
-        used[i, :terms] = True
+        if draw_terms:
+            counts[i] = int(rng.integers(1, max_terms + 1))
+        terms = counts[i]
+        exponential(out=weights[i, :terms])
         for t in range(terms):
-            rng.standard_exponential(out=lam[i, t])
-            rng.standard_normal(out=g[i, t])
+            exponential(out=lam[i, t])
+            normal(out=g[i, t])
+    used = np.arange(max_terms) < np.array(counts)[:, None]
     weights = _flat_dirichlet(weights)
     amp = _schmidt_amplitudes(dA, dB, _flat_dirichlet(lam[used]), g[used])
-    norm = np.linalg.norm(amp, axis=-1)
-    bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
+    norm, bad = _off_norms(amp)
     if bad.size:
         state = np.nonzero(used)[0][bad[0]]
         raise ValueError(

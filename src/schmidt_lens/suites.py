@@ -7,6 +7,15 @@ witness soundness on generated low-Schmidt-number states, positivity
 windows of the Tr(X)I - kX family, Kraus/Choi round trips, closure of
 breaking channels under series concatenation, the tensor-product
 counterexample, and the entanglement-breaking vs number-breaking gap.
+
+A suite of random trials draws in order, then checks in stacks: first the
+inputs of every trial, in the generator order of the per-trial library
+calls, so that the trials are the same matrices; then each check for all
+trials of one shape (d, or (dA, dB, r)) in one stacked call of the rule the
+public function applies (the rank rule, the canonical Kraus cutoff, the
+Choi, trace-preservation and norm checks, the reduced two-local kernel).
+Failures are reported in trial order, each trial's in the order of its
+checks, with the messages of a per-trial loop.
 """
 
 from __future__ import annotations
@@ -18,10 +27,17 @@ import numpy as np
 
 from . import analysis, linalg
 from .channels import (
-    action_distance,
+    _action_distances,
+    _adjoint_kraus,
+    _choi_array,
+    _choi_states,
+    _composed,
+    _kraus_from_choi_matrix,
+    _marginal_defects,
+    _stinespring_kraus,
+    _tp_kraus,
     adjoint,
     apply_matrix,
-    canonical_kraus,
     choi,
     compose,
     depolarizing,
@@ -46,15 +62,18 @@ from .schmidt import (
 )
 from .states import (
     DensityMatrix,
-    PureState,
+    _complex_gaussians,
+    _flat_dirichlet,
+    _haar_from_gaussian,
+    _pure_schmidt_coefficients,
+    _schmidt_amplitudes,
+    _schmidt_ranks,
+    as_density_stack,
     haar_unitary,
     isotropic_state,
     max_entangled,
     random_density,
-    random_pure_with_schmidt_rank,
     random_states_sn_at_most,
-    schmidt_coefficients,
-    schmidt_rank,
 )
 
 
@@ -82,6 +101,24 @@ class SuiteResult:
     data: dict = field(default_factory=dict)
 
 
+def _shape_groups(keys: list) -> dict:
+    """The trials of each key (a shape), as an index array in draw order;
+    the keys in the order they first appear."""
+    groups = {}
+    for trial, key in enumerate(keys):
+        groups.setdefault(key, []).append(trial)
+    return {key: np.array(trials) for key, trials in groups.items()}
+
+
+def _trial_failures(failed: np.ndarray, messages: tuple[str, ...], shapes: list) -> list[str]:
+    """"trial t: message" for each check (row of ``failed``) that each trial
+    (column) failed, trial by trial and in check order within a trial; each
+    message is formatted with the trial's shape tuple."""
+    return [f"trial {trial}: " + message.format(*shapes[trial])
+            for trial in range(failed.shape[1])
+            for message, bad in zip(messages, failed[:, trial]) if bad]
+
+
 def _result(name: str, failures: list[str], data: dict | None = None) -> SuiteResult:
     if failures:
         return SuiteResult(name, False, "; ".join(failures), data or {})
@@ -91,25 +128,24 @@ def _result(name: str, failures: list[str], data: dict | None = None) -> SuiteRe
 def suite_kron_rank(seed: int = 0, pairs: int = 200) -> SuiteResult:
     """rank(A ⊗ B) = rank(A) rank(B) on random pairs up to 4x4."""
     rng = np.random.default_rng(seed)
-    failures = []
+    shapes = []
+    g = np.zeros((pairs, 2, 4, 4, 4))  # per factor, up to 4 terms u v^T: Re u, Im u, Re v, Im v
     for trial in range(pairs):
-        na, nb = rng.integers(2, 5), rng.integers(2, 5)
+        na, nb = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         ra, rb = int(rng.integers(1, na + 1)), int(rng.integers(1, nb + 1))
-        a = _random_rank(na, ra, rng)
-        b = _random_rank(nb, rb, rng)
-        got = linalg.matrix_rank(linalg.kron(a, b))
-        if got != ra * rb:
-            failures.append(f"trial {trial}: rank {got} != {ra}*{rb}")
+        shapes.append((na, nb, ra, rb))
+        for factor, (n, r) in enumerate(((na, ra), (nb, rb))):
+            g[trial, factor, :r, :, :n] = rng.standard_normal((r, 4, n))
+    u, v = g[..., 0, :] + 1j * g[..., 1, :], g[..., 2, :] + 1j * g[..., 3, :]
+    # the outer products summed in turn over the term axis, a padded term adding nothing
+    m = (u[..., :, None] * v[..., None, :]).sum(axis=2)
+    got = np.empty(pairs, dtype=int)
+    for (na, nb), at in _shape_groups([shape[:2] for shape in shapes]).items():
+        kron = linalg._kron(m[at, 0, :na, :na], m[at, 1, :nb, :nb])
+        got[at] = linalg._ranks(np.linalg.svd(kron, compute_uv=False))
+    failures = [f"trial {trial}: rank {got[trial]} != {ra}*{rb}"
+                for trial, (_, _, ra, rb) in enumerate(shapes) if got[trial] != ra * rb]
     return _result("kron_rank", failures, {"pairs": pairs})
-
-
-def _random_rank(n: int, r: int, rng) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    for _ in range(r):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        m += np.outer(u, v)
-    return m
 
 
 def suite_eig_reconstruction(seed: int = 0, trials: int = 20) -> SuiteResult:
@@ -159,22 +195,36 @@ def suite_partial_ops(seed: int = 0, trials: int = 30) -> SuiteResult:
 
 
 def suite_schmidt_states(seed: int = 0, trials: int = 60) -> SuiteResult:
-    """Schmidt coefficients normalize; rank generator is exact; rank is LU-invariant."""
+    """Schmidt coefficients normalize; rank generator is exact; rank is LU-invariant.
+
+    Each trial draws what ``random_pure_with_schmidt_rank(da, db, r, rng)``
+    and then ``haar_unitary`` for A and for B draw, in that order; the
+    states, their PureState norm checks, Schmidt coefficients and ranks are
+    formed for each (da, db, r) at once.
+    """
     rng = np.random.default_rng(seed)
-    failures = []
-    for trial in range(trials):
+    shapes, lam, g = [], [], []
+    for _ in range(trials):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         r = int(rng.integers(1, min(da, db) + 1))
-        psi = random_pure_with_schmidt_rank(da, db, r, rng)
-        lam = schmidt_coefficients(psi)
-        if abs(lam.sum() - 1.0) > 1e-10 or np.any(lam < -1e-15):
-            failures.append(f"trial {trial}: coefficients not a distribution")
-        if schmidt_rank(psi) != r:
-            failures.append(f"trial {trial}: generated rank != {r}")
-        u = linalg.kron(haar_unitary(da, rng), haar_unitary(db, rng))
-        rotated = PureState(u @ psi.amplitudes, (da, db))
-        if schmidt_rank(rotated) != r:
-            failures.append(f"trial {trial}: rank not LU-invariant")
+        shapes.append((da, db, r))
+        lam.append(rng.standard_exponential(r))
+        g.append(rng.standard_normal(4 * (da * da + db * db)))  # the state's bases, then U_A, U_B
+    failed = np.zeros((3, trials), dtype=bool)
+    for (da, db, r), at in _shape_groups(shapes).items():
+        g_psi, g_a, g_b = np.split(np.array([g[t] for t in at]),
+                                   np.cumsum([2 * (da * da + db * db), 2 * da * da]), axis=-1)
+        amp = _schmidt_amplitudes(da, db, _flat_dirichlet(np.array([lam[t] for t in at])), g_psi)
+        coefficients = _pure_schmidt_coefficients(amp, da, db)
+        failed[0, at] = ((np.abs(coefficients.sum(axis=-1) - 1.0) > 1e-10)
+                         | np.any(coefficients < -1e-15, axis=-1))
+        failed[1, at] = _schmidt_ranks(coefficients) != r
+        u = linalg._kron(*(_haar_from_gaussian(_complex_gaussians(part, n))
+                           for part, n in ((g_a, da), (g_b, db))))
+        rotated = (u @ amp[:, :, None])[:, :, 0]
+        failed[2, at] = _schmidt_ranks(_pure_schmidt_coefficients(rotated, da, db)) != r
+    failures = _trial_failures(failed, ("coefficients not a distribution", "generated rank != {2}",
+                                        "rank not LU-invariant"), shapes)
     # Separable mixtures stay PPT.
     separable = random_states_sn_at_most(3, 3, 1, 40, 5, rng)
     pts = [linalg.partial_transpose(m, (3, 3), which=1) for m in separable]
@@ -185,30 +235,44 @@ def suite_schmidt_states(seed: int = 0, trials: int = 60) -> SuiteResult:
 
 
 def suite_channel_axioms(seed: int = 0, n_channels: int = 100) -> SuiteResult:
-    """Choi marginals, CP of random channels, canonical round trip, composition algebra."""
+    """Choi marginals, CP of random channels, canonical round trip, composition algebra.
+
+    Each trial's channel and its validated Choi state ``choi(ch)`` are built
+    in draw order; the spectra, marginals and round trips
+    ``choi(canonical_kraus(c))`` are then formed for each d at once, under
+    the checks of ``canonical_kraus`` (its eigenvalue cutoff and the
+    recovered Kraus set's trace preservation) and of ``choi`` (trace,
+    density-matrix and marginal checks of the rebuilt state).
+    """
     rng = np.random.default_rng(seed)
-    failures = []
-    for trial in range(n_channels):
+    shapes, states = [], []
+    for _ in range(n_channels):
         d = int(rng.integers(2, 5))
-        ch = random_channel(d, int(rng.integers(1, d * d + 1)), rng)
-        c = choi(ch)
-        if float(np.linalg.eigvalsh(c.matrix)[0]) < -EVIDENCE_TOL:
-            failures.append(f"trial {trial}: Choi not PSD")
-        marg = linalg.partial_trace(c.matrix, (d, d), 0)
-        if np.max(np.abs(marg - np.eye(d) / d)) > 1e-9:
-            failures.append(f"trial {trial}: Choi marginal != I/d")
-        rebuilt = choi(canonical_kraus(c))
-        if np.max(np.abs(rebuilt.matrix - c.matrix)) > 1e-8:
-            failures.append(f"trial {trial}: Choi round trip exceeded 1e-8")
+        shapes.append((d,))
+        states.append(choi(random_channel(d, int(rng.integers(1, d * d + 1)), rng)).matrix)
+    failed = np.zeros((3, n_channels), dtype=bool)
+    for (d,), at in _shape_groups(shapes).items():
+        c = np.array([states[t] for t in at])
+        failed[0, at] = np.linalg.eigvalsh(c)[:, 0] < -EVIDENCE_TOL
+        failed[1, at] = _marginal_defects(c, d, d) > 1e-9
+        kraus, _ = _kraus_from_choi_matrix(c, d, d)  # the dropped operators are zero
+        rebuilt = _choi_states(_choi_array(_tp_kraus(kraus)), d, d)
+        failed[2, at] = np.abs(rebuilt - c).max(axis=(-2, -1)) > 1e-8
+    failures = _trial_failures(failed, ("Choi not PSD", "Choi marginal != I/d",
+                                        "Choi round trip exceeded 1e-8"), shapes)
+    # ten trials of random_channel(3, 3) for f, g and h, then (3, 4), composed
+    # and adjoined as compose and adjoint do, in stacks
+    draws = [[rng.standard_normal(2 * n * 9) for n in (3, 3, 3, 4)] for _ in range(10)]
+    f, g, h, ch = (_tp_kraus(_stinespring_kraus(np.array([trial[i] for trial in draws]), 3, n))
+                   for i, n in enumerate((3, 3, 3, 4)))
+    lhs = _tp_kraus(_composed(_tp_kraus(_composed(f, g)), h))
+    rhs = _tp_kraus(_composed(f, _tp_kraus(_composed(g, h))))
+    assoc = _action_distances(lhs, rhs) > 1e-9
+    double = _action_distances(_adjoint_kraus(_adjoint_kraus(ch)), ch) > 1e-12
     for trial in range(10):
-        d = 3
-        f, g, h = (random_channel(d, 3, rng) for _ in range(3))
-        lhs = compose(compose(f, g), h)
-        rhs = compose(f, compose(g, h))
-        if action_distance(lhs, rhs) > 1e-9:
+        if assoc[trial]:
             failures.append(f"assoc trial {trial}: composition not associative")
-        ch = random_channel(d, 4, rng)
-        if action_distance(adjoint(adjoint(ch)), ch) > 1e-12:
+        if double[trial]:
             failures.append(f"adjoint trial {trial}: double adjoint changed the action")
     return _result("channel_axioms", failures, {"n_channels": n_channels})
 
@@ -287,16 +351,19 @@ def suite_snac_two_local(seed: int = 0, n_p: int = 50) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures = []
     q_uni = np.full(3, 1.0 / 3.0)
-    for p in np.linspace(0.0, 1.0, n_p):
-        ch = depolarizing(3, float(p))
-        generic = analysis.two_local_output(ch, q_uni).matrix
+    params = np.linspace(0.0, 1.0, n_p)
+    # two_local_output and snac_min_eig of depolarizing(3, p) at every p, in
+    # stacks from the family's unit images, with the same checks and bits
+    phi = analysis._family_unit_images(3, params)
+    generic = as_density_stack(analysis._two_local_array(analysis._pair_tensor(phi), q_uni))
+    got = np.stack([analysis._min_eigs(phi, q_uni, k) for k in (0.5, 1.0)], axis=-1).tolist()
+    for i, p in enumerate(params):
         entrywise = analysis.two_local_depolarizing_matrix(float(p), q_uni)
-        if np.max(np.abs(generic - entrywise)) > 1e-12:
+        if np.max(np.abs(generic[i] - entrywise)) > 1e-12:
             failures.append(f"p={p:.3f}: entrywise oracle mismatch")
-        got_half = analysis.snac_min_eig(ch, q_uni, 0.5)
+        got_half, got_one = got[i]
         if abs(got_half - (5.0 - 8.0 * p * p) / 18.0) > 1e-9:
             failures.append(f"p={p:.3f}: k=1/2 closed form violated ({got_half!r})")
-        got_one = analysis.snac_min_eig(ch, q_uni, 1.0)
         if abs(got_one - (2.0 - 8.0 * p * p) / 9.0) > 1e-9:
             failures.append(f"p={p:.3f}: k=1 closed form violated ({got_one!r})")
     for trial in range(5):

@@ -119,6 +119,22 @@ def ref_dephasing_kraus(d, v):
     return ops
 
 
+def ref_schmidt_amplitudes(dA, dB, lam, g):
+    """``states._schmidt_amplitudes`` with each local basis sliced from a full
+    d x d Haar unitary: the QR of the whole Gaussian matrix, R's phases fixed,
+    and then its first r columns kept."""
+    lam = np.maximum(lam, 0.01)  # states.COEFFICIENT_FLOOR
+    lam = lam / lam.sum(axis=-1, keepdims=True)
+    r = lam.shape[-1]
+    bases = []
+    for d, part in ((dA, g[:, :2 * dA * dA]), (dB, g[:, 2 * dA * dA:])):
+        part = part.reshape(-1, 2, d, d)
+        q, upper = np.linalg.qr((part[:, 0] + 1j * part[:, 1]) / np.sqrt(2.0), mode="complete")
+        diag = np.diagonal(upper, axis1=-2, axis2=-1)
+        bases.append((q * (diag / np.abs(diag))[..., None, :])[..., :r])
+    return np.einsum("ti,tai,tbi->tab", np.sqrt(lam), *bases).reshape(len(lam), dA * dB)
+
+
 def ref_pure_with_schmidt_rank(dA, dB, r, rng):
     """Amplitudes of ``random_pure_with_schmidt_rank`` drawn with ``rng.dirichlet``.
 

@@ -402,6 +402,20 @@ class TestSimplexLattice:
             self._check_refusals(cases, builds)
         self._check_refusals([(10**6 - 1, 2), (10**6, 2)], builds)
 
+    @pytest.mark.parametrize("n, d, nondecreasing", [(1412, 3, False), (999_999, 2, False),
+                                                     (999_999, 2, True), (9, 13, True)])
+    def test_the_rows_peak_at_their_own_size(self, n, d, nondecreasing):
+        # every column is written into the one result, not stacked from copies
+        # at the end (which peaked at twice the result: 45.75 MiB at q-grid 1412)
+        tracemalloc.start()
+        try:
+            rows = analysis._lattice_rows(n, d, nondecreasing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.flags.c_contiguous and rows.dtype == np.int64
+        assert peak <= 1.05 * rows.nbytes + 2**16
+
     @staticmethod
     def _check_refusals(cases, builds):
         refused = 0

@@ -363,6 +363,78 @@ class TestCanonicalKraus:
             ChoiMatrix(m, 2, 2)
 
 
+class TestStackedRules:
+    # Each helper takes leading axes, one Kraus set or Choi matrix per index,
+    # and gives every entry the bits of the public function on it alone.
+
+    @staticmethod
+    def _channels(rng, d, count):
+        return [random_channel(d, int(rng.integers(1, d * d + 1)), rng) for _ in range(count)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_canonical_kraus_of_a_stack(self, rng, d):
+        states = [choi(ch) for ch in self._channels(rng, d, 12)]
+        ops, kept = channels._kraus_from_choi_matrix(np.array([c.matrix for c in states]), d, d)
+        for c, stack, keep in zip(states, ops, kept):
+            assert np.array_equal(stack[keep], canonical_kraus(c)._stack)
+            assert not stack[~keep].any()
+
+    def test_canonical_kraus_names_the_first_state_with_no_positive_eigenvalue(self):
+        stack = np.array([np.eye(4) / 4, np.zeros((4, 4)), -np.eye(4)])
+        with pytest.raises(NotPSDError, match="^state 1: Choi matrix has no positive eigenvalue"):
+            channels._kraus_from_choi_matrix(stack, 2, 2)
+
+    def test_the_choi_states_and_defects_of_a_stack(self):
+        chs = [random_channel(3, 4, seed) for seed in range(8)]
+        stack = np.array([ch._stack for ch in chs])
+        defects = channels._kraus_sum_defect(stack)
+        states = channels._choi_states(channels._choi_array(stack), 3, 3)
+        for ch, defect, c in zip(chs, defects, states):
+            assert defect == ch.trace_preservation_defect()
+            assert np.array_equal(c, choi(ch).matrix)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (2.0 * max_entangled(2).density().matrix, NotTracePreservingError,
+         "state 1: Choi trace"),
+        (np.diag([0.5, 0.5, 0.0, 0.0]), NotTracePreservingError,
+         "state 1: input marginal deviates from I/d by 5.000e-01"),
+        (1.5 * max_entangled(2).density().matrix - 0.5 * np.eye(4) / 4, NotPSDError,
+         "state 1: minimum eigenvalue"),
+    ])
+    def test_choi_checks_name_the_first_failing_state(self, bad, error, message):
+        stack = np.array([max_entangled(2).density().matrix, bad, bad], dtype=complex)
+        with pytest.raises(error, match=f"^{message}"):
+            channels._choi_states(stack, 2, 2)
+
+    def test_the_trace_preservation_check_names_the_first_defect(self):
+        kraus = np.array([[np.eye(2)], [np.sqrt(2.0) * np.eye(2)], [np.zeros((2, 2))]])
+        with pytest.raises(NotTracePreservingError, match=r"^max \|sum K†K - I\| = 1\.000e\+00"):
+            channels._tp_kraus(kraus)
+        first = kraus[:1]
+        assert channels._tp_kraus(first) is first
+
+    def test_composition_adjoint_and_distance_of_stacks(self):
+        pairs = [(random_channel(3, 2, seed), random_channel(3, 3, seed + 100))
+                 for seed in range(6)]
+        first = np.array([a._stack for a, _ in pairs])
+        then = np.array([b._stack for _, b in pairs])
+        composed = channels._composed(first, then)
+        distances = channels._action_distances(first, then)
+        adjoints = channels._adjoint_kraus(first)
+        for (a, b), stack, distance, adj in zip(pairs, composed, distances, adjoints):
+            assert np.array_equal(stack, compose(a, b)._stack)
+            assert distance == action_distance(a, b)
+            assert np.array_equal(adj, adjoint(a)._stack)
+
+    def test_random_channel_is_the_stinespring_stack_of_its_draws(self):
+        for seed in range(5):
+            draws = np.random.default_rng(seed).standard_normal((2, 2 * 4 * 9))
+            stacks = channels._stinespring_kraus(draws, 3, 4)
+            rng = np.random.default_rng(seed)
+            for stack in stacks:
+                assert np.array_equal(stack, random_channel(3, 4, rng)._stack)
+
+
 class TestCompose:
     def test_identity_neutral(self, rng):
         ch = random_channel(3, 4, rng)

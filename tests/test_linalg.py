@@ -54,6 +54,15 @@ class TestKron:
             assert linalg.matrix_rank(linalg.kron(a, b)) == ra * rb
 
 
+    def test_a_stack_is_the_kron_of_each_pair(self, rng):
+        a = rng.standard_normal((6, 2, 3)) + 1j * rng.standard_normal((6, 2, 3))
+        b = rng.standard_normal((6, 4, 2)) + 1j * rng.standard_normal((6, 4, 2))
+        out = linalg._kron(a, b)
+        assert out.shape == (6, 8, 6)
+        for x, y, z in zip(a, b, out):
+            assert np.array_equal(z, linalg.kron(x, y))
+
+
 class TestHermitianEig:
     def test_identity(self):
         vals, _ = linalg.hermitian_eig(np.eye(3))
@@ -98,6 +107,19 @@ class TestHermitianEig:
         m = np.full((2, 2), np.nan)
         with pytest.raises(ValueError):
             linalg.hermitian_eig(m)
+
+    def test_a_stack_is_each_matrix_bit_for_bit(self, rng):
+        stack = np.array([random_hermitian(5, rng) + 1e-12 * rng.standard_normal((5, 5))
+                          for _ in range(4)])
+        vals, vecs = linalg._hermitian_eigh(stack)
+        for h, v, u in zip(stack, vals, vecs):
+            want_vals, want_vecs = linalg.hermitian_eig(h)
+            assert np.array_equal(v, want_vals) and np.array_equal(u, want_vecs)
+
+    def test_a_stack_names_its_first_non_hermitian_matrix(self, rng):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]]])
+        with pytest.raises(NotHermitianError, match="^matrix 1: max"):
+            linalg._hermitian_eigh(stack)
 
     def test_zero_matrix(self):
         vals, vecs = linalg.hermitian_eig(np.zeros((3, 3)))
@@ -198,6 +220,11 @@ class TestMatrixRank:
 
     def test_identity(self):
         assert linalg.matrix_rank(np.eye(3)) == 3
+
+    def test_the_rule_of_a_stack_is_matrix_rank_of_each(self, rng):
+        stack = np.array([random_rank_matrix(4, r, rng) for r in (1, 2, 3, 4)] + [np.zeros((4, 4))])
+        ranks = linalg._ranks(np.linalg.svd(stack, compute_uv=False))
+        assert ranks.tolist() == [linalg.matrix_rank(m) for m in stack] == [1, 2, 3, 4, 0]
 
 
 class TestPartialTrace:

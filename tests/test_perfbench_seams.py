@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from schmidt_lens import cli
+from schmidt_lens.suites import SUITES, run_suites
 from schmidt_lens.channels import channel_to_json, random_channel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,3 +46,13 @@ def test_traced_commands_record_the_benchmark_spans(tracing, capsys, tmp_path):
     capsys.readouterr()
     assert codes == [0] * len(lines)
     assert SPANS <= {span[0] for span in tracer.spans}
+
+
+def test_the_benchmark_checks_the_default_suites_in_order(monkeypatch):
+    # perfbench's verify check looks for one report line per name of
+    # VERIFY_SUITE_EVALS, so a renamed or reordered suite fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    names = [res.name for res in run_suites(seed=0)]
+    assert names == list(workloads.VERIFY_SUITE_EVALS)
+    assert set(names) <= set(SUITES)  # each line's name also selects it with --suite

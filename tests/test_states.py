@@ -17,6 +17,7 @@ from schmidt_lens.states import (
     DensityMatrix,
     PureState,
     _flat_dirichlet,
+    _schmidt_amplitudes,
     as_density_stack,
     haar_unitary,
     isotropic_state,
@@ -29,7 +30,7 @@ from schmidt_lens.states import (
     schmidt_rank,
 )
 
-from conftest import ref_pure_with_schmidt_rank, ref_sn_mixtures
+from conftest import ref_pure_with_schmidt_rank, ref_schmidt_amplitudes, ref_sn_mixtures
 
 
 class TestMaxEntangled:
@@ -183,6 +184,31 @@ class TestRandomPureWithSchmidtRank:
             random_pure_with_schmidt_rank(3, 3, 4, 0)
         with pytest.raises(InvalidRankError):
             random_pure_with_schmidt_rank(3, 3, 0, 0)
+
+
+class TestSchmidtAmplitudes:
+    # the bases come from a QR of their first r Gaussian columns only; the
+    # rank-r generator and the mixtures both draw their terms through it
+    @pytest.mark.parametrize("da", range(1, 10))
+    def test_bit_equal_to_full_qr_slices(self, da):
+        rng = np.random.default_rng(da)
+        for db in range(1, 10):
+            for r in range(1, min(da, db) + 1):
+                lam = _flat_dirichlet(rng.standard_exponential((20, r)))
+                g = rng.standard_normal((20, 2 * (da * da + db * db)))
+                assert np.array_equal(_schmidt_amplitudes(da, db, lam, g),
+                                      ref_schmidt_amplitudes(da, db, lam, g)), (da, db, r)
+
+    @pytest.mark.parametrize("da, db, calls", [(3, 3, 1), (3, 4, 2), (2, 2, 1)])
+    def test_equal_local_dimensions_share_one_qr(self, monkeypatch, da, db, calls):
+        shapes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda z: shapes.append(z.shape) or qr(z))
+        rng = np.random.default_rng(0)
+        lam = _flat_dirichlet(rng.standard_exponential((5, 2)))
+        _schmidt_amplitudes(da, db, lam, rng.standard_normal((5, 2 * (da * da + db * db))))
+        assert len(shapes) == calls
+        assert all(shape[-1] == 2 for shape in shapes)  # r columns, not d
 
 
 class TestFlatDirichlet:
