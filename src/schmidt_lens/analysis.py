@@ -20,6 +20,7 @@ from .channels import (
     _family_kraus_traces,
     _family_point,
     _unit_images,
+    _weight_rows,
     depolarizing,
 )
 from .errors import (
@@ -73,11 +74,11 @@ MAX_SNAC_REDUCED_WORK = 4 * 10**7
 # reduced) evaluated at once.
 CHUNK_BYTES = 8 * 2**20
 # Byte budget of the per-parameter arrays a named family's study stacks over
-# its grid at once: the Kraus-trace products and Gram checks of a witness
-# sweep's chunk, or the Kraus stacks and unit images of a snac study's p-chunk
-# (_family_parts). A parameter's work is small, so a few a chunk take most of
-# the gain (d=9 sweep: 7 points), and a study's peak memory stays that of one
-# parameter (at 2**19 the witness-thresholds workload peaked 0.34 MB higher).
+# its grid at once: a witness sweep's weighted diagonals of m traced Kraus rows
+# and n traces, 16 (3 m d + n) bytes a p with the two buffers numpy allocates
+# for the broadcast product, or the Kraus stacks and unit images of a snac
+# study's p-chunk (_family_parts). A parameter's work is small, so a few a chunk
+# take most of the gain, and a study's peak memory stays that of one parameter.
 GRID_CHUNK_BYTES = 2**17
 # Byte budget of one stacked reduced-kernel call of a depolarizing-family snac
 # study (_reduced_minima), 24 d^2 + 8 d + 24 bytes a row: the complex blocks
@@ -140,12 +141,11 @@ def _witness_curve(family: str, d: int, r: int):
     """p -> Tr(W C_Φ) of the named family, the curve ``snbc_witness_sweep``
     samples and ``snbc_witness_threshold`` bisects.
 
-    Each point reads the Kraus traces off the family's cached basis
-    (``_family_kraus_traces``, with its TP check from the Gram diagonals)
-    and builds no channel; the values equal ``channel_witness_value`` of
-    the family's channel bit for bit. The curve also takes an array of p,
-    whose traces it reads in one stacked call, and returns a list of
-    values, each summed by its own ``np.vdot``.
+    A point is two weights on the family's cached basis: it reads the Kraus
+    traces (``_family_kraus_traces``, TP checked from two Gram sums a row)
+    and builds no channel or weight row, and equals ``channel_witness_value``
+    of the family's channel bit for bit. An array of p is read in one
+    stacked call, and its list of values is summed by one ``np.vdot`` each.
     """
     w = witness(d, r)
     if family not in FAMILIES:
@@ -171,7 +171,7 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     parameter is the channel parameter in [0, 1], and the grid takes its
     traces off the family's cached Kraus basis in stacked calls of at most
     GRID_CHUNK_BYTES of products each, after checking trace preservation
-    from its Gram diagonals, with no channel built. A channel given without
+    from its Gram sums, with no channel built. A channel given without
     the custom family, or the custom family without one, raises
     UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
     BudgetError.
@@ -182,9 +182,8 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     params = np.linspace(0.0, 1.0, grid)
     if channel is None:
         curve = _witness_curve(family, d, r)
-        # the traces and the Gram check of n Kraus operators take 24 n d bytes a p
-        n = len(_KRAUS_FAMILIES[family][1](d).stack)
-        per = max(1, GRID_CHUNK_BYTES // (24 * n * d))
+        basis = _KRAUS_FAMILIES[family][1](d)
+        per = max(1, GRID_CHUNK_BYTES // (16 * (3 * basis.diagonals.size + len(basis.stack))))
         values = [v for i in range(0, grid, per) for v in curve(params[i:i + per])]
     else:
         w = witness(d, r)
@@ -239,10 +238,10 @@ def snbc_witness_threshold(family: str, d: int, r: int,
                            tol: float = BISECTION_TOL) -> float:
     """Parameter at which the family's witness value crosses zero.
 
-    Bisects the witness value of the named family's channel, read at every
-    step off the family's cached Kraus basis after the trace-preservation
-    check from its Gram diagonals (no channel is built), and equal bit for
-    bit to ``channel_witness_value`` of ``depolarizing``/``dephasing``. The
+    Bisects the named family's witness value, read at every step from its
+    two weights on the cached Kraus basis after the TP check from its Gram
+    sums (no channel or weight row is built), and equal bit for bit to
+    ``channel_witness_value`` of ``depolarizing``/``dephasing``. The
     witness value is affine in the parameter for both families, so the
     crossing is the exact breaking threshold: (rd - 1)/(d^2 - 1) for
     depolarizing and (r - 1)/(d - 1) for dephasing, whose r = 1 root lies
@@ -832,8 +831,8 @@ def _family_parts(d: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 def _family_unit_images(d: int, params: np.ndarray) -> np.ndarray:
     """``_unit_images(depolarizing(d, p))`` for every p of ``params``, with the
     checks of ``depolarizing`` (``_family_point``) and the same bits."""
-    w, basis, _ = _family_point("depolarizing", d, params)
-    return _unit_images(w[:, :, None, None] * basis.stack)
+    first, rest, basis, _ = _family_point("depolarizing", d, params)
+    return _unit_images(_weight_rows(first, rest, len(basis.stack))[:, :, None, None] * basis.stack)
 
 
 def _reduced_minima(populations: np.ndarray, squares: np.ndarray, at: np.ndarray, k: float,

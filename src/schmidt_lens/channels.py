@@ -80,7 +80,7 @@ class QuantumChannel:
 
     def trace_preservation_defect(self) -> float:
         """max |sum K†K - I|, computed once (the stack is owned and read-only);
-        a named family's channel holds the defect of its Gram-diagonal check."""
+        a named family's channel holds the defect of its Gram check."""
         if self._tp_defect is None:
             self._tp_defect = float(_kraus_sum_defect(self._stack))
         return self._tp_defect
@@ -370,62 +370,63 @@ def check_kraus_stack(d: int) -> int:
 
 
 class KrausBasis(NamedTuple):
-    """The Kraus basis B_a of a named family at one d, whose channel at
-    parameter p is the stack w(p)·B, K_a = w_a(p) B_a; every array read-only.
+    """The read-only Kraus basis B_a (B_0 = I) of a named family at one d,
+    whose channel at p is K_0 = first(p) B_0 and K_a = rest(p) B_a.
 
-    Every B_a†B_a of both bases is diagonal (I or a basis projector), so
-    sum_a K_a†K_a = sum_a w_a^2 B_a†B_a is read off ``gram_diagonals``:
-    row i holds (B_a†B_a)[i, i] = |B_a e_i|^2 for every a, and each
-    diagonal entry is one pairwise sum along that row. ``diagonals``
-    holds the diagonal of each B_a, so that
-    ``(w[:, None] * diagonals).sum(axis=1)`` are the traces Tr K_a, equal
-    to ``np.trace`` of the stack bit for bit.
+    Every B_a†B_a is diagonal, so sum_a K_a†K_a has diagonal first^2 G_i0 +
+    rest^2 S_i, G_i0 = |B_0 e_i|^2 and S_i the pairwise sum of |B_a e_i|^2
+    over a >= 1, rounding monotonically in S_i: ``grams`` keeps the
+    (G_i0, S_i) of the least and greatest S_i of each G_i0. ``diagonals``
+    holds those of B_0 .. B_{m-1}, up to the last nonzero one, and
+    ``zero_traces`` Tr B_a of the later rows, all ±0, which for weights
+    >= +0 are their Tr K_a bit for bit, signed zeros included.
     """
 
     stack: np.ndarray  # (n, d, d)
-    gram_diagonals: np.ndarray  # (d, n), real
-    diagonals: np.ndarray  # (n, d)
+    grams: np.ndarray  # (k, 2), real
+    diagonals: np.ndarray  # (m, d)
+    zero_traces: np.ndarray  # (n - m,)
 
     @classmethod
     def of(cls, stack: np.ndarray) -> KrausBasis:
-        gram_diagonals = (stack.real**2 + stack.imag**2).sum(axis=1).T
+        gram = np.ascontiguousarray((stack.real**2 + stack.imag**2).sum(axis=1).T)  # |B_a e_i|^2
+        g0, s = gram[:, 0], gram[:, 1:].sum(axis=1)
+        grams = np.unique([(g, end(s[g0 == g])) for g in set(g0) for end in (min, max)], axis=0)
         diagonals = stack.diagonal(axis1=1, axis2=2)
-        arrays = stack, np.ascontiguousarray(gram_diagonals), np.ascontiguousarray(diagonals)
+        m = np.flatnonzero(diagonals.any(axis=1))[-1] + 1
+        arrays = stack, grams, np.ascontiguousarray(diagonals[:m]), diagonals[m:].sum(axis=1)
         for a in arrays:
             a.flags.writeable = False
         return cls(*arrays)
 
-    def tp_defect(self, w: np.ndarray) -> float | np.ndarray:
-        """max |sum_a w_a^2 B_a†B_a - I|, the trace-preservation defect of
-        w·B, for each row of weights on w's last axis (a float for one row),
-        checked against TP_TOL with ``QuantumChannel``'s error, which names
-        the first defect over it."""
-        dev = np.abs((self.gram_diagonals * (w * w)[..., None, :]).sum(axis=-1) - 1.0).max(axis=-1)
+    def tp_defect(self, first, rest) -> float | np.ndarray:
+        """max_i |first^2 G_i0 + rest^2 S_i - 1| for weights or arrays of them (a
+        float for one pair), checked against TP_TOL by ``QuantumChannel``'s rule."""
+        f2, r2 = first * first, rest * rest
+        dev = functools.reduce(np.maximum, [abs(g * f2 + s * r2 - 1.0)
+                                            for g, s in self.grams.tolist()])
         return _require_tp(float(dev) if dev.ndim == 0 else dev)
 
 
-def _in_unit_interval(p) -> bool:
-    """0 <= p <= 1 for a float, or for every entry of an array; NaN fails."""
-    if isinstance(p, np.ndarray):
-        return bool(((0.0 <= p) & (p <= 1.0)).all())
-    return 0.0 <= p <= 1.0
+def _check_point(family: str, d: int, name: str, p) -> None:
+    """ParamOutOfRangeError unless d >= 2 and 0 <= p <= 1 (each p of an array); NaN fails."""
+    if d < 2:
+        raise ParamOutOfRangeError(f"{family} needs d >= 2")
+    if not (((0.0 <= p) & (p <= 1.0)).all() if isinstance(p, np.ndarray) else 0.0 <= p <= 1.0):
+        raise ParamOutOfRangeError(f"{name}={p} outside [0, 1]")
 
 
-def _weight_rows(p, first, rest, n: int) -> np.ndarray:
-    """n weights (first, rest, ..., rest) on a last axis after p's shape: one
-    row for a float p, one per entry of an array of p."""
-    weights = np.empty(getattr(p, "shape", ()) + (n,))  # np.shape would convert a float
+def _weight_rows(first, rest, n: int) -> np.ndarray:
+    """n weights (first, rest, ..., rest) on a last axis after their shape."""
+    weights = np.empty(getattr(rest, "shape", ()) + (n,))  # np.shape would convert a float
     weights[...] = rest[..., None]
     weights[..., 0] = first
     return weights
 
 
-def _depolarizing_weights(d: int, p) -> np.ndarray:
-    if d < 2:
-        raise ParamOutOfRangeError("depolarizing needs d >= 2")
-    if not _in_unit_interval(p):
-        raise ParamOutOfRangeError(f"p={p} outside [0, 1]")
-    return _weight_rows(p, np.sqrt(p + (1.0 - p) / d**2), np.sqrt((1.0 - p) / d**2), d * d)
+def _depolarizing_weights(d: int, p):
+    _check_point("depolarizing", d, "p", p)
+    return np.sqrt(p + (1.0 - p) / d**2), np.sqrt((1.0 - p) / d**2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -435,12 +436,9 @@ def _depolarizing_basis(d: int) -> KrausBasis:
     return KrausBasis.of(np.stack(_shift_clock_products(d)))
 
 
-def _dephasing_weights(d: int, v) -> np.ndarray:
-    if d < 2:
-        raise ParamOutOfRangeError("dephasing needs d >= 2")
-    if not _in_unit_interval(v):
-        raise ParamOutOfRangeError(f"v={v} outside [0, 1]")
-    return _weight_rows(v, np.sqrt(v), np.sqrt(1.0 - v), d + 1)
+def _dephasing_weights(d: int, v):
+    _check_point("dephasing", d, "v", v)
+    return np.sqrt(v), np.sqrt(1.0 - v)
 
 
 @functools.lru_cache(maxsize=8)
@@ -453,36 +451,42 @@ def _dephasing_basis(d: int) -> KrausBasis:
     return KrausBasis.of(stack)
 
 
-# Each named family's weights w(d, p), which check d and p, and its per-d
-# cached basis (a bounded lru_cache); the same keys as analysis.FAMILIES.
+# Each named family's weights (first, rest) at (d, p), which check d and p, and
+# its per-d cached basis (a bounded lru_cache); the same keys as analysis.FAMILIES.
 _KRAUS_FAMILIES = {
     "depolarizing": (_depolarizing_weights, _depolarizing_basis),
     "dephasing": (_dephasing_weights, _dephasing_basis),
 }
 
 
-def _family_point(family: str, d: int, p) -> tuple[np.ndarray, KrausBasis, float | np.ndarray]:
-    """Weights, basis and Gram-diagonal trace-preservation defect at (d, p);
-    for an array of p, one row of weights and one defect per entry."""
+def _family_point(family: str, d: int, p):
+    """Weights first and rest, basis and TP defect at (d, p) (arrays for an
+    array of p), checked in order: d and p, d budget, TP."""
     weights, basis = _KRAUS_FAMILIES[family]
-    w = weights(d, p)
+    first, rest = weights(d, p)
     b = basis(d)
-    return w, b, b.tp_defect(w)
+    return first, rest, b, b.tp_defect(first, rest)
 
 
 def _family_kraus_traces(family: str, d: int, p) -> np.ndarray:
     """Tr K_a of the named family's channel at (d, p), one row per entry of
-    an array of p, equal bit for bit to ``np.trace`` of the stack that
-    ``depolarizing``/``dephasing`` build, and under the same checks in the
-    same order (parameter range, d budget, TP check from the Gram
-    diagonals); no channel is built."""
-    w, b, _ = _family_point(family, d, p)
-    return (w[..., None] * b.diagonals).sum(axis=-1)
+    an array of p, bit for bit ``np.trace`` of the stack ``depolarizing`` or
+    ``dephasing`` builds, after its checks (``_family_point``). Only the
+    rows with a diagonal are weighted; no channel or weight row is built."""
+    first, rest, b, _ = _family_point(family, d, p)
+    m = len(b.diagonals)
+    rows = rest[..., None, None] * b.diagonals
+    rows[..., 0, :] = first[..., None]  # first * (1 + 0j) bit for bit, as B_0 = I
+    out = np.empty(rows.shape[:-2] + (len(b.stack),), dtype=complex)
+    out[..., m:] = b.zero_traces
+    np.add.reduce(rows, -1, out=out[..., :m])
+    return out
 
 
 def _family_channel(family: str, d: int, p: float) -> QuantumChannel:
-    w, b, defect = _family_point(family, d, p)
-    ch = QuantumChannel(w[:, None, None] * b.stack, check_tp=False)
+    first, rest, b, defect = _family_point(family, d, p)
+    stack = _weight_rows(first, rest, len(b.stack))[:, None, None] * b.stack
+    ch = QuantumChannel(stack, check_tp=False)
     ch._tp_defect = defect
     return ch
 
@@ -493,12 +497,9 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     Kraus realization: the identity weighted sqrt(p + (1-p)/d^2) plus
     the remaining d^2 - 1 shift/clock unitaries each weighted
     sqrt((1-p)/d^2); the unitary twirl identity makes the action match
-    the formula exactly. The unitaries come from a per-d cached,
-    read-only ``KrausBasis``, and the weights are broadcast into it.
-    Trace preservation is checked from the cached Gram diagonals,
-    sum_a w_a^2 |B_a e_i|^2 (every B_a†B_a is I), against ``TP_TOL``, not
-    from the Kraus sum. d with a stack over ``MAX_KRAUS_STACK_BYTES``
-    raises BudgetError.
+    the formula exactly. The unitaries are a per-d cached ``KrausBasis``,
+    whose Gram sums give the trace-preservation check (``TP_TOL``), not the
+    Kraus sum. d with a stack over ``MAX_KRAUS_STACK_BYTES`` raises BudgetError.
     """
     return _family_channel("depolarizing", d, p)
 
@@ -507,10 +508,8 @@ def dephasing(d: int, v: float) -> QuantumChannel:
     """Dephasing channel: off-diagonal entries scaled by v, diagonal kept.
 
     Kraus realization: sqrt(v) I plus sqrt(1-v) |i><i| for each basis
-    projector, the weights broadcast into a per-d cached, read-only
-    ``KrausBasis``; trace preservation is checked from its Gram diagonals
-    (each B_a†B_a is I or a projector), as for ``depolarizing``. d is not
-    capped here.
+    projector on a per-d cached ``KrausBasis``, trace preservation checked
+    from its Gram sums as for ``depolarizing``. d is not capped here.
     """
     return _family_channel("dephasing", d, v)
 

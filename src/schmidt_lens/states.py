@@ -296,17 +296,16 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
     Per state, in generator order: the term count (drawn from
     1..max_terms, or ``max_terms`` itself when ``draw_terms`` is false),
     the Dirichlet weights, then per term the draws of
-    ``random_pure_with_schmidt_rank``. Only these draws run per state.
-    Both Dirichlet draws are their standard exponential rows, written in
-    place and normalized after the loop by :func:`_flat_dirichlet`, which
+    ``random_pure_with_schmidt_rank`` (the weights and the first term's
+    coefficients in one call). Both Dirichlet draws are standard exponential
+    rows, normalized after the loop by :func:`_flat_dirichlet`, which
     reproduces ``rng.dirichlet(np.ones(k))`` bit for bit and leaves the
-    generator where it would; the weights are normalized with zeros in the
-    unused slots, the coefficients only in the used ones.
+    generator where it would; the weights with zeros in the unused slots.
     Every term's norm is checked against ``NORM_TOL``. Each mixture is
     the product of its ``sqrt(w)``-weighted amplitude rows, zero rows
     filling the unused term slots; no per-term D x D matrix is formed.
     """
-    weights = np.zeros((n, max_terms))
+    head = np.empty((n, max_terms + r))  # the weights, then the first term's coefficients
     lam = np.empty((n, max_terms, r))
     g = np.empty((n, max_terms, 2 * (dA * dA + dB * dB)))
     counts = [max_terms] * n
@@ -315,12 +314,14 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
         if draw_terms:
             counts[i] = int(rng.integers(1, max_terms + 1))
         terms = counts[i]
-        exponential(out=weights[i, :terms])
-        for t in range(terms):
+        exponential(out=head[i, :terms + r])
+        normal(out=g[i, 0])
+        for t in range(1, terms):
             exponential(out=lam[i, t])
             normal(out=g[i, t])
     used = np.arange(max_terms) < np.array(counts)[:, None]
-    weights = _flat_dirichlet(weights)
+    lam[:, 0] = np.take_along_axis(head, np.array(counts)[:, None] + np.arange(r), 1)
+    weights = _flat_dirichlet(np.where(used, head[:, :max_terms], 0.0))
     amp = _schmidt_amplitudes(dA, dB, _flat_dirichlet(lam[used]), g[used])
     norm, bad = _off_norms(amp)
     if bad.size:

@@ -150,8 +150,10 @@ def ref_pure_with_schmidt_rank(dA, dB, r, rng):
     return _schmidt_amplitudes(dA, dB, lam[None], g[None])[0]
 
 
-def ref_sn_mixtures(dA, dB, r, n, max_terms, rng):
-    """The stack of ``random_states_sn_at_most``, drawing each state with ``rng.dirichlet``."""
+def ref_sn_mixtures(dA, dB, r, n, max_terms, rng, draw_terms=True):
+    """The stack of ``random_states_sn_at_most``, drawing each state with ``rng.dirichlet``;
+    with ``draw_terms`` false each state has ``max_terms`` terms and no count is drawn,
+    as in ``random_state_sn_at_most``."""
     from schmidt_lens.states import _schmidt_amplitudes, as_density_stack
 
     weights = np.zeros((n, max_terms))
@@ -159,7 +161,7 @@ def ref_sn_mixtures(dA, dB, r, n, max_terms, rng):
     g = np.empty((n, max_terms, 2 * (dA * dA + dB * dB)))
     used = np.zeros((n, max_terms), dtype=bool)
     for i in range(n):
-        terms = int(rng.integers(1, max_terms + 1))
+        terms = int(rng.integers(1, max_terms + 1)) if draw_terms else max_terms
         weights[i, :terms] = rng.dirichlet(np.ones(terms))
         used[i, :terms] = True
         for t in range(terms):

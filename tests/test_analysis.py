@@ -103,9 +103,30 @@ class TestWitnessSweep:
         snbc_witness_sweep("dephasing", 3, 2, grid=11)
         assert chunks == [(11,)] and len(maps) == 1
         chunks.clear()
-        snbc_witness_sweep("depolarizing", 9, 2, grid=101)  # 81 Kraus operators
+        snbc_witness_sweep("depolarizing", 9, 2, grid=101)  # 81 Kraus operators, 9 traced
         assert sum(n for n, in chunks) == 101 and len(chunks) > 1
-        assert all(24 * 81 * 9 * n <= analysis.GRID_CHUNK_BYTES for n, in chunks)
+        assert all(16 * (3 * 9 * 9 + 81) * n <= analysis.GRID_CHUNK_BYTES for n, in chunks)
+
+    @pytest.mark.parametrize("family, d, r", [("depolarizing", 13, 6), ("dephasing", 64, 32)])
+    def test_a_chunk_peaks_within_its_budget(self, family, d, r, monkeypatch):
+        # the peak before the records are made: the values so far (under 40
+        # bytes each) and one chunk's arrays, numpy's buffers included, within
+        # the budget or one p's 16 (3 m d + n) bytes (dephasing at d = 64)
+        basis = channels._KRAUS_FAMILIES[family][1](d)
+        chunk = max(analysis.GRID_CHUNK_BYTES, 16 * (3 * basis.diagonals.size + len(basis.stack)))
+        snbc_witness_sweep(family, d, r, 1001)  # the basis cache is not this sweep's
+        peaks = []
+        ordered = analysis._ordered_map
+        monkeypatch.setattr(analysis, "_ordered_map", lambda fn, items: (
+            peaks.append(tracemalloc.get_traced_memory()[1]) or ordered(fn, items)))
+        tracemalloc.start()
+        try:
+            records = snbc_witness_sweep(family, d, r, 1001)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= chunk + 40 * 1001
+        assert peak <= kept + chunk and len(records) == 1001
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -613,11 +614,16 @@ FAMILY_BUILDS = {"depolarizing": (depolarizing, old_depolarizing_stack),
                  "dephasing": (dephasing, old_dephasing_stack)}
 
 
-def scale_weights(monkeypatch, family, squares_sum):
-    """Make the named family's weights square-sum to ``squares_sum`` instead of 1."""
+def scale_weights(monkeypatch, family, first, rest):
+    """Scale the named family's squared weights first^2 and rest^2 by these factors,
+    so that they square-sum to ``first`` and ``rest`` times their shares of 1."""
     weights, basis = channels._KRAUS_FAMILIES[family]
-    monkeypatch.setitem(channels._KRAUS_FAMILIES, family,
-                        (lambda d, p: weights(d, p) * np.sqrt(squares_sum), basis))
+    monkeypatch.setitem(channels._KRAUS_FAMILIES, family, (lambda d, p: tuple(
+        w * np.sqrt(s) for w, s in zip(weights(d, p), (first, rest))), basis))
+
+
+# The share of sum_a K_a†K_a = I that K_0 carries at d = 3; the rest carry 1 - it.
+FIRST_SHARES = {"depolarizing": lambda p: p + (1.0 - p) / 9, "dephasing": lambda p: p}
 
 
 @pytest.mark.parametrize("family", FAMILY_BUILDS)
@@ -635,9 +641,14 @@ class TestKrausBasis:
         weights, basis = channels._KRAUS_FAMILIES[family]
         for d in range(2, 14):
             params = np.array(family_params(d))
-            w, b = weights(d, params), basis(d)
-            assert w.tobytes() == np.stack([weights(d, p) for p in params]).tobytes()
-            assert b.tp_defect(w).tolist() == [b.tp_defect(row) for row in w]
+            (first, rest), b = weights(d, params), basis(d)
+            points = [weights(d, p) for p in params]
+            assert first.tobytes() == np.array([f for f, _ in points]).tobytes()
+            assert rest.tobytes() == np.array([r for _, r in points]).tobytes()
+            n = len(b.stack)
+            assert channels._weight_rows(first, rest, n).tobytes() == np.stack(
+                [channels._weight_rows(f, r, n) for f, r in points]).tobytes()
+            assert b.tp_defect(first, rest).tolist() == [b.tp_defect(f, r) for f, r in points]
             traces = channels._family_kraus_traces(family, d, params)
             assert traces.tobytes() == np.stack(
                 [channels._family_kraus_traces(family, d, p) for p in params]).tobytes()
@@ -646,10 +657,11 @@ class TestKrausBasis:
 
     def test_a_grid_names_its_first_defect_over_the_tolerance(self, family):
         weights, basis = channels._KRAUS_FAMILIES[family]
-        w = weights(3, np.array([0.2, 0.4, 0.6])) * np.sqrt([[1.0], [1.0 + 2e-9], [1.0 + 4e-9]])
+        first, rest = weights(3, np.array([0.2, 0.4, 0.6]))
+        scale = np.sqrt([1.0, 1.0 + 2e-9, 1.0 + 4e-9])
         with pytest.raises(NotTracePreservingError,
                            match=r"max \|sum K†K - I\| = 2\.000e-09 exceeds 1\.0e-09"):
-            basis(3).tp_defect(w)
+            basis(3).tp_defect(first * scale, rest * scale)
 
     def test_gram_defect_is_the_kraus_sum(self, family):
         # the reference is the Kraus sum of the built stack in extended precision:
@@ -667,16 +679,40 @@ class TestKrausBasis:
     def test_gram_check_fires_from_the_builder_and_the_curve(self, family, monkeypatch):
         build, _ = FAMILY_BUILDS[family]
         with monkeypatch.context() as patch:
-            scale_weights(patch, family, 1.0 + 5e-10)
+            scale_weights(patch, family, 1.0 + 5e-10, 1.0 + 5e-10)
             assert 4e-10 < build(3, 0.4).trace_preservation_defect() <= 1e-9
             snbc_witness_sweep(family, 3, 2, grid=5)
-        scale_weights(monkeypatch, family, 1.0 + 2e-9)
+        scale_weights(monkeypatch, family, 1.0 + 2e-9, 1.0 + 2e-9)
         for call in (lambda: build(3, 0.4),
                      lambda: snbc_witness_threshold(family, 3, 2),
                      lambda: snbc_witness_sweep(family, 3, 2, grid=5)):
             with pytest.raises(NotTracePreservingError,
                                match=r"max \|sum K†K - I\| = 2\.000e-09 exceeds 1\.0e-09"):
                 call()
+
+    @pytest.mark.parametrize("weight", ["first", "rest"])
+    def test_each_weight_alone_fires_the_gram_check(self, family, weight, monkeypatch):
+        # its squared weight scaled by 1 + 2e-9, the defect is 2e-9 times its
+        # share: at p = 1 K_0 carries all of I, at p = 0 the rest carry 8/9 of
+        # it (depolarizing) or all of it (dephasing)
+        build, _ = FAMILY_BUILDS[family]
+        first_share = FIRST_SHARES[family]
+        if weight == "first":
+            scale_weights(monkeypatch, family, 1.0 + 2e-9, 1.0)
+            share, p = first_share, 1.0
+        else:
+            scale_weights(monkeypatch, family, 1.0, 1.0 + 2e-9)
+            share, p = (lambda q: 1.0 - first_share(q)), 0.0
+        grid = np.linspace(0.0, 1.0, 6)
+        failing = next(q for q in grid if 2e-9 * share(q) > 1e-9)  # first: 0.6, rest: 0
+        for call, q in ((lambda: build(3, p), p),
+                        (lambda: snbc_witness_threshold(family, 3, 2), p),
+                        (lambda: snbc_witness_sweep(family, 3, 2, grid=6), failing)):
+            message = f"max |sum K†K - I| = {2e-9 * share(q):.3e} exceeds 1.0e-09"
+            with pytest.raises(NotTracePreservingError, match=re.escape(message)):
+                call()
+        if (family, weight) != ("depolarizing", "rest"):
+            assert f"{2e-9 * share(p):.3e}" == "2.000e-09"
 
     def test_cache_is_bounded_read_only_and_no_larger_than_a_stack(self, family):
         build, _ = FAMILY_BUILDS[family]
@@ -696,11 +732,28 @@ class TestKrausBasis:
             cached = basis(d)
             grams = cached.stack.conj().transpose(0, 2, 1) @ cached.stack
             assert not grams[:, ~np.eye(d, dtype=bool)].any(), d  # exactly 0
-            diagonals = cached.gram_diagonals
-            assert diagonals.dtype == np.float64 and diagonals.shape == (d, len(cached.stack))
-            assert not diagonals.flags.writeable
-            np.testing.assert_allclose(diagonals, grams.diagonal(axis1=1, axis2=2).real.T,
-                                       rtol=0, atol=1e-15)
+            diagonals = grams.diagonal(axis1=1, axis2=2).real  # (n, d)
+            rows = np.stack([diagonals[0], diagonals[1:].sum(axis=0)], axis=1)  # (G_i0, S_i)
+            pairs = cached.grams
+            assert pairs.dtype == np.float64 and pairs.shape[1] == 2 and len(pairs) <= 2
+            assert not pairs.flags.writeable and (pairs[:, 0] == 1.0).all()
+            gaps = np.abs(rows[:, None, :] - pairs[None, :, :]).max(axis=-1)  # (d, pairs)
+            assert gaps.min(axis=0).max() <= 1e-13, d
+            # the kept pairs give the defect of every row, bit for bit
+            exact = np.ascontiguousarray((cached.stack.real**2 + cached.stack.imag**2).sum(axis=1).T)
+            for p in family_params(d)[::7]:
+                first, rest = channels._KRAUS_FAMILIES[family][0](d, p)
+                every = np.abs(exact[:, 0] * (first * first)
+                               + exact[:, 1:].sum(axis=1) * (rest * rest) - 1.0).max()
+                assert cached.tp_defect(first, rest) == every, (d, p)
+            assert np.array_equal(cached.stack[0], np.eye(d)), d  # B_0 = I
+            m = len(cached.diagonals)
+            assert cached.diagonals.tobytes() == cached.stack[:m].diagonal(
+                axis1=1, axis2=2).tobytes()
+            assert cached.diagonals[-1].any() and not cached.stack[m:].diagonal(
+                axis1=1, axis2=2).any(), d
+            assert cached.zero_traces.tobytes() == np.trace(
+                cached.stack[m:], axis1=1, axis2=2).tobytes()
 
     def test_cache_holds_its_stack_and_at_most_24_n_d_bytes_more(self, family):
         _, basis = channels._KRAUS_FAMILIES[family]
@@ -708,6 +761,18 @@ class TestKrausBasis:
             cached = basis(d)
             n = len(cached.stack)
             assert sum(array.nbytes for array in cached) <= cached.stack.nbytes + 24 * n * d, d
+
+
+def test_the_witness_curves_build_no_weight_rows(monkeypatch):
+    calls = []
+    rows = channels._weight_rows
+    monkeypatch.setattr(channels, "_weight_rows", lambda *a: calls.append(a) or rows(*a))
+    for family in FAMILY_BUILDS:
+        snbc_witness_threshold(family, 3, 2)
+        snbc_witness_sweep(family, 3, 2, grid=11)
+    assert calls == []
+    depolarizing(3, 0.5)
+    assert len(calls) == 1
 
 
 class TestDephasing:

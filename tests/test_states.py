@@ -260,6 +260,10 @@ class TestRandomStatesSnAtMost:
         want = ref_sn_mixtures(d, d, r, 60, max_terms, ref_rng)
         assert np.array_equal(random_states_sn_at_most(d, d, r, 60, max_terms, rng), want)
         assert ref_rng.bit_generator.state == rng.bit_generator.state
+        for terms in range(1, max_terms + 1):  # one state, no term count drawn
+            want = ref_sn_mixtures(d, d, r, 1, terms, ref_rng, draw_terms=False)[0]
+            assert np.array_equal(random_state_sn_at_most(d, d, r, terms, rng).matrix, want)
+            assert ref_rng.bit_generator.state == rng.bit_generator.state
 
     def test_consecutive_stacks_continue_one_stack(self):
         whole_rng, split_rng = np.random.default_rng(9), np.random.default_rng(9)
