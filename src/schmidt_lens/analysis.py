@@ -78,7 +78,8 @@ CHUNK_BYTES = 8 * 2**20
 # and n traces, 16 (3 m d + n) bytes a p with the two buffers numpy allocates
 # for the broadcast product, or the Kraus stacks and unit images of a snac
 # study's p-chunk (_family_parts). A parameter's work is small, so a few a chunk
-# take most of the gain, and a study's peak memory stays that of one parameter.
+# take most of the gain, and a study's peak memory stays that of one parameter
+# (at 2**19 the witness-thresholds workload peaked 0.34 MB higher).
 GRID_CHUNK_BYTES = 2**17
 # Byte budget of one stacked reduced-kernel call of a depolarizing-family snac
 # study (_reduced_minima), 24 d^2 + 8 d + 24 bytes a row: the complex blocks
@@ -168,10 +169,9 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     Each value is read off the Kraus traces, as ``channel_witness_value``
     reads it. For ``family="custom"`` the fixed ``channel`` is checked once
     (as by ``snac_sweep``) and evaluated once; for the named families the
-    parameter is the channel parameter in [0, 1], and the grid takes its
-    traces off the family's cached Kraus basis in stacked calls of at most
-    GRID_CHUNK_BYTES of products each, after checking trace preservation
-    from its Gram sums, with no channel built. A channel given without
+    parameter is the channel parameter in [0, 1], and the grid is read in
+    stacked calls of ``_witness_curve`` of at most GRID_CHUNK_BYTES each,
+    with no channel built. A channel given without
     the custom family, or the custom family without one, raises
     UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
     BudgetError.
@@ -238,10 +238,9 @@ def snbc_witness_threshold(family: str, d: int, r: int,
                            tol: float = BISECTION_TOL) -> float:
     """Parameter at which the family's witness value crosses zero.
 
-    Bisects the named family's witness value, read at every step from its
-    two weights on the cached Kraus basis after the TP check from its Gram
-    sums (no channel or weight row is built), and equal bit for bit to
-    ``channel_witness_value`` of ``depolarizing``/``dephasing``. The
+    Bisects ``_witness_curve``, whose every point is two weights on the
+    family's cached Kraus basis (no channel or weight row is built), equal
+    bit for bit to ``channel_witness_value`` of the built channel. The
     witness value is affine in the parameter for both families, so the
     crossing is the exact breaking threshold: (rd - 1)/(d^2 - 1) for
     depolarizing and (r - 1)/(d - 1) for dephasing, whose r = 1 root lies

@@ -391,7 +391,7 @@ class KrausBasis(NamedTuple):
     def of(cls, stack: np.ndarray) -> KrausBasis:
         gram = np.ascontiguousarray((stack.real**2 + stack.imag**2).sum(axis=1).T)  # |B_a e_i|^2
         g0, s = gram[:, 0], gram[:, 1:].sum(axis=1)
-        grams = np.unique([(g, end(s[g0 == g])) for g in set(g0) for end in (min, max)], axis=0)
+        grams = np.array(sorted({(g, end(s[g0 == g])) for g in g0.tolist() for end in (min, max)}))
         diagonals = stack.diagonal(axis1=1, axis2=2)
         m = np.flatnonzero(diagonals.any(axis=1))[-1] + 1
         arrays = stack, grams, np.ascontiguousarray(diagonals[:m]), diagonals[m:].sum(axis=1)

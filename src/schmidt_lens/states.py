@@ -296,11 +296,13 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
     Per state, in generator order: the term count (drawn from
     1..max_terms, or ``max_terms`` itself when ``draw_terms`` is false),
     the Dirichlet weights, then per term the draws of
-    ``random_pure_with_schmidt_rank`` (the weights and the first term's
-    coefficients in one call). Both Dirichlet draws are standard exponential
-    rows, normalized after the loop by :func:`_flat_dirichlet`, which
-    reproduces ``rng.dirichlet(np.ones(k))`` bit for bit and leaves the
-    generator where it would; the weights with zeros in the unused slots.
+    ``random_pure_with_schmidt_rank``, the weights and the first term's
+    coefficients in one call; only these draws run per state. Both
+    Dirichlet draws are standard exponential rows, normalized after the
+    loop by :func:`_flat_dirichlet`, which reproduces
+    ``rng.dirichlet(np.ones(k))`` bit for bit and leaves the generator where
+    it would; the weights with zeros in the unused slots, the coefficients
+    only in the used ones.
     Every term's norm is checked against ``NORM_TOL``. Each mixture is
     the product of its ``sqrt(w)``-weighted amplitude rows, zero rows
     filling the unused term slots; no per-term D x D matrix is formed.

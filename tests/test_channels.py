@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -761,6 +765,22 @@ class TestKrausBasis:
             cached = basis(d)
             n = len(cached.stack)
             assert sum(array.nbytes for array in cached) <= cached.stack.nbytes + 24 * n * d, d
+
+
+def test_the_family_paths_import_no_masked_arrays():
+    # numpy.ma loads on first use (np.unique with an axis, np.setdiff1d) and
+    # adds about 1 MB to the peak memory of every process that uses it
+    script = ("import sys\n"
+              "from schmidt_lens import analysis, channels\n"
+              "for family in analysis.FAMILIES:\n"
+              "    analysis.snbc_witness_threshold(family, 9, 4)\n"
+              "    analysis.snbc_witness_sweep(family, 13, 6, 11)\n"
+              "analysis.snac_sweep(3, 0.5, 3, 4)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = Path(channels.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_the_witness_curves_build_no_weight_rows(monkeypatch):
