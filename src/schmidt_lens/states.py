@@ -317,12 +317,12 @@ def _sn_mixtures(dA: int, dB: int, r: int, n: int, max_terms: int, rng,
             counts[i] = int(rng.integers(1, max_terms + 1))
         terms = counts[i]
         exponential(out=head[i, :terms + r])
+        lam[i, 0] = head[i, terms:terms + r]
         normal(out=g[i, 0])
         for t in range(1, terms):
             exponential(out=lam[i, t])
             normal(out=g[i, t])
     used = np.arange(max_terms) < np.array(counts)[:, None]
-    lam[:, 0] = np.take_along_axis(head, np.array(counts)[:, None] + np.arange(r), 1)
     weights = _flat_dirichlet(np.where(used, head[:, :max_terms], 0.0))
     amp = _schmidt_amplitudes(dA, dB, _flat_dirichlet(lam[used]), g[used])
     norm, bad = _off_norms(amp)
