@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -71,23 +71,22 @@ MAX_GRID_POINTS = 1001
 MAX_SNAC_EIG_WORK = 2 * 10**9
 MAX_SNAC_REDUCED_WORK = 4 * 10**7
 # Byte budget of the stacked certificate matrices (d^2 x d^2 dense, d x d
-# reduced) evaluated at once.
+# reduced) evaluated at once. Row chunks set output bits: a 1-row chunk (and
+# snac_min_eig's single q) takes numpy's matrix-vector path, which rounds
+# differently from a multi-row chunk, so a change to this budget or to its
+# 16 d^4 / 16 d^2 row models can move the bits of a study over one chunk.
 CHUNK_BYTES = 8 * 2**20
 # Byte budget of the per-parameter arrays a named family's study stacks over
 # its grid at once: a witness sweep's weighted diagonals of m traced Kraus rows
 # and n traces, 16 (3 m d + n) bytes a p with the two buffers numpy allocates
-# for the broadcast product, or the Kraus stacks and unit images of a snac
-# study's p-chunk (_family_parts). A parameter's work is small, so a few a chunk
-# take most of the gain, and a study's peak memory stays that of one parameter
-# (at 2**19 the witness-thresholds workload peaked 0.34 MB higher).
-GRID_CHUNK_BYTES = 2**17
-# Byte budget of one stacked reduced-kernel call of a depolarizing-family snac
-# study (_reduced_minima), 24 d^2 + 8 d + 24 bytes a row: the complex blocks
-# solved and their real weights (X before them), the block diagonals, and the
-# off-block entries, bounds and solved indices. The benchmark's qutrit study
-# (21 p x 91 rows) is one call, and peak memory stays that of one p at a time
-# (at CHUNK_BYTES, --d 2 --p-grid 1001 --q-grid 9989 peaked 20 MB higher).
-FAMILY_SOLVE_BYTES = 2**19
+# for the broadcast product; the Kraus stacks and unit images of a snac study's
+# p-chunk (_family_parts); and its stacked reduced-kernel solves
+# (_reduced_minima), 24 d^2 + 8 d + 24 bytes a lattice row. A parameter's work
+# is small, so a few a chunk take most of the gain, and a study's peak memory
+# stays that of one parameter (at CHUNK_BYTES, --d 2 --p-grid 1001 --q-grid
+# 9989 peaked 20 MB higher; 2**19 against 2**17 costs the witness-thresholds
+# workload 0.1-0.2 MB of peak RSS).
+GRID_CHUNK_BYTES = 2**19
 # Largest |entry| of Φ(|j><l|) outside the phase-covariant pattern (see
 # phase_covariant_defect) for which the reduced two-local kernel is taken
 # (_kernel_parts). Depolarizing reaches 2.4e-16 (d <= 13, 1001 values of p)
@@ -170,7 +169,8 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     reads it. For ``family="custom"`` the fixed ``channel`` is checked once
     (as by ``snac_sweep``) and evaluated once; for the named families the
     parameter is the channel parameter in [0, 1], and the grid is read in
-    stacked calls of ``_witness_curve`` of at most GRID_CHUNK_BYTES each,
+    stacked calls of ``_witness_curve`` of at most GRID_CHUNK_BYTES each
+    (16 (3 m d + n) bytes a p, or one p; a 101-point d=9 grid is one call),
     with no channel built. A channel given without
     the custom family, or the custom family without one, raises
     UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
@@ -591,7 +591,9 @@ def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarra
     neither is the minimum nor ties with it, and ``_first_minimum`` picks the
     row and value the full eigensolve gives. The minimum of a study's rows
     is at most that of one call's, so the rule holds call by call, for the
-    CHUNK_BYTES chunks of ``_reduced_minima`` too. A NaN bound fails the
+    CHUNK_BYTES row chunks of ``_reduced_minima`` too; min U is taken per
+    channel, so its GRID_CHUNK_BYTES channel stacks solve the rows a call
+    per channel would. A NaN bound fails the
     test and its row is solved. A single row (``snac_min_eig``) has L <= U,
     so it is solved without forming the bounds.
     """
@@ -694,7 +696,10 @@ def snac_min_eig(ch: QuantumChannel, q, k: float) -> float:
 
     Minimum eigenvalue of (id ⊗ Lambda_k)((Φ ⊗ Φ)|psi_q><psi_q|), where
     |psi_q> = sum_j sqrt(q_j) |jj> and Φ meets ``_check_square`` at len(q),
-    on the kernel that ``_kernel_parts`` decides.
+    on the kernel that ``_kernel_parts`` decides. Its one q takes numpy's
+    matrix-vector path, as a 1-row chunk of ``snac_lattice_minimum`` does,
+    so it can differ from a multi-row chunk's value in the last bits (up to
+    3.3e-16 on ``random_channel(3, 4, 7)`` at q-grid 12, k = 1/2).
     """
     q = _as_simplex(q)
     _check_square(ch, q.size)
@@ -744,8 +749,7 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int
     lattice = (_lattice_rows(n_subdiv, d, True) if _orbit_covariant(phi, *parts)
                else simplex_lattice(n_subdiv, d))
     if reduced:
-        return _reduced_minima(populations[None], squares[None], np.arange(1), k, n_subdiv,
-                               lattice, 1)[0]
+        return _reduced_minima(populations[None], squares[None], k, n_subdiv, lattice)[0]
     certificate = _certificate(phi, k)
     rows = max(1, CHUNK_BYTES // (16 * d ** 4))
     return _first_minimum(lattice, n_subdiv, np.concatenate([
@@ -771,7 +775,7 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     by ``snac_lattice_minimum`` and its minimum recorded at every p. With no
     ``channel`` the d-dimensional depolarizing family is minimized at every
     p by the minimizer of ``snac_lattice_minimum`` (:func:`_reduced_minima`,
-    FAMILY_SOLVE_BYTES of rows a call) on its stacked parts
+    GRID_CHUNK_BYTES of rows a call) on its stacked parts
     (:func:`_family_parts`) and the orbit rows of ``snac_lattice_minimum``
     (:func:`_lattice_rows`), built once for the grid, with the values,
     points and errors of ``snac_lattice_minimum(depolarizing(d, p), ...)``,
@@ -785,10 +789,8 @@ def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
     if channel is None:
         populations, squares, stacked = _family_parts(d, params)
         _check_strength(k)
-        orbits = _lattice_rows(q_grid, d, True)
-        per = max(1, FAMILY_SOLVE_BYTES // ((24 * d * d + 8 * d + 24) * len(orbits)))
-        found = iter(_reduced_minima(populations, squares, np.flatnonzero(stacked), k, q_grid,
-                                     orbits, per))
+        found = iter(_reduced_minima(populations[stacked], squares[stacked], k, q_grid,
+                                     _lattice_rows(q_grid, d, True)))
         minima = [next(found) if s else snac_lattice_minimum(depolarizing(d, p), k, q_grid)
                   for s, p in zip(stacked.tolist(), params.tolist())]
     else:
@@ -812,8 +814,8 @@ def _family_parts(d: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     per-channel one bit for bit. At most four d^4-entry complex arrays per
     p are alive at once (the stack, its conjugate and the unit images, or
     the unit images and two gathered copies), so a chunk holds
-    GRID_CHUNK_BYTES // (64 d^4) values of p, or one; its parts go straight
-    into the outputs.
+    GRID_CHUNK_BYTES // (64 d^4) values of p, or one (the budget the study's
+    solves share); its parts go straight into the outputs.
     """
     populations = np.empty((len(params), d, d))
     squares = np.empty((len(params), d, d), dtype=complex)
@@ -834,21 +836,24 @@ def _family_unit_images(d: int, params: np.ndarray) -> np.ndarray:
     return _unit_images(_weight_rows(first, rest, len(basis.stack))[:, :, None, None] * basis.stack)
 
 
-def _reduced_minima(populations: np.ndarray, squares: np.ndarray, at: np.ndarray, k: float,
-                    n_subdiv: int, lattice: np.ndarray, per: int
+def _reduced_minima(populations: np.ndarray, squares: np.ndarray, k: float,
+                    n_subdiv: int, lattice: np.ndarray
                     ) -> list[tuple[tuple[Fraction, ...], float]]:
     """The tie rule's point and value (``_first_minimum``) of the reduced
-    kernel over the rows of ``lattice``, for each channel ``at`` on the
-    leading axis of ``populations`` and ``squares``: :func:`_reduced_min_eigs`
-    takes ``per`` channels a call, gathered per call, and each one's rows in
-    chunks of CHUNK_BYTES of blocks. Each point and value is the one a call
-    per channel gives.
+    kernel over the rows of ``lattice``, for each channel on the leading axis
+    of ``populations`` and ``squares``: :func:`_reduced_min_eigs` takes as
+    many channels a call as GRID_CHUNK_BYTES holds at 24 d^2 + 8 d + 24 bytes
+    a lattice row (the complex blocks solved and their real weights, X before
+    them, the block diagonals, and the off-block entries, bounds and solved
+    indices), or one, and each one's rows in chunks of CHUNK_BYTES of blocks.
+    Each point and value is the one a call per channel gives.
     """
-    rows = max(1, CHUNK_BYTES // (16 * lattice.shape[1] ** 2))
+    d = lattice.shape[1]
+    rows = max(1, CHUNK_BYTES // (16 * d ** 2))
+    per = max(1, GRID_CHUNK_BYTES // ((24 * d * d + 8 * d + 24) * len(lattice)))
     minima = []
-    for i in range(0, len(at), per):
-        chunk = at[i:i + per]
-        values = np.concatenate([_reduced_min_eigs(populations[chunk], squares[chunk],
+    for i in range(0, len(populations), per):
+        values = np.concatenate([_reduced_min_eigs(populations[i:i + per], squares[i:i + per],
                                                    lattice[j:j + rows] / n_subdiv, k)
                                  for j in range(0, len(lattice), rows)], axis=-1)
         minima += [_first_minimum(lattice, n_subdiv, vals) for vals in values]
@@ -888,18 +893,7 @@ class RelationReport:
     witness_value_at_midpoint: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "eb_threshold": self.eb_threshold,
-            "eb_analytic": self.eb_analytic,
-            "snbc_threshold": self.snbc_threshold,
-            "snbc_analytic": self.snbc_analytic,
-            "gap": list(self.gap) if self.gap else None,
-            "midpoint": self.midpoint,
-            "pt_min_eig_at_midpoint": self.pt_min_eig_at_midpoint,
-            "witness_value_at_midpoint": self.witness_value_at_midpoint,
-        }
+        return {**asdict(self), "gap": list(self.gap) if self.gap else None}
 
 
 def relation_report(d: int, r: int) -> RelationReport:

@@ -324,11 +324,10 @@ def _composed(first: np.ndarray, then: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """Parallel concatenation with Kraus set {K_a ⊗ R_b}, a-major: one
-    broadcast product, each entry the one product ``np.kron`` takes."""
-    ka, kb = a._stack, b._stack
-    ops = ka[:, None, :, None, :, None] * kb[None, :, None, :, None, :]
-    return QuantumChannel(ops.reshape(len(ka) * len(kb), a.d_out * b.d_out, a.d_in * b.d_in))
+    """Parallel concatenation with Kraus set {K_a ⊗ R_b}, a-major, each
+    entry the one product ``np.kron`` takes (``linalg._kron``)."""
+    ops = linalg._kron(a._stack[:, None], b._stack[None])
+    return QuantumChannel(ops.reshape(-1, a.d_out * b.d_out, a.d_in * b.d_in))
 
 
 def adjoint(ch: QuantumChannel) -> QuantumChannel:

@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from importlib import resources
 
@@ -216,11 +217,7 @@ def cmd_verify(args) -> int:
             "command": "verify",
             "seed": args.seed,
             "passed": all_passed,
-            "suites": [
-                {"name": res.name, "passed": res.passed, "detail": res.detail,
-                 "data": res.data}
-                for res in results
-            ],
+            "suites": [asdict(res) for res in results],
         }
         _emit(render_json(payload) + "\n", args.output_path)
     if not all_passed:  # after the report, so an unwritable path is the one error line

@@ -535,6 +535,12 @@ def suite_identity_sweep(seed: int = 0) -> SuiteResult:
     return _result("identity_sweep", failures, {"grid": 5})
 
 
+def _t4_only(seed: int = 0) -> SuiteResult:
+    entry = theorem_suite(seed)["t4"]
+    failures = [] if entry["passed"] else [f"counterexample missing: {entry}"]
+    return _result("t4", failures, entry)
+
+
 SUITES = {
     "kron_rank": suite_kron_rank,
     "eig_reconstruction": suite_eig_reconstruction,
@@ -548,16 +554,10 @@ SUITES = {
     "snac_minimizer": suite_snac_minimizer,
     "certification_monotone": suite_certification_monotone,
     "theorems": suite_theorems,
-    "t4": lambda seed=0: _t4_only(seed),
+    "t4": _t4_only,
     "relations": suite_relations,
     "identity_sweep": suite_identity_sweep,
 }
-
-
-def _t4_only(seed: int = 0) -> SuiteResult:
-    entry = theorem_suite(seed)["t4"]
-    failures = [] if entry["passed"] else [f"counterexample missing: {entry}"]
-    return _result("t4", failures, entry)
 
 
 def run_suites(names=None, seed: int = 0, **kwargs) -> list[SuiteResult]:

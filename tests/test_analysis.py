@@ -103,9 +103,18 @@ class TestWitnessSweep:
         snbc_witness_sweep("dephasing", 3, 2, grid=11)
         assert chunks == [(11,)] and len(maps) == 1
         chunks.clear()
-        snbc_witness_sweep("depolarizing", 9, 2, grid=101)  # 81 Kraus operators, 9 traced
-        assert sum(n for n, in chunks) == 101 and len(chunks) > 1
+        snbc_witness_sweep("depolarizing", 9, 2, grid=1001)  # 81 Kraus operators, 9 traced
+        assert sum(n for n, in chunks) == 1001 and len(chunks) > 1
         assert all(16 * (3 * 9 * 9 + 81) * n <= analysis.GRID_CHUNK_BYTES for n, in chunks)
+
+    def test_the_benchmark_sweep_is_one_stacked_call(self, monkeypatch):
+        # the d=9 grid-101 sweep of the witness-thresholds workload
+        chunks = []
+        traces = analysis._family_kraus_traces
+        monkeypatch.setattr(analysis, "_family_kraus_traces",
+                            lambda f, d, p: chunks.append(np.shape(p)) or traces(f, d, p))
+        snbc_witness_sweep("depolarizing", 9, 2, grid=101)
+        assert chunks == [(101,)]
 
     @pytest.mark.parametrize("family, d, r", [("depolarizing", 13, 6), ("dephasing", 64, 32)])
     def test_a_chunk_peaks_within_its_budget(self, family, d, r, monkeypatch):
@@ -1080,7 +1089,6 @@ class TestStackedFamilyStudy:
     def test_chunks_give_the_per_channel_result(self, monkeypatch):
         # one p per chunk, and 7-row chunks inside each p's 91 orbit rows
         monkeypatch.setattr(analysis, "GRID_CHUNK_BYTES", 1)
-        monkeypatch.setattr(analysis, "FAMILY_SOLVE_BYTES", 1)
         monkeypatch.setattr(analysis, "CHUNK_BYTES", 16 * 3 ** 2 * 7)
         rows = []
         reduced = analysis._reduced_min_eigs
@@ -1195,7 +1203,7 @@ class TestPrunedEigensolves:
         n = self.Q_GRID[d]
         for chunked in (False, True):
             if chunked:  # one p a call, 3-row chunks inside each p
-                monkeypatch.setattr(analysis, "FAMILY_SOLVE_BYTES", 1)
+                monkeypatch.setattr(analysis, "GRID_CHUNK_BYTES", 1)
                 monkeypatch.setattr(analysis, "CHUNK_BYTES", 16 * d * d * 3)
             for k in (1 / d, 1 / 3, 1 / 2, 1.0):
                 records = snac_sweep(d, k, p_grid=11, q_grid=n)
