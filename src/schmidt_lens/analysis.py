@@ -19,6 +19,7 @@ from .channels import (
     _check_tp,
     _family_kraus_traces,
     _family_point,
+    _family_traces,
     _unit_images,
     _weight_rows,
     depolarizing,
@@ -138,25 +139,24 @@ def _ordered_map(fn, items):
 
 
 def _witness_curve(family: str, d: int, r: int):
-    """p -> Tr(W C_Φ) of the named family, the curve ``snbc_witness_sweep``
-    samples and ``snbc_witness_threshold`` bisects.
+    """p -> Tr(W C_Φ) of the named family at a float p: the curve
+    ``snbc_witness_threshold`` bisects, and ``snbc_witness_sweep`` samples
+    where one p fills a chunk.
 
-    A point is two weights on the family's cached basis: it reads the Kraus
-    traces (``_family_kraus_traces``, TP checked from two Gram sums a row)
-    and builds no channel or weight row, and equals ``channel_witness_value``
-    of the family's channel bit for bit. An array of p is read in one
-    stacked call, and its list of values is summed by one ``np.vdot`` each.
+    The witness, the family, the trace kernel (``_family_traces``) and r d
+    are made once, when the curve is built. A point is two weights, a TP
+    check on floats, one trace row and one ``np.vdot``, with no channel or
+    weight row, and equals ``channel_witness_value`` of the family's channel
+    and the stacked sweep's row bit for bit.
     """
     w = witness(d, r)
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; "
                                  f"expected one of {tuple(FAMILIES)}")
+    traces, rd = _family_traces(family, d), w.r * w.d
 
-    def curve(p):
-        traces = _family_kraus_traces(family, d, p)
-        if traces.ndim == 1:
-            return _witness_from_traces(w, traces)
-        return [_witness_from_traces(w, row) for row in traces]
+    def curve(p: float) -> float:
+        return _witness_from_traces(traces(p), rd)
 
     return curve
 
@@ -168,10 +168,12 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     Each value is read off the Kraus traces, as ``channel_witness_value``
     reads it. For ``family="custom"`` the fixed ``channel`` is checked once
     (as by ``snac_sweep``) and evaluated once; for the named families the
-    parameter is the channel parameter in [0, 1], and the grid is read in
-    stacked calls of ``_witness_curve`` of at most GRID_CHUNK_BYTES each
-    (16 (3 m d + n) bytes a p, or one p; a 101-point d=9 grid is one call),
-    with no channel built. A channel given without
+    parameter is the channel parameter in [0, 1], ``_witness_curve`` checks
+    family, d and the stack budget, and the grid is read in stacked
+    ``_family_kraus_traces`` calls of at most GRID_CHUNK_BYTES each
+    (16 (3 m d + n) bytes a p; a 101-point d=9 grid is one call), with no
+    channel built. Where one p fills a chunk (dephasing from d = 74), each p
+    is the curve's float point, with the same bits. A channel given without
     the custom family, or the custom family without one, raises
     UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
     BudgetError.
@@ -183,8 +185,14 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     if channel is None:
         curve = _witness_curve(family, d, r)
         basis = _KRAUS_FAMILIES[family][1](d)
-        per = max(1, GRID_CHUNK_BYTES // (16 * (3 * basis.diagonals.size + len(basis.stack))))
-        values = [v for i in range(0, grid, per) for v in curve(params[i:i + per])]
+        per = GRID_CHUNK_BYTES // (16 * (3 * basis.diagonals.size + len(basis.stack)))
+        if per <= 1:
+            values = [curve(p) for p in params.tolist()]
+        else:
+            values = []
+            for i in range(0, grid, per):  # a chunk's traces are freed before the next
+                values += [_witness_from_traces(row, r * d)
+                           for row in _family_kraus_traces(family, d, params[i:i + per])]
     else:
         w = witness(d, r)
         _check_square(channel, d)
@@ -238,9 +246,11 @@ def snbc_witness_threshold(family: str, d: int, r: int,
                            tol: float = BISECTION_TOL) -> float:
     """Parameter at which the family's witness value crosses zero.
 
-    Bisects ``_witness_curve``, whose every point is two weights on the
-    family's cached Kraus basis (no channel or weight row is built), equal
-    bit for bit to ``channel_witness_value`` of the built channel. The
+    Bisects ``_witness_curve``, which checks d and fetches the family's
+    cached basis once (BudgetError over the stack budget), so that a point
+    is two weights, a TP check on floats and one trace row, with no channel
+    or weight row built, equal bit for bit to ``channel_witness_value`` of
+    the built channel. The
     witness value is affine in the parameter for both families, so the
     crossing is the exact breaking threshold: (rd - 1)/(d^2 - 1) for
     depolarizing and (r - 1)/(d - 1) for dephasing, whose r = 1 root lies

@@ -400,17 +400,29 @@ class KrausBasis(NamedTuple):
 
     def tp_defect(self, first, rest) -> float | np.ndarray:
         """max_i |first^2 G_i0 + rest^2 S_i - 1| for weights or arrays of them (a
-        float for one pair), checked against TP_TOL by ``QuantumChannel``'s rule."""
-        f2, r2 = first * first, rest * rest
-        dev = functools.reduce(np.maximum, [abs(g * f2 + s * r2 - 1.0)
-                                            for g, s in self.grams.tolist()])
-        return _require_tp(float(dev) if dev.ndim == 0 else dev)
+        float for one pair), checked against TP_TOL by ``QuantumChannel``'s rule:
+        ``_gram_defect`` over ``grams`` as Python floats."""
+        return _gram_defect(self.grams.tolist(), first, rest)
+
+
+def _gram_defect(pairs: list, first, rest) -> float | np.ndarray:
+    """``KrausBasis.tp_defect`` from its Gram pairs (G_i0, S_i) as a list of
+    Python floats, which ``_family_traces`` makes once a kernel, so that a
+    float point costs a few float operations and ``_require_tp``."""
+    f2, r2 = first * first, rest * rest
+    dev = functools.reduce(np.maximum, [abs(g * f2 + s * r2 - 1.0) for g, s in pairs])
+    return _require_tp(float(dev) if isinstance(dev, float) else dev)
+
+
+def _check_dimension(family: str, d: int) -> None:
+    """ParamOutOfRangeError unless d >= 2."""
+    if d < 2:
+        raise ParamOutOfRangeError(f"{family} needs d >= 2")
 
 
 def _check_point(family: str, d: int, name: str, p) -> None:
     """ParamOutOfRangeError unless d >= 2 and 0 <= p <= 1 (each p of an array); NaN fails."""
-    if d < 2:
-        raise ParamOutOfRangeError(f"{family} needs d >= 2")
+    _check_dimension(family, d)
     if not (((0.0 <= p) & (p <= 1.0)).all() if isinstance(p, np.ndarray) else 0.0 <= p <= 1.0):
         raise ParamOutOfRangeError(f"{name}={p} outside [0, 1]")
 
@@ -467,19 +479,55 @@ def _family_point(family: str, d: int, p):
     return first, rest, b, b.tp_defect(first, rest)
 
 
+def _family_traces(family: str, d: int):
+    """The trace kernel of the named family at d: p -> Tr K_a at (d, p), one
+    row per entry of an array of p, bit for bit ``np.trace`` of the stack
+    ``depolarizing`` or ``dephasing`` builds, after its checks.
+
+    Made once per curve: the weights and cached basis are looked up in
+    ``_KRAUS_FAMILIES``, d is checked before the basis is fetched (the stack
+    budget), and the Gram pairs become Python floats. A point is then the
+    weights (which check p), ``_gram_defect``, the m rows with a diagonal
+    weighted and one ``np.add.reduce``: into a new (..., n) array for an
+    array of p, and for a float p into one row, already holding the zero
+    traces, that every float point overwrites and returns.
+    """
+    weights, basis = _KRAUS_FAMILIES[family]
+    _check_dimension(family, d)
+    b = basis(d)
+    pairs, diagonals, zeros = b.grams.tolist(), b.diagonals, b.zero_traces
+    m, n = len(diagonals), len(b.stack)
+    row = np.empty(n, dtype=complex)
+    row[m:] = zeros
+    head = row[:m]
+
+    def traces(p):
+        first, rest = weights(d, p)
+        stacked = isinstance(p, np.ndarray)
+        if stacked:
+            _gram_defect(pairs, first, rest)
+            first, rest = first[..., None], rest[..., None, None]
+        else:
+            first, rest = float(first), float(rest)
+            _gram_defect(pairs, first, rest)
+        rows = rest * diagonals
+        rows[..., 0, :] = first  # first * (1 + 0j) bit for bit, as B_0 = I
+        if stacked:  # allocated once the product's broadcast buffers are freed
+            out = np.empty(p.shape + (n,), dtype=complex)
+            out[..., m:] = zeros
+            sums = out[..., :m]
+        else:
+            out, sums = row, head
+        np.add.reduce(rows, -1, out=sums)
+        return out
+
+    return traces
+
+
 def _family_kraus_traces(family: str, d: int, p) -> np.ndarray:
-    """Tr K_a of the named family's channel at (d, p), one row per entry of
-    an array of p, bit for bit ``np.trace`` of the stack ``depolarizing`` or
-    ``dephasing`` builds, after its checks (``_family_point``). Only the
-    rows with a diagonal are weighted; no channel or weight row is built."""
-    first, rest, b, _ = _family_point(family, d, p)
-    m = len(b.diagonals)
-    rows = rest[..., None, None] * b.diagonals
-    rows[..., 0, :] = first[..., None]  # first * (1 + 0j) bit for bit, as B_0 = I
-    out = np.empty(rows.shape[:-2] + (len(b.stack),), dtype=complex)
-    out[..., m:] = b.zero_traces
-    np.add.reduce(rows, -1, out=out[..., :m])
-    return out
+    """Tr K_a of the named family's channel at (d, p), or one row per entry of
+    an array of p: one call of a new ``_family_traces`` kernel."""
+    return _family_traces(family, d)(p)
 
 
 def _family_channel(family: str, d: int, p: float) -> QuantumChannel:

@@ -101,13 +101,13 @@ def channel_witness_value(w: SNWitness, ch: QuantumChannel) -> float:
     """
     if not ch.is_square or ch.d_in != w.d:
         raise DimensionMismatchError(f"need a square channel of dimension {w.d}, got {ch!r}")
-    return _witness_from_traces(w, np.trace(ch._stack, axis1=1, axis2=2))
+    return _witness_from_traces(np.trace(ch._stack, axis1=1, axis2=2), w.r * w.d)
 
 
-def _witness_from_traces(w: SNWitness, traces: np.ndarray) -> float:
+def _witness_from_traces(traces: np.ndarray, rd: int) -> float:
     """1 - sum_a |Tr K_a|^2 / (r d): Tr(W C_Φ) from the Kraus traces of a
-    square, trace-preserving channel of dimension d."""
-    return float(1.0 - np.vdot(traces, traces).real / (w.r * w.d))
+    square, trace-preserving channel of dimension d, with ``rd`` = r d."""
+    return float(1.0 - np.vdot(traces, traces).real / rd)
 
 
 def r_positivity_window(r: int) -> tuple[float, float]:

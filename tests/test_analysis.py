@@ -48,7 +48,13 @@ from schmidt_lens.errors import (
     ParamOutOfRangeError,
     UnknownFamilyError,
 )
-from schmidt_lens.schmidt import Verdict, apply_id_lambda, channel_witness_value, witness
+from schmidt_lens.schmidt import (
+    Verdict,
+    _witness_from_traces,
+    apply_id_lambda,
+    channel_witness_value,
+    witness,
+)
 from schmidt_lens.states import DensityMatrix, haar_unitary, isotropic_state
 
 from conftest import (
@@ -136,6 +142,21 @@ class TestWitnessSweep:
             tracemalloc.stop()
         assert peaks[0] <= chunk + 40 * 1001
         assert peak <= kept + chunk and len(records) == 1001
+
+    def test_a_one_p_chunk_is_the_curves_float_point(self, monkeypatch):
+        # from d = 74 one dephasing p's 16 (3 m d + n) bytes exceed GRID_CHUNK_BYTES
+        grid = np.linspace(0.0, 1.0, 11)
+        want = [_witness_from_traces(row, 40 * 80)
+                for row in channels._family_kraus_traces("dephasing", 80, grid)]
+        chunks = []
+        traces = analysis._family_kraus_traces
+        monkeypatch.setattr(analysis, "_family_kraus_traces",
+                            lambda f, d, p: chunks.append(np.shape(p)) or traces(f, d, p))
+        records = snbc_witness_sweep("dephasing", 80, 40, grid=11)
+        assert chunks == []
+        assert [rec.value.hex() for rec in records] == [v.hex() for v in want]
+        snbc_witness_sweep("dephasing", 73, 36, grid=11)  # two p a chunk
+        assert chunks == [(2,)] * 5 + [(1,)]
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
@@ -272,6 +293,24 @@ class TestThresholds:
                 assert snbc_witness_threshold(family, d, r) == want, (d, r)
                 assert [rec.value for rec in snbc_witness_sweep(family, d, r, grid=101)] == [
                     channel_witness_value(w, ch) for ch in built], (d, r)
+
+    @pytest.mark.parametrize("family", ["depolarizing", "dephasing"])
+    def test_a_float_point_equals_the_stacked_row_and_the_channel(self, family, monkeypatch):
+        # at both ends and every midpoint that a tol-1e-9 bisection visits
+        build = getattr(channels, family)
+        visited = []
+        bisect = analysis.bisect_crossing
+        monkeypatch.setattr(analysis, "bisect_crossing", lambda f, lo, hi, tol: bisect(
+            lambda p: visited.append(p) or f(p), lo, hi, tol))
+        for d in range(2, 14):
+            for r in range(1, d):
+                visited.clear()
+                snbc_witness_threshold(family, d, r, tol=1e-9)
+                curve, w = analysis._witness_curve(family, d, r), witness(d, r)
+                points = [curve(p).hex() for p in visited]
+                stacked = channels._family_kraus_traces(family, d, np.array(visited))
+                assert points == [_witness_from_traces(row, r * d).hex() for row in stacked]
+                assert points == [channel_witness_value(w, build(d, p)).hex() for p in visited]
 
     def test_named_curves_build_no_channel(self, monkeypatch):
         calls = []
@@ -1108,9 +1147,10 @@ class TestStackedFamilyStudy:
         assert calls == [(782, 3, 3)]
 
     def test_peak_memory_is_one_p_at_a_time(self):
-        # at d = 13 one p's unit images (16 d^4 bytes) exceed GRID_CHUNK_BYTES,
-        # so a chunk holds one p: at most four such arrays, plus every p's
-        # weights and parts (32 d^2 bytes each); all 130 p at once would be 237 MB
+        # at d = 13 one p's unit images (16 d^4 bytes) fit in GRID_CHUNK_BYTES,
+        # but _family_parts charges four such arrays (64 d^4 bytes) a p, so a
+        # chunk holds one p: at most four such arrays, plus every p's weights
+        # and parts (32 d^2 bytes each); all 130 p at once would be 237 MB
         d, p_grid = 13, 130
         snac_sweep(d, 0.5, p_grid=2, q_grid=4)  # the basis cache is not this study's
         tracemalloc.start()

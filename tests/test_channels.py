@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidt_lens import channels, linalg
+from schmidt_lens import analysis, channels, linalg
 from schmidt_lens.analysis import snbc_witness_sweep, snbc_witness_threshold
 from schmidt_lens.channels import (
     MAX_KRAUS_STACK_BYTES,
@@ -793,6 +793,50 @@ def test_the_witness_curves_build_no_weight_rows(monkeypatch):
     assert calls == []
     depolarizing(3, 0.5)
     assert len(calls) == 1
+
+
+def raised(call):
+    """The type name and message of what ``call`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value).__name__, str(info.value)
+
+
+BUDGET_14 = "d=14 needs a 614656-byte Kraus stack, over the budget of 524288 bytes (d <= 13)"
+
+
+@pytest.mark.parametrize("family", FAMILY_BUILDS)
+def test_a_prepared_curve_raises_what_the_per_point_checks_raised(family, monkeypatch):
+    # the messages of the curve that fetched and checked everything at every point
+    name = {"depolarizing": "p", "dephasing": "v"}[family]
+    assert raised(lambda: snbc_witness_threshold("bogus", 14, 2)) == (
+        "UnknownFamilyError", "unknown family 'bogus'; expected one of ('depolarizing', 'dephasing')")
+    assert raised(lambda: snbc_witness_threshold(family, 1, 1)) == (
+        "InvalidRankError", "witness needs 1 <= r < d, got r=1, d=1")
+    for d in (1, 0, -1):  # d is checked before the basis is fetched
+        assert raised(lambda: channels._family_kraus_traces(family, d, 0.5)) == (
+            "ParamOutOfRangeError", f"{family} needs d >= 2")
+    if family == "depolarizing":  # dephasing has no shift/clock stack to budget
+        assert raised(lambda: snbc_witness_threshold(family, 14, 2)) == ("BudgetError", BUDGET_14)
+    bisect = analysis.bisect_crossing
+    for p in (1.5, -0.25, float("nan")):
+        monkeypatch.setattr(analysis, "bisect_crossing", lambda f, lo, hi, tol, p=p: f(p))
+        assert raised(lambda: snbc_witness_threshold(family, 3, 2)) == (
+            "ParamOutOfRangeError", f"{name}={p} outside [0, 1]")
+    monkeypatch.setattr(analysis, "bisect_crossing", bisect)
+    scale_weights(monkeypatch, family, 1.0 + 2e-9, 1.0 + 2e-9)
+    assert raised(lambda: snbc_witness_threshold(family, 3, 2)) == (
+        "NotTracePreservingError", "max |sum K†K - I| = 2.000e-09 exceeds 1.0e-09")
+
+
+@pytest.mark.parametrize("family", FAMILY_BUILDS)
+def test_a_threshold_fetches_its_basis_once(family, monkeypatch):
+    weights, basis = channels._KRAUS_FAMILIES[family]
+    calls = []
+    monkeypatch.setitem(channels._KRAUS_FAMILIES, family,
+                        (weights, lambda d: calls.append(d) or basis(d)))
+    snbc_witness_threshold(family, 9, 4)
+    assert calls == [9]
 
 
 class TestDephasing:
