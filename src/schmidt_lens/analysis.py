@@ -15,9 +15,7 @@ from . import linalg
 from .channels import (
     MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
     QuantumChannel,
-    _KRAUS_FAMILIES,
     _check_tp,
-    _family_kraus_traces,
     _family_point,
     _family_traces,
     _unit_images,
@@ -103,7 +101,7 @@ PERMUTATION_COVARIANT_TOL = 1e-14
 
 # Each named family's closed-form witness crossing at (d, r). Its weights and
 # Kraus basis live under the same key in channels._KRAUS_FAMILIES, where the
-# witness curves read its Kraus traces (_family_kraus_traces) and build no
+# witness curves read its Kraus traces (_family_traces) and build no
 # channel.
 FAMILIES = {
     "depolarizing": isotropic_sn_threshold,
@@ -139,24 +137,32 @@ def _ordered_map(fn, items):
 
 
 def _witness_curve(family: str, d: int, r: int):
-    """p -> Tr(W C_Φ) of the named family at a float p: the curve
-    ``snbc_witness_threshold`` bisects, and ``snbc_witness_sweep`` samples
-    where one p fills a chunk.
+    """p -> Tr(W C_Φ) of the named family: the curve ``snbc_witness_threshold``
+    bisects at float p, and ``snbc_witness_sweep`` reads at an array of p,
+    whose list of values is read in stacked kernel calls of at most
+    GRID_CHUNK_BYTES each (16 (3 m d + n) bytes a p, or one p; a 101-point
+    d=9 grid is one call).
 
-    The witness, the family, the trace kernel (``_family_traces``) and r d
-    are made once, when the curve is built. A point is two weights, a TP
-    check on floats, one trace row and one ``np.vdot``, with no channel or
-    weight row, and equals ``channel_witness_value`` of the family's channel
-    and the stacked sweep's row bit for bit.
+    The witness, the family, the trace kernel (``_family_traces``), r d and
+    the chunk size are made once, when the curve is built. A float point is
+    two weights, a TP check on floats, one trace row and one ``np.vdot``,
+    with no channel or weight row, and equals ``channel_witness_value`` of
+    the family's channel and the stacked row bit for bit.
     """
     w = witness(d, r)
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; "
                                  f"expected one of {tuple(FAMILIES)}")
-    traces, rd = _family_traces(family, d), w.r * w.d
+    (traces, basis), rd = _family_traces(family, d), w.r * w.d
+    per = max(1, GRID_CHUNK_BYTES // (16 * (3 * basis.diagonals.size + len(basis.stack))))
 
-    def curve(p: float) -> float:
-        return _witness_from_traces(traces(p), rd)
+    def curve(p):
+        if not isinstance(p, np.ndarray):
+            return _witness_from_traces(traces(p), rd)
+        values = []
+        for i in range(0, len(p), per):  # a chunk's traces are freed before the next
+            values += [_witness_from_traces(row, rd) for row in traces(p[i:i + per])]
+        return values
 
     return curve
 
@@ -168,14 +174,11 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     Each value is read off the Kraus traces, as ``channel_witness_value``
     reads it. For ``family="custom"`` the fixed ``channel`` is checked once
     (as by ``snac_sweep``) and evaluated once; for the named families the
-    parameter is the channel parameter in [0, 1], ``_witness_curve`` checks
-    family, d and the stack budget, and the grid is read in stacked
-    ``_family_kraus_traces`` calls of at most GRID_CHUNK_BYTES each
-    (16 (3 m d + n) bytes a p; a 101-point d=9 grid is one call), with no
-    channel built. Where one p fills a chunk (dephasing from d = 74), each p
-    is the curve's float point, with the same bits. A channel given without
-    the custom family, or the custom family without one, raises
-    UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
+    parameter is the channel parameter in [0, 1], and the grid is one call of
+    ``_witness_curve``, which checks family, d and the stack budget and reads
+    the grid in GRID_CHUNK_BYTES chunks, with no channel built. A channel
+    given without the custom family, or the custom family without one,
+    raises UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
     BudgetError.
     """
     check_grid_size(grid)
@@ -183,16 +186,7 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
         raise UnknownFamilyError("the custom family needs a channel, and only it takes one")
     params = np.linspace(0.0, 1.0, grid)
     if channel is None:
-        curve = _witness_curve(family, d, r)
-        basis = _KRAUS_FAMILIES[family][1](d)
-        per = GRID_CHUNK_BYTES // (16 * (3 * basis.diagonals.size + len(basis.stack)))
-        if per <= 1:
-            values = [curve(p) for p in params.tolist()]
-        else:
-            values = []
-            for i in range(0, grid, per):  # a chunk's traces are freed before the next
-                values += [_witness_from_traces(row, r * d)
-                           for row in _family_kraus_traces(family, d, params[i:i + per])]
+        values = _witness_curve(family, d, r)(params)
     else:
         w = witness(d, r)
         _check_square(channel, d)
@@ -250,11 +244,10 @@ def snbc_witness_threshold(family: str, d: int, r: int,
     cached basis once (BudgetError over the stack budget), so that a point
     is two weights, a TP check on floats and one trace row, with no channel
     or weight row built, equal bit for bit to ``channel_witness_value`` of
-    the built channel. The
-    witness value is affine in the parameter for both families, so the
-    crossing is the exact breaking threshold: (rd - 1)/(d^2 - 1) for
-    depolarizing and (r - 1)/(d - 1) for dephasing, whose r = 1 root lies
-    at the bracket edge p = 0.
+    the built channel. The witness value is affine in the parameter for
+    both families, so the crossing is the exact breaking threshold:
+    (rd - 1)/(d^2 - 1) for depolarizing and (r - 1)/(d - 1) for dephasing,
+    whose r = 1 root lies at the bracket edge p = 0.
 
     The witness proves only that the channel is not r-breaking below the
     crossing. At the crossing the channel is r-breaking, which makes the

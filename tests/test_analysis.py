@@ -99,11 +99,21 @@ class TestWitnessSweep:
             else:
                 assert rec.verdict is Verdict.CONSISTENT_WITH_AT_MOST
 
+    @staticmethod
+    def kernel_calls(monkeypatch) -> list:
+        """The shape of p at each call of a trace kernel that analysis makes."""
+        chunks, make = [], analysis._family_traces
+
+        def spying(family, d):
+            traces, basis = make(family, d)
+            return (lambda p: chunks.append(np.shape(p)) or traces(p)), basis
+
+        monkeypatch.setattr(analysis, "_family_traces", spying)
+        return chunks
+
     def test_a_named_grid_is_read_in_stacked_chunks(self, monkeypatch):
-        chunks, maps = [], []
-        traces, ordered = analysis._family_kraus_traces, analysis._ordered_map
-        monkeypatch.setattr(analysis, "_family_kraus_traces",
-                            lambda f, d, p: chunks.append(np.shape(p)) or traces(f, d, p))
+        chunks, maps = self.kernel_calls(monkeypatch), []
+        ordered = analysis._ordered_map
         monkeypatch.setattr(analysis, "_ordered_map",
                             lambda fn, items: maps.append(fn) or ordered(fn, items))
         snbc_witness_sweep("dephasing", 3, 2, grid=11)
@@ -115,10 +125,7 @@ class TestWitnessSweep:
 
     def test_the_benchmark_sweep_is_one_stacked_call(self, monkeypatch):
         # the d=9 grid-101 sweep of the witness-thresholds workload
-        chunks = []
-        traces = analysis._family_kraus_traces
-        monkeypatch.setattr(analysis, "_family_kraus_traces",
-                            lambda f, d, p: chunks.append(np.shape(p)) or traces(f, d, p))
+        chunks = self.kernel_calls(monkeypatch)
         snbc_witness_sweep("depolarizing", 9, 2, grid=101)
         assert chunks == [(101,)]
 
@@ -142,21 +149,6 @@ class TestWitnessSweep:
             tracemalloc.stop()
         assert peaks[0] <= chunk + 40 * 1001
         assert peak <= kept + chunk and len(records) == 1001
-
-    def test_a_one_p_chunk_is_the_curves_float_point(self, monkeypatch):
-        # from d = 74 one dephasing p's 16 (3 m d + n) bytes exceed GRID_CHUNK_BYTES
-        grid = np.linspace(0.0, 1.0, 11)
-        want = [_witness_from_traces(row, 40 * 80)
-                for row in channels._family_kraus_traces("dephasing", 80, grid)]
-        chunks = []
-        traces = analysis._family_kraus_traces
-        monkeypatch.setattr(analysis, "_family_kraus_traces",
-                            lambda f, d, p: chunks.append(np.shape(p)) or traces(f, d, p))
-        records = snbc_witness_sweep("dephasing", 80, 40, grid=11)
-        assert chunks == []
-        assert [rec.value.hex() for rec in records] == [v.hex() for v in want]
-        snbc_witness_sweep("dephasing", 73, 36, grid=11)  # two p a chunk
-        assert chunks == [(2,)] * 5 + [(1,)]
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
@@ -310,6 +302,7 @@ class TestThresholds:
                 points = [curve(p).hex() for p in visited]
                 stacked = channels._family_kraus_traces(family, d, np.array(visited))
                 assert points == [_witness_from_traces(row, r * d).hex() for row in stacked]
+                assert points == [v.hex() for v in curve(np.array(visited))]
                 assert points == [channel_witness_value(w, build(d, p)).hex() for p in visited]
 
     def test_named_curves_build_no_channel(self, monkeypatch):
