@@ -830,13 +830,15 @@ def test_a_prepared_curve_raises_what_the_per_point_checks_raised(family, monkey
 
 
 @pytest.mark.parametrize("family", FAMILY_BUILDS)
-def test_a_threshold_fetches_its_basis_once(family, monkeypatch):
+def test_a_threshold_or_a_sweep_fetches_its_basis_once(family, monkeypatch):
     weights, basis = channels._KRAUS_FAMILIES[family]
     calls = []
     monkeypatch.setitem(channels._KRAUS_FAMILIES, family,
                         (weights, lambda d: calls.append(d) or basis(d)))
     snbc_witness_threshold(family, 9, 4)
     assert calls == [9]
+    snbc_witness_sweep(family, 9, 4, grid=1001)  # several chunks for depolarizing
+    assert calls == [9, 9]
 
 
 class TestDephasing:
