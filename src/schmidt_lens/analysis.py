@@ -15,9 +15,10 @@ from . import linalg
 from .channels import (
     MAX_KRAUS_STACK_BYTES,  # noqa: F401  (re-exported with the budgets below)
     QuantumChannel,
+    _KRAUS_FAMILIES,
     _check_tp,
     _family_point,
-    _family_traces,
+    _gram_defect,
     _unit_images,
     _weight_rows,
     depolarizing,
@@ -75,16 +76,13 @@ MAX_SNAC_REDUCED_WORK = 4 * 10**7
 # differently from a multi-row chunk, so a change to this budget or to its
 # 16 d^4 / 16 d^2 row models can move the bits of a study over one chunk.
 CHUNK_BYTES = 8 * 2**20
-# Byte budget of the per-parameter arrays a named family's study stacks over
-# its grid at once: a witness sweep's weighted diagonals of m traced Kraus rows
-# and n traces, 16 (3 m d + n) bytes a p with the two buffers numpy allocates
-# for the broadcast product; the Kraus stacks and unit images of a snac study's
-# p-chunk (_family_parts); and its stacked reduced-kernel solves
+# Byte budget of the per-parameter arrays a snac study stacks over its grid at
+# once: the Kraus stacks and unit images of the depolarizing family's p-chunk
+# (_family_parts), and its stacked reduced-kernel solves
 # (_reduced_minima), 24 d^2 + 8 d + 24 bytes a lattice row. A parameter's work
 # is small, so a few a chunk take most of the gain, and a study's peak memory
 # stays that of one parameter (at CHUNK_BYTES, --d 2 --p-grid 1001 --q-grid
-# 9989 peaked 20 MB higher; 2**19 against 2**17 costs the witness-thresholds
-# workload 0.1-0.2 MB of peak RSS).
+# 9989 peaked 20 MB higher).
 GRID_CHUNK_BYTES = 2**19
 # Largest |entry| of Φ(|j><l|) outside the phase-covariant pattern (see
 # phase_covariant_defect) for which the reduced two-local kernel is taken
@@ -100,9 +98,9 @@ PERMUTATION_COVARIANT_TOL = 1e-14
 
 
 # Each named family's closed-form witness crossing at (d, r). Its weights and
-# Kraus basis live under the same key in channels._KRAUS_FAMILIES, where the
-# witness curves read its Kraus traces (_family_traces) and build no
-# channel.
+# Kraus basis live under the same key in channels._KRAUS_FAMILIES, whose
+# weights give the witness curves their closed-form Kraus traces
+# (_witness_curve), with no channel built.
 FAMILIES = {
     "depolarizing": isotropic_sn_threshold,
     "dephasing": lambda d, r: (r - 1.0) / (d - 1.0),
@@ -139,30 +137,44 @@ def _ordered_map(fn, items):
 def _witness_curve(family: str, d: int, r: int):
     """p -> Tr(W C_Φ) of the named family: the curve ``snbc_witness_threshold``
     bisects at float p, and ``snbc_witness_sweep`` reads at an array of p,
-    whose list of values is read in stacked kernel calls of at most
-    GRID_CHUNK_BYTES each (16 (3 m d + n) bytes a p, or one p; a 101-point
-    d=9 grid is one call).
+    whose list of values it returns.
 
-    The witness, the family, the trace kernel (``_family_traces``), r d and
-    the chunk size are made once, when the curve is built. A float point is
-    two weights, a TP check on floats, one trace row and one ``np.vdot``,
-    with no channel or weight row, and equals ``channel_witness_value`` of
-    the family's channel and the stacked row bit for bit.
+    A point reads ``_witness_from_traces`` off Kraus traces in closed form:
+    Tr K_0 is the sum (``np.add.reduce``) of d complex copies of first, and
+    Tr K_a for a >= 1 is 0 for depolarizing, whose entries are left out (the
+    built channel's round to below 1e-13, too small to move a bit), and rest
+    for each of dephasing's d projectors: 1 or d + 1 traces, bit for bit
+    ``channel_witness_value`` of the channel ``depolarizing`` or
+    ``dephasing`` builds. The witness (which checks r and d), the family, the
+    cached basis (the stack budget) and its Gram pairs as Python floats are
+    fetched once, when the curve is built; a point checks p with the weights
+    and trace preservation with ``_gram_defect``. A float point writes into
+    a row and a d-entry buffer of the curve's own; an array of p fills one
+    (points, n) array.
     """
     w = witness(d, r)
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; "
                                  f"expected one of {tuple(FAMILIES)}")
-    (traces, basis), rd = _family_traces(family, d), w.r * w.d
-    per = max(1, GRID_CHUNK_BYTES // (16 * (3 * basis.diagonals.size + len(basis.stack))))
+    weights, basis = _KRAUS_FAMILIES[family]
+    pairs, rd = basis(d).grams.tolist(), w.r * w.d
+    n = 1 if family == "depolarizing" else d + 1
+    row, copies = np.empty(n, dtype=complex), np.empty(d, dtype=complex)
 
     def curve(p):
+        first, rest = weights(d, p)
         if not isinstance(p, np.ndarray):
-            return _witness_from_traces(traces(p), rd)
-        values = []
-        for i in range(0, len(p), per):  # a chunk's traces are freed before the next
-            values += [_witness_from_traces(row, rd) for row in traces(p[i:i + per])]
-        return values
+            first, rest = float(first), float(rest)
+            _gram_defect(pairs, first, rest)
+            copies[:] = first
+            row[0], row[1:] = np.add.reduce(copies), rest
+            return _witness_from_traces(row, rd)
+        _gram_defect(pairs, first, rest)
+        traces = np.empty((len(p), n), dtype=complex)
+        traces[:, 1:] = rest[:, None]
+        np.add.reduce(np.broadcast_to(first.astype(complex)[:, None], (len(p), d)), 1,
+                      out=traces[:, 0])
+        return [_witness_from_traces(t, rd) for t in traces]
 
     return curve
 
@@ -175,11 +187,11 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     reads it. For ``family="custom"`` the fixed ``channel`` is checked once
     (as by ``snac_sweep``) and evaluated once; for the named families the
     parameter is the channel parameter in [0, 1], and the grid is one call of
-    ``_witness_curve``, which checks family, d and the stack budget and reads
-    the grid in GRID_CHUNK_BYTES chunks, with no channel built. A channel
-    given without the custom family, or the custom family without one,
-    raises UnknownFamilyError; a grid outside [2, MAX_GRID_POINTS] raises
-    BudgetError.
+    ``_witness_curve``, which checks r and d, the family and the stack budget
+    and reads the grid's closed-form traces as one array, with no channel
+    built. A channel given without the custom family, or the custom family
+    without one, raises UnknownFamilyError; a grid outside
+    [2, MAX_GRID_POINTS] raises BudgetError.
     """
     check_grid_size(grid)
     if (family == "custom") != (channel is not None):
@@ -240,12 +252,13 @@ def snbc_witness_threshold(family: str, d: int, r: int,
                            tol: float = BISECTION_TOL) -> float:
     """Parameter at which the family's witness value crosses zero.
 
-    Bisects ``_witness_curve``, which checks d and fetches the family's
-    cached basis once (BudgetError over the stack budget), so that a point
-    is two weights, a TP check on floats and one trace row, with no channel
-    or weight row built, equal bit for bit to ``channel_witness_value`` of
-    the built channel. The witness value is affine in the parameter for
-    both families, so the crossing is the exact breaking threshold:
+    Bisects ``_witness_curve``, which checks r and d and fetches the
+    family's cached basis once (BudgetError over the stack budget), so that
+    a point is two weights, a TP check on floats and one closed-form trace
+    row, with no channel or weight row built, equal bit for bit to
+    ``channel_witness_value`` of the built channel. The witness value is
+    affine in the parameter for both families, so the crossing is the exact
+    breaking threshold:
     (rd - 1)/(d^2 - 1) for depolarizing and (r - 1)/(d - 1) for dephasing,
     whose r = 1 root lies at the bracket edge p = 0.
 

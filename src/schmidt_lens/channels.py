@@ -375,28 +375,20 @@ class KrausBasis(NamedTuple):
     Every B_a†B_a is diagonal, so sum_a K_a†K_a has diagonal first^2 G_i0 +
     rest^2 S_i, G_i0 = |B_0 e_i|^2 and S_i the pairwise sum of |B_a e_i|^2
     over a >= 1, rounding monotonically in S_i: ``grams`` keeps the
-    (G_i0, S_i) of the least and greatest S_i of each G_i0. ``diagonals``
-    holds those of B_0 .. B_{m-1}, up to the last nonzero one, and
-    ``zero_traces`` Tr B_a of the later rows, all ±0, which for weights
-    >= +0 are their Tr K_a bit for bit, signed zeros included.
+    (G_i0, S_i) of the least and greatest S_i of each G_i0.
     """
 
     stack: np.ndarray  # (n, d, d)
     grams: np.ndarray  # (k, 2), real
-    diagonals: np.ndarray  # (m, d)
-    zero_traces: np.ndarray  # (n - m,)
 
     @classmethod
     def of(cls, stack: np.ndarray) -> KrausBasis:
         gram = np.ascontiguousarray((stack.real**2 + stack.imag**2).sum(axis=1).T)  # |B_a e_i|^2
         g0, s = gram[:, 0], gram[:, 1:].sum(axis=1)
         grams = np.array(sorted({(g, end(s[g0 == g])) for g in g0.tolist() for end in (min, max)}))
-        diagonals = stack.diagonal(axis1=1, axis2=2)
-        m = np.flatnonzero(diagonals.any(axis=1))[-1] + 1
-        arrays = stack, grams, np.ascontiguousarray(diagonals[:m]), diagonals[m:].sum(axis=1)
-        for a in arrays:
+        for a in (stack, grams):
             a.flags.writeable = False
-        return cls(*arrays)
+        return cls(stack, grams)
 
     def tp_defect(self, first, rest) -> float | np.ndarray:
         """max_i |first^2 G_i0 + rest^2 S_i - 1| for weights or arrays of them (a
@@ -407,22 +399,18 @@ class KrausBasis(NamedTuple):
 
 def _gram_defect(pairs: list, first, rest) -> float | np.ndarray:
     """``KrausBasis.tp_defect`` from its Gram pairs (G_i0, S_i) as a list of
-    Python floats, which ``_family_traces`` makes once a kernel, so that a
-    float point costs a few float operations and ``_require_tp``."""
+    Python floats, which a witness curve (``analysis._witness_curve``) makes
+    once, so that a float point costs a few float operations and
+    ``_require_tp``."""
     f2, r2 = first * first, rest * rest
     dev = functools.reduce(np.maximum, [abs(g * f2 + s * r2 - 1.0) for g, s in pairs])
     return _require_tp(float(dev) if isinstance(dev, float) else dev)
 
 
-def _check_dimension(family: str, d: int) -> None:
-    """ParamOutOfRangeError unless d >= 2."""
-    if d < 2:
-        raise ParamOutOfRangeError(f"{family} needs d >= 2")
-
-
 def _check_point(family: str, d: int, name: str, p) -> None:
     """ParamOutOfRangeError unless d >= 2 and 0 <= p <= 1 (each p of an array); NaN fails."""
-    _check_dimension(family, d)
+    if d < 2:
+        raise ParamOutOfRangeError(f"{family} needs d >= 2")
     if not (((0.0 <= p) & (p <= 1.0)).all() if isinstance(p, np.ndarray) else 0.0 <= p <= 1.0):
         raise ParamOutOfRangeError(f"{name}={p} outside [0, 1]")
 
@@ -477,60 +465,6 @@ def _family_point(family: str, d: int, p):
     first, rest = weights(d, p)
     b = basis(d)
     return first, rest, b, b.tp_defect(first, rest)
-
-
-def _family_traces(family: str, d: int):
-    """The trace kernel of the named family at d, and the cached basis it
-    reads: p -> Tr K_a at (d, p), one row per entry of an array of p, bit for
-    bit ``np.trace`` of the stack ``depolarizing`` or ``dephasing`` builds,
-    after its checks.
-
-    Made once per curve: the weights and cached basis are looked up in
-    ``_KRAUS_FAMILIES``, d is checked before the basis is fetched (the stack
-    budget), and the Gram pairs become Python floats. A point is then the
-    weights (which check p), ``_gram_defect``, the m rows with a diagonal
-    weighted and one ``np.add.reduce``: into a new (..., n) array for an
-    array of p, and for a float p into the kernel's own row, which already
-    holds the zero traces and which the next float point overwrites: a
-    caller reads it before its next point, as a curve does (a new row would
-    cost about 0.9 of a point's 6 µs at d = 9).
-    """
-    weights, basis = _KRAUS_FAMILIES[family]
-    _check_dimension(family, d)
-    b = basis(d)
-    pairs, diagonals, zeros = b.grams.tolist(), b.diagonals, b.zero_traces
-    m, n = len(diagonals), len(b.stack)
-    row = np.empty(n, dtype=complex)
-    row[m:] = zeros
-    head = row[:m]
-
-    def traces(p):
-        first, rest = weights(d, p)
-        stacked = isinstance(p, np.ndarray)
-        if stacked:
-            _gram_defect(pairs, first, rest)
-            first, rest = first[..., None], rest[..., None, None]
-        else:
-            first, rest = float(first), float(rest)
-            _gram_defect(pairs, first, rest)
-        rows = rest * diagonals
-        rows[..., 0, :] = first  # first * (1 + 0j) bit for bit, as B_0 = I
-        if stacked:  # allocated once the product's broadcast buffers are freed
-            out = np.empty(p.shape + (n,), dtype=complex)
-            out[..., m:] = zeros
-            sums = out[..., :m]
-        else:
-            out, sums = row, head
-        np.add.reduce(rows, -1, out=sums)
-        return out
-
-    return traces, b
-
-
-def _family_kraus_traces(family: str, d: int, p) -> np.ndarray:
-    """Tr K_a of the named family's channel at (d, p), or one row per entry of
-    an array of p: one call of a new ``_family_traces`` kernel."""
-    return _family_traces(family, d)[0](p)
 
 
 def _family_channel(family: str, d: int, p: float) -> QuantumChannel:

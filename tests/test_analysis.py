@@ -50,7 +50,6 @@ from schmidt_lens.errors import (
 )
 from schmidt_lens.schmidt import (
     Verdict,
-    _witness_from_traces,
     apply_id_lambda,
     channel_witness_value,
     witness,
@@ -99,43 +98,33 @@ class TestWitnessSweep:
             else:
                 assert rec.verdict is Verdict.CONSISTENT_WITH_AT_MOST
 
-    @staticmethod
-    def kernel_calls(monkeypatch) -> list:
-        """The shape of p at each call of a trace kernel that analysis makes."""
-        chunks, make = [], analysis._family_traces
+    def test_a_named_grid_is_one_stacked_curve_call(self, monkeypatch):
+        calls, maps = [], []
+        make, ordered = analysis._witness_curve, analysis._ordered_map
 
-        def spying(family, d):
-            traces, basis = make(family, d)
-            return (lambda p: chunks.append(np.shape(p)) or traces(p)), basis
+        def spying(family, d, r):
+            curve = make(family, d, r)
+            return lambda p: calls.append(np.shape(p)) or curve(p)
 
-        monkeypatch.setattr(analysis, "_family_traces", spying)
-        return chunks
-
-    def test_a_named_grid_is_read_in_stacked_chunks(self, monkeypatch):
-        chunks, maps = self.kernel_calls(monkeypatch), []
-        ordered = analysis._ordered_map
+        monkeypatch.setattr(analysis, "_witness_curve", spying)
         monkeypatch.setattr(analysis, "_ordered_map",
                             lambda fn, items: maps.append(fn) or ordered(fn, items))
-        snbc_witness_sweep("dephasing", 3, 2, grid=11)
-        assert chunks == [(11,)] and len(maps) == 1
-        chunks.clear()
-        snbc_witness_sweep("depolarizing", 9, 2, grid=1001)  # 81 Kraus operators, 9 traced
-        assert sum(n for n, in chunks) == 1001 and len(chunks) > 1
-        assert all(16 * (3 * 9 * 9 + 81) * n <= analysis.GRID_CHUNK_BYTES for n, in chunks)
+        for family, d, grid in (("dephasing", 3, 11), ("depolarizing", 9, 101),
+                                ("depolarizing", 9, 1001), ("dephasing", 64, 1001)):
+            calls.clear()
+            maps.clear()
+            snbc_witness_sweep(family, d, 2, grid=grid)
+            assert calls == [(grid,)] and len(maps) == 1, (family, d, grid)
 
-    def test_the_benchmark_sweep_is_one_stacked_call(self, monkeypatch):
-        # the d=9 grid-101 sweep of the witness-thresholds workload
-        chunks = self.kernel_calls(monkeypatch)
-        snbc_witness_sweep("depolarizing", 9, 2, grid=101)
-        assert chunks == [(101,)]
-
-    @pytest.mark.parametrize("family, d, r", [("depolarizing", 13, 6), ("dephasing", 64, 32)])
-    def test_a_chunk_peaks_within_its_budget(self, family, d, r, monkeypatch):
-        # the peak before the records are made: the values so far (under 40
-        # bytes each) and one chunk's arrays, numpy's buffers included, within
-        # the budget or one p's 16 (3 m d + n) bytes (dephasing at d = 64)
-        basis = channels._KRAUS_FAMILIES[family][1](d)
-        chunk = max(analysis.GRID_CHUNK_BYTES, 16 * (3 * basis.diagonals.size + len(basis.stack)))
+    @pytest.mark.parametrize("family, d, r", [
+        ("depolarizing", 13, 6), ("dephasing", 13, 6), ("dephasing", 64, 32)])
+    def test_a_sweep_peaks_within_its_traces_and_values(self, family, d, r, monkeypatch):
+        # the peak before the records are made: the (grid, n) complex traces, 1
+        # a p for depolarizing and d + 1 for dephasing, and 80 bytes a p for the
+        # grid, the two weights, first as complex and the values so far (under
+        # 40 bytes each); no copy of first for each of the d entries it sums
+        n = 1 if family == "depolarizing" else d + 1
+        bound = (16 * n + 80) * 1001
         snbc_witness_sweep(family, d, r, 1001)  # the basis cache is not this sweep's
         peaks = []
         ordered = analysis._ordered_map
@@ -147,8 +136,8 @@ class TestWitnessSweep:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peaks[0] <= chunk + 40 * 1001
-        assert peak <= kept + chunk and len(records) == 1001
+        assert peaks[0] <= bound
+        assert peak <= kept + bound and len(records) == 1001
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
@@ -300,10 +289,19 @@ class TestThresholds:
                 snbc_witness_threshold(family, d, r, tol=1e-9)
                 curve, w = analysis._witness_curve(family, d, r), witness(d, r)
                 points = [curve(p).hex() for p in visited]
-                stacked = channels._family_kraus_traces(family, d, np.array(visited))
-                assert points == [_witness_from_traces(row, r * d).hex() for row in stacked]
                 assert points == [v.hex() for v in curve(np.array(visited))]
                 assert points == [channel_witness_value(w, build(d, p)).hex() for p in visited]
+
+    @pytest.mark.parametrize("d", [20, 45, 64, 80])
+    def test_dephasing_past_the_stack_budget_equals_the_built_channel(self, d):
+        # sizes whose sweeps the library alone reaches (the CLI caps d at 13)
+        grid = np.linspace(0.0, 1.0, 11)
+        built = [dephasing(d, float(v)) for v in grid]
+        for r in (1, d // 2, d - 1):
+            w, curve = witness(d, r), analysis._witness_curve("dephasing", d, r)
+            want = [channel_witness_value(w, ch).hex() for ch in built]
+            assert [rec.value.hex() for rec in snbc_witness_sweep("dephasing", d, r, 11)] == want
+            assert [curve(float(v)).hex() for v in grid] == want, (d, r)
 
     def test_named_curves_build_no_channel(self, monkeypatch):
         calls = []

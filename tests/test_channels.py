@@ -43,6 +43,7 @@ from schmidt_lens.errors import (
     NotTracePreservingError,
     ParamOutOfRangeError,
 )
+from schmidt_lens.schmidt import _witness_from_traces
 from schmidt_lens.states import DensityMatrix, max_entangled, random_density
 
 from conftest import ref_apply_kraus, ref_dephasing_kraus, ref_depolarizing_kraus
@@ -635,11 +636,13 @@ class TestKrausBasis:
     def test_stacks_and_traces_are_bit_identical_to_the_old_construction(self, family):
         build, old = FAMILY_BUILDS[family]
         for d in range(2, 14):
+            curves = [(r, analysis._witness_curve(family, d, r)) for r in {1, d // 2, d - 1}]
             for p in family_params(d):
                 want = old(d, p)
                 assert build(d, p)._stack.tobytes() == want.tobytes(), (d, p)
-                traces = np.trace(want, axis1=1, axis2=2)  # signed zeros included
-                assert channels._family_kraus_traces(family, d, p).tobytes() == traces.tobytes()
+                traces = np.trace(want, axis1=1, axis2=2)
+                for r, curve in curves:  # the closed-form traces read as these
+                    assert curve(p).hex() == _witness_from_traces(traces, r * d).hex(), (d, p)
 
     def test_a_grid_of_parameters_gives_each_point_bit_for_bit(self, family):
         weights, basis = channels._KRAUS_FAMILIES[family]
@@ -653,9 +656,8 @@ class TestKrausBasis:
             assert channels._weight_rows(first, rest, n).tobytes() == np.stack(
                 [channels._weight_rows(f, r, n) for f, r in points]).tobytes()
             assert b.tp_defect(first, rest).tolist() == [b.tp_defect(f, r) for f, r in points]
-            traces = channels._family_kraus_traces(family, d, params)
-            assert traces.tobytes() == np.stack(
-                [channels._family_kraus_traces(family, d, p) for p in params]).tobytes()
+            curve = analysis._witness_curve(family, d, d - 1)
+            assert [v.hex() for v in curve(params)] == [curve(p).hex() for p in params]
         with pytest.raises(ParamOutOfRangeError, match="outside"):
             weights(3, np.array([0.5, 1.5]))
 
@@ -751,13 +753,14 @@ class TestKrausBasis:
                                + exact[:, 1:].sum(axis=1) * (rest * rest) - 1.0).max()
                 assert cached.tp_defect(first, rest) == every, (d, p)
             assert np.array_equal(cached.stack[0], np.eye(d)), d  # B_0 = I
-            m = len(cached.diagonals)
-            assert cached.diagonals.tobytes() == cached.stack[:m].diagonal(
-                axis1=1, axis2=2).tobytes()
-            assert cached.diagonals[-1].any() and not cached.stack[m:].diagonal(
-                axis1=1, axis2=2).any(), d
-            assert cached.zero_traces.tobytes() == np.trace(
-                cached.stack[m:], axis1=1, axis2=2).tobytes()
+            # the witness curves' closed-form traces: Tr B_a = 0 for a >= 1
+            # (depolarizing; the Z^b sums round to under 1e-13, whose squares
+            # lie far below the last bit of |Tr K_0|^2 >= 1) or B_a = |a-1><a-1|
+            rest = cached.stack[1:].diagonal(axis1=1, axis2=2)
+            if family == "depolarizing":
+                assert np.abs(rest.sum(axis=1)).max() <= 1e-13, d
+            else:
+                assert np.array_equal(rest, np.eye(d)), d
 
     def test_cache_holds_its_stack_and_at_most_24_n_d_bytes_more(self, family):
         _, basis = channels._KRAUS_FAMILIES[family]
@@ -813,9 +816,18 @@ def test_a_prepared_curve_raises_what_the_per_point_checks_raised(family, monkey
         "UnknownFamilyError", "unknown family 'bogus'; expected one of ('depolarizing', 'dephasing')")
     assert raised(lambda: snbc_witness_threshold(family, 1, 1)) == (
         "InvalidRankError", "witness needs 1 <= r < d, got r=1, d=1")
-    for d in (1, 0, -1):  # d is checked before the basis is fetched
-        assert raised(lambda: channels._family_kraus_traces(family, d, 0.5)) == (
-            "ParamOutOfRangeError", f"{family} needs d >= 2")
+    weights, basis = channels._KRAUS_FAMILIES[family]
+    fetched = []
+    with monkeypatch.context() as spy:  # witness(d, r) refuses d < 2 before any fetch
+        spy.setitem(channels._KRAUS_FAMILIES, family,
+                    (weights, lambda d: fetched.append(d) or basis(d)))
+        for d in (1, 0, -1):
+            message = f"witness needs 1 <= r < d, got r=1, d={d}"
+            assert raised(lambda: snbc_witness_threshold(family, d, 1)) == (
+                "InvalidRankError", message)
+            assert raised(lambda: snbc_witness_sweep(family, d, 1, 11)) == (
+                "InvalidRankError", message)
+    assert fetched == []
     if family == "depolarizing":  # dephasing has no shift/clock stack to budget
         assert raised(lambda: snbc_witness_threshold(family, 14, 2)) == ("BudgetError", BUDGET_14)
     bisect = analysis.bisect_crossing
@@ -837,7 +849,7 @@ def test_a_threshold_or_a_sweep_fetches_its_basis_once(family, monkeypatch):
                         (weights, lambda d: calls.append(d) or basis(d)))
     snbc_witness_threshold(family, 9, 4)
     assert calls == [9]
-    snbc_witness_sweep(family, 9, 4, grid=1001)  # several chunks for depolarizing
+    snbc_witness_sweep(family, 9, 4, grid=1001)
     assert calls == [9, 9]
 
 

@@ -19,6 +19,9 @@ lattice and the orbit rows came from one generator; it is the pairing of
 the reduced kernel with the full lattice.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,41 @@ def test_threshold_json_matches_golden(family, d, r, tmp_path):
                      "--output-path", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"threshold_{family}_d{d}_r{r}.json").read_bytes()
+
+
+# The witness reports regenerated in a process with one BLAS thread, which
+# must give the bytes that the default thread count wrote.
+ONE_THREAD_SCRIPT = """
+import sys
+from pathlib import Path
+from schmidt_lens import cli
+from schmidt_lens.channels import channel_to_json, identity_channel
+
+out = Path(sys.argv[1])
+(out / "identity.json").write_text(channel_to_json(identity_channel(3)))
+reports = {"sweep_custom_identity_d3_r2_grid11.csv": [
+    "sweep", "--channel-file", str(out / "identity.json"), "--d", "3", "--r", "2", "--grid", "11"]}
+for family in ("depolarizing", "dephasing"):
+    for d, grid in ((3, 11), (9, 101)):
+        reports[f"sweep_{family}_d{d}_r2_grid{grid}.csv"] = [
+            "sweep", "--family", family, "--d", str(d), "--r", "2", "--grid", str(grid)]
+reports["threshold_dephasing_d13_r1.json"] = [
+    "threshold", "--family", "dephasing", "--d", "13", "--r", "1"]
+for name, args in reports.items():
+    assert cli.main([*args, "--output-path", str(out / name)]) == 0, name
+print(*sorted(reports))
+"""
+
+
+def test_witness_reports_match_golden_with_one_blas_thread(tmp_path):
+    src = Path(cli.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_THREAD_SCRIPT, str(tmp_path)], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}, check=True)
+    names = done.stdout.split()
+    assert len(names) == 6
+    assert [name for name in names
+            if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()] == []
 
 
 @pytest.mark.parametrize("name, args", [
