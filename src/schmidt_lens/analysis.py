@@ -21,6 +21,7 @@ from .channels import (
     _gram_defect,
     _unit_images,
     _weight_rows,
+    check_kraus_stack,
     depolarizing,
 )
 from .errors import (
@@ -58,7 +59,9 @@ PRUNE_TOL = 1e-12
 # Simplex lattices above this many points are refused before any is built.
 MAX_LATTICE_POINTS = 10**6
 # MAX_KRAUS_STACK_BYTES, imported from channels, whose basis cache it bounds,
-# caps d: the named families refuse d whose d^2 x d x d Kraus stack exceeds it.
+# caps d: the named families refuse d whose d^2 x d x d Kraus stack exceeds it,
+# and the depolarizing witness curve checks it (check_kraus_stack) with no
+# stack built.
 # Parameter grids (sweep points, snac p points) above this size are refused.
 MAX_GRID_POINTS = 1001
 # snac studies needing more eigensolver work than this are refused before any
@@ -97,10 +100,11 @@ PHASE_COVARIANT_TOL = 1e-14
 PERMUTATION_COVARIANT_TOL = 1e-14
 
 
-# Each named family's closed-form witness crossing at (d, r). Its weights and
-# Kraus basis live under the same key in channels._KRAUS_FAMILIES, whose
-# weights give the witness curves their closed-form Kraus traces
-# (_witness_curve), with no channel built.
+# Each named family's closed-form witness crossing at (d, r). Its weights, Kraus
+# basis and Gram sum live under the same key in channels._KRAUS_FAMILIES, whose
+# weights and Gram sum give the witness curves their closed-form Kraus traces
+# and trace-preservation check (_witness_curve), with no basis fetched and no
+# channel built.
 FAMILIES = {
     "depolarizing": isotropic_sn_threshold,
     "dephasing": lambda d, r: (r - 1.0) / (d - 1.0),
@@ -145,31 +149,35 @@ def _witness_curve(family: str, d: int, r: int):
     built channel's round to below 1e-13, too small to move a bit), and rest
     for each of dephasing's d projectors: 1 or d + 1 traces, bit for bit
     ``channel_witness_value`` of the channel ``depolarizing`` or
-    ``dephasing`` builds. The witness (which checks r and d), the family, the
-    cached basis (the stack budget) and its Gram pairs as Python floats are
-    fetched once, when the curve is built; a point checks p with the weights
-    and trace preservation with ``_gram_defect``. A float point writes into
-    a row and a d-entry buffer of the curve's own; an array of p fills one
-    (points, n) array.
+    ``dephasing`` builds. The witness (which checks r and d), the family and,
+    for depolarizing, the stack budget (``check_kraus_stack``, nothing built)
+    are checked once, when the curve is built; no basis is fetched. A point
+    checks p with the weights and trace preservation with ``_gram_defect`` at
+    the family's exact Gram sum, the rule ``depolarizing`` and ``dephasing``
+    check. A float point writes into a row and a d-entry buffer of the
+    curve's own; an array of p fills one (points, n) array.
     """
     w = witness(d, r)
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; "
                                  f"expected one of {tuple(FAMILIES)}")
-    weights, basis = _KRAUS_FAMILIES[family]
-    pairs, rd = basis(d).grams.tolist(), w.r * w.d
-    n = 1 if family == "depolarizing" else d + 1
+    weights, _, gram_sum = _KRAUS_FAMILIES[family]
+    n = d + 1
+    if family == "depolarizing":
+        check_kraus_stack(d)
+        n = 1
+    s, rd = gram_sum(d), w.r * w.d
     row, copies = np.empty(n, dtype=complex), np.empty(d, dtype=complex)
 
     def curve(p):
         first, rest = weights(d, p)
         if not isinstance(p, np.ndarray):
             first, rest = float(first), float(rest)
-            _gram_defect(pairs, first, rest)
+            _gram_defect(s, first, rest)
             copies[:] = first
             row[0], row[1:] = np.add.reduce(copies), rest
             return _witness_from_traces(row, rd)
-        _gram_defect(pairs, first, rest)
+        _gram_defect(s, first, rest)
         traces = np.empty((len(p), n), dtype=complex)
         traces[:, 1:] = rest[:, None]
         np.add.reduce(np.broadcast_to(first.astype(complex)[:, None], (len(p), d)), 1,
@@ -188,10 +196,10 @@ def snbc_witness_sweep(family: str, d: int, r: int, grid: int,
     (as by ``snac_sweep``) and evaluated once; for the named families the
     parameter is the channel parameter in [0, 1], and the grid is one call of
     ``_witness_curve``, which checks r and d, the family and the stack budget
-    and reads the grid's closed-form traces as one array, with no channel
-    built. A channel given without the custom family, or the custom family
-    without one, raises UnknownFamilyError; a grid outside
-    [2, MAX_GRID_POINTS] raises BudgetError.
+    and reads the grid's closed-form traces as one array, with no basis
+    fetched and no channel built. A channel given without the custom family,
+    or the custom family without one, raises UnknownFamilyError; a grid
+    outside [2, MAX_GRID_POINTS] raises BudgetError.
     """
     check_grid_size(grid)
     if (family == "custom") != (channel is not None):
@@ -252,13 +260,13 @@ def snbc_witness_threshold(family: str, d: int, r: int,
                            tol: float = BISECTION_TOL) -> float:
     """Parameter at which the family's witness value crosses zero.
 
-    Bisects ``_witness_curve``, which checks r and d and fetches the
-    family's cached basis once (BudgetError over the stack budget), so that
-    a point is two weights, a TP check on floats and one closed-form trace
-    row, with no channel or weight row built, equal bit for bit to
-    ``channel_witness_value`` of the built channel. The witness value is
-    affine in the parameter for both families, so the crossing is the exact
-    breaking threshold:
+    Bisects ``_witness_curve``, which checks r and d and, for depolarizing,
+    the stack budget once (BudgetError), with no basis fetched, so that a
+    point is two weights, a TP check on floats at the exact Gram sum and one
+    closed-form trace row, with no channel or weight row built, equal bit for
+    bit to ``channel_witness_value`` of the built channel. The witness value
+    is affine in the parameter for both families, so the crossing is the
+    exact breaking threshold:
     (rd - 1)/(d^2 - 1) for depolarizing and (r - 1)/(d - 1) for dephasing,
     whose r = 1 root lies at the bracket edge p = 0.
 
@@ -848,8 +856,8 @@ def _family_parts(d: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 def _family_unit_images(d: int, params: np.ndarray) -> np.ndarray:
     """``_unit_images(depolarizing(d, p))`` for every p of ``params``, with the
     checks of ``depolarizing`` (``_family_point``) and the same bits."""
-    first, rest, basis, _ = _family_point("depolarizing", d, params)
-    return _unit_images(_weight_rows(first, rest, len(basis.stack))[:, :, None, None] * basis.stack)
+    first, rest, stack, _ = _family_point("depolarizing", d, params)
+    return _unit_images(_weight_rows(first, rest, len(stack))[:, :, None, None] * stack)
 
 
 def _reduced_minima(populations: np.ndarray, squares: np.ndarray, k: float,

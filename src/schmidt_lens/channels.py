@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -368,42 +367,13 @@ def check_kraus_stack(d: int) -> int:
     return size
 
 
-class KrausBasis(NamedTuple):
-    """The read-only Kraus basis B_a (B_0 = I) of a named family at one d,
-    whose channel at p is K_0 = first(p) B_0 and K_a = rest(p) B_a.
-
-    Every B_a†B_a is diagonal, so sum_a K_a†K_a has diagonal first^2 G_i0 +
-    rest^2 S_i, G_i0 = |B_0 e_i|^2 and S_i the pairwise sum of |B_a e_i|^2
-    over a >= 1, rounding monotonically in S_i: ``grams`` keeps the
-    (G_i0, S_i) of the least and greatest S_i of each G_i0.
-    """
-
-    stack: np.ndarray  # (n, d, d)
-    grams: np.ndarray  # (k, 2), real
-
-    @classmethod
-    def of(cls, stack: np.ndarray) -> KrausBasis:
-        gram = np.ascontiguousarray((stack.real**2 + stack.imag**2).sum(axis=1).T)  # |B_a e_i|^2
-        g0, s = gram[:, 0], gram[:, 1:].sum(axis=1)
-        grams = np.array(sorted({(g, end(s[g0 == g])) for g in g0.tolist() for end in (min, max)}))
-        for a in (stack, grams):
-            a.flags.writeable = False
-        return cls(stack, grams)
-
-    def tp_defect(self, first, rest) -> float | np.ndarray:
-        """max_i |first^2 G_i0 + rest^2 S_i - 1| for weights or arrays of them (a
-        float for one pair), checked against TP_TOL by ``QuantumChannel``'s rule:
-        ``_gram_defect`` over ``grams`` as Python floats."""
-        return _gram_defect(self.grams.tolist(), first, rest)
-
-
-def _gram_defect(pairs: list, first, rest) -> float | np.ndarray:
-    """``KrausBasis.tp_defect`` from its Gram pairs (G_i0, S_i) as a list of
-    Python floats, which a witness curve (``analysis._witness_curve``) makes
-    once, so that a float point costs a few float operations and
-    ``_require_tp``."""
-    f2, r2 = first * first, rest * rest
-    dev = functools.reduce(np.maximum, [abs(g * f2 + s * r2 - 1.0) for g, s in pairs])
+def _gram_defect(s: float, first, rest) -> float | np.ndarray:
+    """max |sum_a K_a†K_a - I| of a named family's channel with weights first
+    and rest (arrays for an array of p), checked against TP_TOL by
+    ``_require_tp``: every basis has B_0 = I and diagonal B_a†B_a, whose sum
+    over a >= 1 is s I (the family's ``_KRAUS_FAMILIES`` Gram sum), so the
+    defect is |first^2 + s rest^2 - 1|, a float for one pair."""
+    dev = abs(first * first + s * (rest * rest) - 1.0)
     return _require_tp(float(dev) if isinstance(dev, float) else dev)
 
 
@@ -429,10 +399,13 @@ def _depolarizing_weights(d: int, p):
 
 
 @functools.lru_cache(maxsize=8)
-def _depolarizing_basis(d: int) -> KrausBasis:
-    """The d^2 shift/clock unitaries X^a Z^b; BudgetError above the stack budget."""
+def _depolarizing_basis(d: int) -> np.ndarray:
+    """The read-only stack of the d^2 shift/clock unitaries X^a Z^b;
+    BudgetError above the stack budget."""
     check_kraus_stack(d)
-    return KrausBasis.of(np.stack(_shift_clock_products(d)))
+    stack = np.stack(_shift_clock_products(d))
+    stack.flags.writeable = False
+    return stack
 
 
 def _dephasing_weights(d: int, v):
@@ -441,36 +414,39 @@ def _dephasing_weights(d: int, v):
 
 
 @functools.lru_cache(maxsize=8)
-def _dephasing_basis(d: int) -> KrausBasis:
-    """I followed by the d basis projectors |i><i|."""
+def _dephasing_basis(d: int) -> np.ndarray:
+    """The read-only stack of I followed by the d basis projectors |i><i|."""
     idx = np.arange(d)
     stack = np.zeros((d + 1, d, d), dtype=complex)
     stack[0, idx, idx] = 1.0
     stack[idx + 1, idx, idx] = 1.0
-    return KrausBasis.of(stack)
+    stack.flags.writeable = False
+    return stack
 
 
-# Each named family's weights (first, rest) at (d, p), which check d and p, and
-# its per-d cached basis (a bounded lru_cache); the same keys as analysis.FAMILIES.
+# Each named family's weights (first, rest) at (d, p), which check d and p, its
+# per-d cached basis stack B_a (a bounded lru_cache; B_0 = I), and its Gram sum
+# at d, sum_{a >= 1} B_a†B_a = s I: every B_a of depolarizing is unitary, and
+# the projectors of dephasing sum to I. The same keys as analysis.FAMILIES.
 _KRAUS_FAMILIES = {
-    "depolarizing": (_depolarizing_weights, _depolarizing_basis),
-    "dephasing": (_dephasing_weights, _dephasing_basis),
+    "depolarizing": (_depolarizing_weights, _depolarizing_basis, lambda d: d * d - 1.0),
+    "dephasing": (_dephasing_weights, _dephasing_basis, lambda d: 1.0),
 }
 
 
 def _family_point(family: str, d: int, p):
-    """Weights first and rest, basis and TP defect at (d, p) (arrays for an
-    array of p), checked in order: d and p, d budget, TP."""
-    weights, basis = _KRAUS_FAMILIES[family]
+    """Weights first and rest, basis stack and TP defect at (d, p) (arrays for
+    an array of p), checked in order: d and p, d budget, TP."""
+    weights, basis, gram_sum = _KRAUS_FAMILIES[family]
     first, rest = weights(d, p)
-    b = basis(d)
-    return first, rest, b, b.tp_defect(first, rest)
+    stack = basis(d)
+    return first, rest, stack, _gram_defect(gram_sum(d), first, rest)
 
 
 def _family_channel(family: str, d: int, p: float) -> QuantumChannel:
-    first, rest, b, defect = _family_point(family, d, p)
-    stack = _weight_rows(first, rest, len(b.stack))[:, None, None] * b.stack
-    ch = QuantumChannel(stack, check_tp=False)
+    first, rest, stack, defect = _family_point(family, d, p)
+    ch = QuantumChannel(_weight_rows(first, rest, len(stack))[:, None, None] * stack,
+                        check_tp=False)
     ch._tp_defect = defect
     return ch
 
@@ -481,9 +457,10 @@ def depolarizing(d: int, p: float) -> QuantumChannel:
     Kraus realization: the identity weighted sqrt(p + (1-p)/d^2) plus
     the remaining d^2 - 1 shift/clock unitaries each weighted
     sqrt((1-p)/d^2); the unitary twirl identity makes the action match
-    the formula exactly. The unitaries are a per-d cached ``KrausBasis``,
-    whose Gram sums give the trace-preservation check (``TP_TOL``), not the
-    Kraus sum. d with a stack over ``MAX_KRAUS_STACK_BYTES`` raises BudgetError.
+    the formula exactly. The unitaries are a per-d cached read-only stack.
+    Trace preservation (``TP_TOL``) is checked from the exact Gram sums,
+    |first^2 + (d^2 - 1) rest^2 - 1| (``_gram_defect``), not from the Kraus
+    sum. d with a stack over ``MAX_KRAUS_STACK_BYTES`` raises BudgetError.
     """
     return _family_channel("depolarizing", d, p)
 
@@ -492,8 +469,9 @@ def dephasing(d: int, v: float) -> QuantumChannel:
     """Dephasing channel: off-diagonal entries scaled by v, diagonal kept.
 
     Kraus realization: sqrt(v) I plus sqrt(1-v) |i><i| for each basis
-    projector on a per-d cached ``KrausBasis``, trace preservation checked
-    from its Gram sums as for ``depolarizing``. d is not capped here.
+    projector, on a per-d cached read-only stack; trace preservation is
+    checked as for ``depolarizing``, from |first^2 + rest^2 - 1|. d is not
+    capped here.
     """
     return _family_channel("dephasing", d, v)
 

@@ -611,6 +611,39 @@ class TestSnacMinEig:
             build([float("nan")] * 3)
 
 
+class TestTwoLocalBridge:
+    """The two-local output is a Choi matrix: with M = diag(sqrt(q)),
+    (K_a ⊗ K_b) sum_j sqrt(q_j) |jj> = vec(K_a M K_b^T), so (Φ ⊗ Φ)|psi_q><psi_q|
+    is d times the normalized Choi state of Ξ_q = Φ ∘ Ad_M ∘ Φ^T."""
+
+    def test_the_output_is_d_times_the_choi_state_of_the_composed_map(self):
+        rng = np.random.default_rng(11)
+        for d in range(2, 6):
+            for seed in range(5):
+                ch = random_channel(d, 3, seed)
+                kraus_t = ch._stack.swapaxes(-1, -2)
+                for q in rng.dirichlet(np.ones(d), size=4):
+                    xi = channels._composed(
+                        channels._composed(kraus_t, np.diag(np.sqrt(q))[None]), ch._stack)
+                    want = d * channels._choi_array(xi)
+                    got = two_local_output(ch, q).matrix
+                    assert np.abs(got - want).max() <= 1e-13, (d, seed)
+
+    def test_at_uniform_q_the_certificate_reads_the_choi_state_of_phi_after_phi_t(self):
+        # for a unital Φ, Ad_M is id/d and Φ^T is trace-preserving, so at
+        # k = 1/r the value is 1/d - λ_max(C_{Φ∘Φ^T})/r
+        for d in range(3, 6):
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                weights = rng.dirichlet(np.ones(3))
+                ch = QuantumChannel([np.sqrt(w) * haar_unitary(d, rng) for w in weights])
+                composed = channels._composed(ch._stack.swapaxes(-1, -2), ch._stack)
+                top = np.linalg.eigvalsh(channels._choi_array(composed))[-1]
+                for r in range(1, d):
+                    got = snac_min_eig(ch, np.full(d, 1.0 / d), 1.0 / r)
+                    assert abs(got - (1.0 / d - top / r)) <= 1e-13, (d, seed, r)
+
+
 class TestSnacSweep:
     def test_minimizer_in_detection_regime(self):
         # uniform q is the strict lattice minimizer for p > 7/10 at k = 1/2

@@ -550,7 +550,7 @@ class TestDepolarizing:
                     np.testing.assert_allclose(apply_matrix(ch, unit), want, atol=1e-10)
 
     def test_shift_clock_set(self):
-        ws = _depolarizing_basis(3).stack
+        ws = _depolarizing_basis(3)
         assert len(ws) == 9
         np.testing.assert_allclose(ws[0], np.eye(3))
         for w in ws:
@@ -563,16 +563,16 @@ class TestDepolarizing:
             depolarizing(1, 0.5)
 
     def test_cached_basis_is_read_only(self):
-        stack = _depolarizing_basis(3).stack
+        stack = _depolarizing_basis(3)
         assert stack.shape == (9, 3, 3)
         assert not stack.flags.writeable
-        assert _depolarizing_basis(3).stack is stack
+        assert _depolarizing_basis(3) is stack
 
     def test_cache_refuses_a_stack_over_the_budget(self):
         d = 2
         while 16 * (d + 1) ** 4 <= MAX_KRAUS_STACK_BYTES:
             d += 1
-        assert _depolarizing_basis(d).stack.nbytes <= MAX_KRAUS_STACK_BYTES
+        assert _depolarizing_basis(d).nbytes <= MAX_KRAUS_STACK_BYTES
         with pytest.raises(ParamOutOfRangeError, match="budget"):
             depolarizing(d + 1, 0.5)
         with pytest.raises(ParamOutOfRangeError, match="budget"):
@@ -604,7 +604,7 @@ def family_params(d):
 def old_depolarizing_stack(d, p):
     weights = np.full(d * d, np.sqrt((1.0 - p) / d**2))
     weights[0] = np.sqrt(p + (1.0 - p) / d**2)
-    return weights[:, None, None] * _depolarizing_basis(d).stack
+    return weights[:, None, None] * _depolarizing_basis(d)
 
 
 def old_dephasing_stack(d, v):
@@ -622,9 +622,9 @@ FAMILY_BUILDS = {"depolarizing": (depolarizing, old_depolarizing_stack),
 def scale_weights(monkeypatch, family, first, rest):
     """Scale the named family's squared weights first^2 and rest^2 by these factors,
     so that they square-sum to ``first`` and ``rest`` times their shares of 1."""
-    weights, basis = channels._KRAUS_FAMILIES[family]
+    weights, *others = channels._KRAUS_FAMILIES[family]
     monkeypatch.setitem(channels._KRAUS_FAMILIES, family, (lambda d, p: tuple(
-        w * np.sqrt(s) for w, s in zip(weights(d, p), (first, rest))), basis))
+        w * np.sqrt(s) for w, s in zip(weights(d, p), (first, rest))), *others))
 
 
 # The share of sum_a K_a†K_a = I that K_0 carries at d = 3; the rest carry 1 - it.
@@ -645,29 +645,30 @@ class TestKrausBasis:
                     assert curve(p).hex() == _witness_from_traces(traces, r * d).hex(), (d, p)
 
     def test_a_grid_of_parameters_gives_each_point_bit_for_bit(self, family):
-        weights, basis = channels._KRAUS_FAMILIES[family]
+        weights, basis, gram_sum = channels._KRAUS_FAMILIES[family]
         for d in range(2, 14):
             params = np.array(family_params(d))
-            (first, rest), b = weights(d, params), basis(d)
+            (first, rest), n, s = weights(d, params), len(basis(d)), gram_sum(d)
             points = [weights(d, p) for p in params]
             assert first.tobytes() == np.array([f for f, _ in points]).tobytes()
             assert rest.tobytes() == np.array([r for _, r in points]).tobytes()
-            n = len(b.stack)
             assert channels._weight_rows(first, rest, n).tobytes() == np.stack(
                 [channels._weight_rows(f, r, n) for f, r in points]).tobytes()
-            assert b.tp_defect(first, rest).tolist() == [b.tp_defect(f, r) for f, r in points]
+            defects = [channels._gram_defect(s, f, r) for f, r in points]
+            assert all(type(defect) is float for defect in defects)
+            assert channels._gram_defect(s, first, rest).tolist() == defects
             curve = analysis._witness_curve(family, d, d - 1)
             assert [v.hex() for v in curve(params)] == [curve(p).hex() for p in params]
         with pytest.raises(ParamOutOfRangeError, match="outside"):
             weights(3, np.array([0.5, 1.5]))
 
     def test_a_grid_names_its_first_defect_over_the_tolerance(self, family):
-        weights, basis = channels._KRAUS_FAMILIES[family]
+        weights, _, gram_sum = channels._KRAUS_FAMILIES[family]
         first, rest = weights(3, np.array([0.2, 0.4, 0.6]))
         scale = np.sqrt([1.0, 1.0 + 2e-9, 1.0 + 4e-9])
         with pytest.raises(NotTracePreservingError,
                            match=r"max \|sum K†K - I\| = 2\.000e-09 exceeds 1\.0e-09"):
-            basis(3).tp_defect(first * scale, rest * scale)
+            channels._gram_defect(gram_sum(3), first * scale, rest * scale)
 
     def test_gram_defect_is_the_kraus_sum(self, family):
         # the reference is the Kraus sum of the built stack in extended precision:
@@ -720,54 +721,40 @@ class TestKrausBasis:
         if (family, weight) != ("depolarizing", "rest"):
             assert f"{2e-9 * share(p):.3e}" == "2.000e-09"
 
-    def test_cache_is_bounded_read_only_and_no_larger_than_a_stack(self, family):
+    def test_cache_is_bounded_read_only_and_holds_only_its_stack(self, family):
         build, _ = FAMILY_BUILDS[family]
-        _, basis = channels._KRAUS_FAMILIES[family]
+        _, basis, _ = channels._KRAUS_FAMILIES[family]
         assert basis.cache_info().maxsize is not None
         for d in (2, 3, 9, 13) + ((64,) if family == "dephasing" else ()):
             cached = basis(d)
             assert basis(d) is cached
-            for array in cached:
-                assert not array.flags.writeable
-                assert array.nbytes <= build(d, 0.5)._stack.nbytes
-        assert channels._depolarizing_basis(9).stack is _depolarizing_basis(9).stack
+            assert not cached.flags.writeable and cached.base is None
+            assert cached.nbytes == build(d, 0.5)._stack.nbytes
+        assert channels._depolarizing_basis(9) is _depolarizing_basis(9)
 
-    def test_every_gram_is_diagonal_and_the_basis_keeps_its_diagonal(self, family):
-        _, basis = channels._KRAUS_FAMILIES[family]
-        for d in (2, 3, 9, 13) + ((64,) if family == "dephasing" else ()):
-            cached = basis(d)
-            grams = cached.stack.conj().transpose(0, 2, 1) @ cached.stack
+    def test_every_gram_is_diagonal_and_sums_to_the_closed_form(self, family):
+        weights, basis, gram_sum = channels._KRAUS_FAMILIES[family]
+        for d in (*range(2, 14), *((64,) if family == "dephasing" else ())):
+            stack, s = basis(d), gram_sum(d)
+            grams = stack.conj().transpose(0, 2, 1) @ stack
             assert not grams[:, ~np.eye(d, dtype=bool)].any(), d  # exactly 0
             diagonals = grams.diagonal(axis1=1, axis2=2).real  # (n, d)
             rows = np.stack([diagonals[0], diagonals[1:].sum(axis=0)], axis=1)  # (G_i0, S_i)
-            pairs = cached.grams
-            assert pairs.dtype == np.float64 and pairs.shape[1] == 2 and len(pairs) <= 2
-            assert not pairs.flags.writeable and (pairs[:, 0] == 1.0).all()
-            gaps = np.abs(rows[:, None, :] - pairs[None, :, :]).max(axis=-1)  # (d, pairs)
-            assert gaps.min(axis=0).max() <= 1e-13, d
-            # the kept pairs give the defect of every row, bit for bit
-            exact = np.ascontiguousarray((cached.stack.real**2 + cached.stack.imag**2).sum(axis=1).T)
+            assert np.abs(rows - [1.0, s]).max() <= 1e-13, d
+            # so the closed-form defect is within 1e-13 of the per-row maximum
             for p in family_params(d)[::7]:
-                first, rest = channels._KRAUS_FAMILIES[family][0](d, p)
-                every = np.abs(exact[:, 0] * (first * first)
-                               + exact[:, 1:].sum(axis=1) * (rest * rest) - 1.0).max()
-                assert cached.tp_defect(first, rest) == every, (d, p)
-            assert np.array_equal(cached.stack[0], np.eye(d)), d  # B_0 = I
+                first, rest = weights(d, p)
+                every = np.abs(rows[:, 0] * (first * first) + rows[:, 1] * (rest * rest) - 1.0)
+                assert abs(channels._gram_defect(s, first, rest) - every.max()) <= 1e-13, (d, p)
+            assert np.array_equal(stack[0], np.eye(d)), d  # B_0 = I
             # the witness curves' closed-form traces: Tr B_a = 0 for a >= 1
             # (depolarizing; the Z^b sums round to under 1e-13, whose squares
             # lie far below the last bit of |Tr K_0|^2 >= 1) or B_a = |a-1><a-1|
-            rest = cached.stack[1:].diagonal(axis1=1, axis2=2)
+            rest = stack[1:].diagonal(axis1=1, axis2=2)
             if family == "depolarizing":
                 assert np.abs(rest.sum(axis=1)).max() <= 1e-13, d
             else:
                 assert np.array_equal(rest, np.eye(d)), d
-
-    def test_cache_holds_its_stack_and_at_most_24_n_d_bytes_more(self, family):
-        _, basis = channels._KRAUS_FAMILIES[family]
-        for d in (2, 3, 9, 13) + ((64,) if family == "dephasing" else ()):
-            cached = basis(d)
-            n = len(cached.stack)
-            assert sum(array.nbytes for array in cached) <= cached.stack.nbytes + 24 * n * d, d
 
 
 def test_the_family_paths_import_no_masked_arrays():
@@ -816,11 +803,11 @@ def test_a_prepared_curve_raises_what_the_per_point_checks_raised(family, monkey
         "UnknownFamilyError", "unknown family 'bogus'; expected one of ('depolarizing', 'dephasing')")
     assert raised(lambda: snbc_witness_threshold(family, 1, 1)) == (
         "InvalidRankError", "witness needs 1 <= r < d, got r=1, d=1")
-    weights, basis = channels._KRAUS_FAMILIES[family]
+    weights, basis, gram_sum = channels._KRAUS_FAMILIES[family]
     fetched = []
     with monkeypatch.context() as spy:  # witness(d, r) refuses d < 2 before any fetch
         spy.setitem(channels._KRAUS_FAMILIES, family,
-                    (weights, lambda d: fetched.append(d) or basis(d)))
+                    (weights, lambda d: fetched.append(d) or basis(d), gram_sum))
         for d in (1, 0, -1):
             message = f"witness needs 1 <= r < d, got r=1, d={d}"
             assert raised(lambda: snbc_witness_threshold(family, d, 1)) == (
@@ -841,16 +828,31 @@ def test_a_prepared_curve_raises_what_the_per_point_checks_raised(family, monkey
         "NotTracePreservingError", "max |sum K†K - I| = 2.000e-09 exceeds 1.0e-09")
 
 
+def basis_calls():
+    return [basis.cache_info() for _, basis, _ in channels._KRAUS_FAMILIES.values()]
+
+
 @pytest.mark.parametrize("family", FAMILY_BUILDS)
-def test_a_threshold_or_a_sweep_fetches_its_basis_once(family, monkeypatch):
-    weights, basis = channels._KRAUS_FAMILIES[family]
-    calls = []
-    monkeypatch.setitem(channels._KRAUS_FAMILIES, family,
-                        (weights, lambda d: calls.append(d) or basis(d)))
+def test_a_threshold_or_a_sweep_fetches_no_basis(family):
+    before = basis_calls()
     snbc_witness_threshold(family, 9, 4)
-    assert calls == [9]
     snbc_witness_sweep(family, 9, 4, grid=1001)
-    assert calls == [9, 9]
+    assert basis_calls() == before
+    FAMILY_BUILDS[family][0](9, 0.5)  # a built channel fetches its basis
+    assert basis_calls() != before
+
+
+def test_a_cold_depolarizing_threshold_builds_no_stack():
+    # the d = 13 shift/clock stack alone is 457 kB
+    _depolarizing_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        assert snbc_witness_threshold("depolarizing", 13, 6) == pytest.approx(77 / 168)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10
+    assert _depolarizing_basis.cache_info().currsize == 0
 
 
 class TestDephasing:
