@@ -53,8 +53,11 @@ ROOT_REL_TOL = 8.0 * float(np.finfo(float).eps)
 TIE_TOL = 1e-13
 # A reduced-kernel row whose Gershgorin lower bound, less this margin, lies
 # more than TIE_TOL above the least upper bound of its call cannot be chosen,
-# and its eigensolve is skipped (_reduced_min_eigs). The margin covers the
-# rounding of eigvalsh and of the bounds, about 1e-15 for d <= 16.
+# and its eigensolve is skipped (_reduced_min_eigs); so is a row whose block,
+# shifted by that bound plus TIE_TOL and this margin, factors as positive
+# definite. The margin covers the rounding of eigvalsh and of the bounds,
+# about 1e-15 for d <= 16, and the factorization's backward error, below
+# 2e-13 for d <= 13.
 PRUNE_TOL = 1e-12
 # Simplex lattices above this many points are refused before any is built.
 MAX_LATTICE_POINTS = 10**6
@@ -604,46 +607,91 @@ def _reduced_min_eigs(populations: np.ndarray, squares: np.ndarray, q: np.ndarra
     L = min(min_a (M_aa - sum_{b != a} |M_ab|), off) (Gershgorin, each
     |M_ab| taken as the larger of the two triangles' entries, so that it
     holds for the Hermitian matrix eigvalsh reads off either) and an upper
-    bound U = min(min_a M_aa, off), where off is the least diagonal entry
-    off the block. A row with L - PRUNE_TOL > min U + TIE_TOL, the minimum
-    over the rows of this call, keeps L as its value and is not solved;
-    every other row is, and its value is exact. With δ for the rounding of
-    eigvalsh and of the bounds (about 1e-15, far below PRUNE_TOL): the row
-    of least U is solved (L <= U) and computes at most min U + δ, so the
-    computed minimum m is at most min U + δ; a skipped row, solved, would
-    compute at least L - δ > m + TIE_TOL, and its L lies above that too. So
-    neither is the minimum nor ties with it, and ``_first_minimum`` picks the
-    row and value the full eigensolve gives. The minimum of a study's rows
-    is at most that of one call's, so the rule holds call by call, for the
-    CHUNK_BYTES row chunks of ``_reduced_minima`` too; min U is taken per
-    channel, so its GRID_CHUNK_BYTES channel stacks solve the rows a call
-    per channel would. A NaN bound fails the
-    test and its row is solved. A single row (``snac_min_eig``) has L <= U,
-    so it is solved without forming the bounds.
+    bound U = min(min_a M_aa, R, off), where off is the least diagonal entry
+    off the block and R the Rayleigh quotient at the unit vector sqrt(q),
+    sum_a q_a M_aa - 2k sum_{a > b} q_a q_b Re c_ab^2, read off the lower
+    triangle eigvalsh reads. With m = min U over the rows of this call, a row
+    with L - PRUNE_TOL > m + TIE_TOL keeps L as its value. Every other row
+    forms its block and is tested at s = m + TIE_TOL + PRUNE_TOL: a row whose
+    LDL^H of M - sI has every pivot positive and finite
+    (:func:`_decided_above`) and whose off exceeds s keeps s as its value.
+    The rest are solved, their blocks formed again by the same expression,
+    and their values are exact.
+
+    A skipped row can neither be the minimum nor tie with it. Write δ for the
+    rounding of eigvalsh and of the bounds, about 1e-15. A factorization that
+    runs to completion is exact for M - sI + ΔM with ||ΔM||_2 <= d γ_{d+1}
+    ||M - sI||_2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 10.5), about 4e-14 ||M - sI||_2 at d = 13, and ||M - sI||_2 <= 3
+    for a channel's blocks. So a row decided positive has λ_min(M) > s - 2e-13
+    and a pruned one L > m + TIE_TOL + PRUNE_TOL: either, solved, would
+    compute more than m + TIE_TOL + δ, and the value it keeps lies above that
+    too. The row of least U is neither pruned (L <= U) nor decided positive
+    (λ_min <= U + δ < s, or off = U < s), so it is solved and the computed
+    minimum is at most m + δ. So ``_first_minimum`` picks the row and value
+    the full eigensolve gives. The minimum of a study's rows is at most that
+    of one call's, so the rule holds call by call, for the CHUNK_BYTES row
+    chunks of ``_reduced_minima`` too; m is taken per channel, so its
+    GRID_CHUNK_BYTES channel stacks solve the rows a call per channel would.
+    A NaN bound, or a zero, NaN or inf pivot, fails its test and its row is
+    solved. A single row (``snac_min_eig``) is solved without forming the
+    bounds.
     """
     on_block, off_block = _reduced_diagonal(populations, q, k)
     d = q.shape[-1]
     idx = np.arange(d)
     amp = np.sqrt(q)
+
+    def blocks(rows: np.ndarray) -> np.ndarray:
+        kept = amp[rows % len(q)]
+        weights = -k * kept[:, :, None] * kept[:, None, :]
+        del kept
+        block = squares.reshape(-1, d, d)[rows // len(q)]
+        np.multiply(weights, block, out=block)  # the product of the full stack, bit for bit
+        del weights
+        block[:, idx, idx] = on_block.reshape(-1, d)[rows]
+        return block
+
     lower, solved = off_block, np.arange(off_block.size)
     if len(q) > 1:
         # |M_ab| / k sqrt(q_a q_b): the larger of |c_ab^2| and |c_ba^2|, for either triangle
         magnitudes = np.abs(squares)
         magnitudes = np.maximum(magnitudes, magnitudes.swapaxes(-1, -2))
         lower = np.minimum((on_block - k * amp * (amp @ magnitudes)).min(axis=-1), off_block)
-        upper = np.minimum(on_block.min(axis=-1), off_block)
-        solved = np.flatnonzero(~(lower - PRUNE_TOL > upper.min(axis=-1, keepdims=True) + TIE_TOL))
-        del magnitudes, upper
-    kept = amp[solved % len(q)]
-    weights = -k * kept[:, :, None] * kept[:, None, :]
-    del kept
-    block = squares.reshape(-1, d, d)[solved // len(q)]
-    np.multiply(weights, block, out=block)  # the product of the full stack, bit for bit
-    del weights
-    block[:, idx, idx] = on_block.reshape(-1, d)[solved]
-    lower.reshape(-1)[solved] = np.minimum(np.linalg.eigvalsh(block)[:, 0],
+        del magnitudes
+        rayleigh = np.einsum("...ra,ra->...r",
+                             q @ np.tril(-2 * k * squares.real, -1) + on_block, q)
+        least = np.minimum(np.minimum(on_block.min(axis=-1), off_block), rayleigh).min(
+            axis=-1, keepdims=True)
+        del rayleigh
+        solved = np.flatnonzero(~(lower - PRUNE_TOL > least + TIE_TOL))
+        block = blocks(solved)
+        shift = (least + TIE_TOL + PRUNE_TOL).reshape(-1)[solved // len(q)]
+        positive = _decided_above(block, shift) & (off_block.reshape(-1)[solved] > shift)
+        lower.reshape(-1)[solved[positive]] = shift[positive]
+        solved = solved[~positive]
+        del block, shift, positive
+    lower.reshape(-1)[solved] = np.minimum(np.linalg.eigvalsh(blocks(solved))[:, 0],
                                            off_block.reshape(-1)[solved])
     return lower
+
+
+def _decided_above(block: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Whether every eigenvalue of each Hermitian matrix of the (n, d, d)
+    stack ``block`` lies above its ``shift``: whether an unpivoted LDL^H
+    (Crout) of block - shift I, read off the lower triangle as eigvalsh reads
+    it, has every pivot positive and finite. Overwrites the lower triangle.
+    A zero, NaN or inf pivot or shift reads False."""
+    pivots = np.empty(block.shape[:-1])
+    with np.errstate(all="ignore"):
+        for j in range(block.shape[-1]):
+            column = block[:, j:, j]
+            if j:  # L D L^H's entries of column j: L[j:, :j] D conj(L[j, :j])
+                column -= np.einsum("rij,rj->ri", block[:, j:, :j],
+                                    block[:, j, :j].conj() * pivots[:, :j])
+            np.subtract(column[:, 0].real, shift, out=pivots[:, j])
+            np.divide(column[:, 1:], pivots[:, j, None], out=column[:, 1:])
+    return np.all((pivots > 0) & (pivots < np.inf), axis=-1)
 
 
 def two_local_output(ch: QuantumChannel, q) -> DensityMatrix:
@@ -781,11 +829,16 @@ def snac_lattice_minimum(ch: QuantumChannel, k: float, n_subdiv: int
 
 
 def _first_minimum(lattice: np.ndarray, n_subdiv: int, vals: np.ndarray
-                   ) -> tuple[tuple[Fraction, ...], float]:
+                   ) -> tuple[tuple[Fraction, ...], float] | list:
     """The tie rule: the first row of ``lattice`` whose value in ``vals`` is
-    within TIE_TOL of the minimum, as exact fractions, and that value."""
-    best = int(np.argmax(vals <= vals.min() + TIE_TOL))
-    return tuple(Fraction(n, n_subdiv) for n in lattice[best].tolist()), float(vals[best])
+    within TIE_TOL of the minimum, as exact fractions, and that value. A
+    ``vals`` with a leading axis, one channel per index, gives the list of
+    each channel's point and value, from one comparison over the stack."""
+    rows = vals.reshape(-1, vals.shape[-1])
+    best = np.argmax(rows <= rows.min(axis=-1, keepdims=True) + TIE_TOL, axis=-1)
+    minima = [(tuple(Fraction(n, n_subdiv) for n in lattice[b].tolist()), v)
+              for b, v in zip(best.tolist(), rows[np.arange(len(rows)), best].tolist())]
+    return minima if vals.ndim > 1 else minima[0]
 
 
 def snac_sweep(d: int, k: float, p_grid: int, q_grid: int,
@@ -870,6 +923,9 @@ def _reduced_minima(populations: np.ndarray, squares: np.ndarray, k: float,
     a lattice row (the complex blocks solved and their real weights, X before
     them, the block diagonals, and the off-block entries, bounds and solved
     indices), or one, and each one's rows in chunks of CHUNK_BYTES of blocks.
+    The positivity test factors the blocks in place, its pivots, column and
+    shifts (24 d + 8 bytes) taking the weights' place: within them from d = 4,
+    8 bytes a row over at d = 3 and 24 at d = 2.
     Each point and value is the one a call per channel gives.
     """
     d = lattice.shape[1]
@@ -880,7 +936,7 @@ def _reduced_minima(populations: np.ndarray, squares: np.ndarray, k: float,
         values = np.concatenate([_reduced_min_eigs(populations[i:i + per], squares[i:i + per],
                                                    lattice[j:j + rows] / n_subdiv, k)
                                  for j in range(0, len(lattice), rows)], axis=-1)
-        minima += [_first_minimum(lattice, n_subdiv, vals) for vals in values]
+        minima += _first_minimum(lattice, n_subdiv, values)
     return minima
 
 

@@ -1162,13 +1162,18 @@ class TestStackedFamilyStudy:
         assert rows == [((1,), 7)] * 13 * 4
         assert [(r.q_star, r.value) for r in records] == _per_channel(3, 0.5, 4, 30)
 
-    def test_the_benchmark_study_is_one_eigensolve(self, monkeypatch):
-        # of the 21 x 91 blocks, the 782 that can reach the tie window
+    @pytest.mark.parametrize("d, p_grid, q_grid, solved", [
+        (3, 21, 30, 112),  # of 21 x 91 blocks; 782 pass the Gershgorin prune alone
+        (4, 5, 8, 19),  # of 5 x 15 blocks; 45 pass the Gershgorin prune alone
+    ])
+    def test_the_benchmark_study_is_one_eigensolve(self, d, p_grid, q_grid, solved,
+                                                   monkeypatch):
+        # only the blocks that the positivity test cannot rule out are solved
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        snac_sweep(3, 0.5, p_grid=21, q_grid=30)
-        assert calls == [(782, 3, 3)]
+        snac_sweep(d, 0.5, p_grid=p_grid, q_grid=q_grid)
+        assert calls == [(solved, d, d)]
 
     def test_peak_memory_is_one_p_at_a_time(self):
         # at d = 13 one p's unit images (16 d^4 bytes) fit in GRID_CHUNK_BYTES,
@@ -1329,6 +1334,89 @@ class TestPrunedEigensolves:
         with pytest.raises(np.linalg.LinAlgError):
             analysis._reduced_min_eigs(populations, squares, q, 0.5)
         assert solved == [len(q)]
+
+
+def _phased_depolarizing(d: int, p: float) -> QuantumChannel:
+    """depolarizing(d, p) followed by diag(e^{i theta_j}): the populations of
+    depolarizing, and coherences c_jl = p e^{i (theta_j - theta_l)}."""
+    phases = np.exp(1j * np.linspace(0.0, 2.0, d) ** 2)
+    return QuantumChannel(phases[:, None] * np.array(depolarizing(d, p).kraus))
+
+
+class TestComplexCoherences:
+    # the named families' coherences are real; these make every block complex
+    # Hermitian, and no longer permutation-covariant, so the full lattice is solved
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_a_phased_channel_gives_the_full_eigensolve_result(self, d):
+        n = TestPrunedEigensolves.Q_GRID[d]
+        q = simplex_lattice(n, d) / n
+        skipped = 0
+        for p in TestPrunedEigensolves.P[1:]:
+            ch = _phased_depolarizing(d, p)
+            phi = _unit_images(ch)
+            parts = analysis._kernel_parts(phi)
+            assert parts[2] and not analysis._orbit_covariant(phi, *parts)
+            assert np.abs(parts[1].imag).max() > 0.1 * p * p
+            for k in (1 / d, 1 / 2, 1.0):
+                got = snac_lattice_minimum(ch, k, n)
+                want = TestPrunedEigensolves._reference(ch, k, n)
+                assert got == want and repr(got[1]) == repr(want[1]), (p, k)
+                skipped += TestPrunedEigensolves()._check_rows(*parts[:2], q, k)
+        assert skipped > 0
+
+
+def _hermitian_stack(rng, n: int, d: int, dtype, least: np.ndarray) -> np.ndarray:
+    """n Hermitian (real symmetric for a real dtype) d x d matrices, the i-th
+    with least eigenvalue least[i] and the others in [least[i] + 0.1, 1]."""
+    shape = (n, d, d)
+    a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+    basis = np.linalg.qr(a)[0]
+    spectrum = rng.uniform(least[:, None] + 0.1, 1.0, size=(n, d))
+    spectrum[:, 0] = least
+    return (basis * spectrum[:, None, :]) @ basis.conj().swapaxes(-1, -2)
+
+
+class TestStackedPositivity:
+    # analysis._decided_above: an unpivoted LDL^H of M - sI over a stack
+    OFFSETS = (-1e-10, -1e-13, 1e-13, 1e-10)  # lambda_min(M) - s
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_the_decision_against_eigvalsh(self, d, dtype):
+        rng = np.random.default_rng(d)
+        shift = rng.uniform(-0.9, -0.2, size=200)
+        block = _hermitian_stack(rng, len(shift), d, dtype, shift + np.resize(self.OFFSETS, 200))
+        least = np.linalg.eigvalsh(block)[:, 0]
+        decided = analysis._decided_above(block.copy(), shift)
+        assert np.all(least[decided] > shift[decided] - 1e-13)  # sound
+        assert np.all(decided[least > shift + 1e-12])  # useful
+        assert 0 < decided.sum() < len(shift)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_a_nan_or_inf_entry_is_never_decided(self, d):
+        rng = np.random.default_rng(d)
+        shift = np.full(60, -0.5)
+        block = _hermitian_stack(rng, len(shift), d, complex, shift + 0.2)
+        assert np.all(analysis._decided_above(block.copy(), shift))
+        rows, cols = np.tril_indices(d)
+        at = rng.integers(len(rows), size=40)
+        block[np.arange(40), rows[at], cols[at]] = np.resize([np.nan, np.inf, -np.inf], 40)
+        shift[40:50] = np.nan
+        decided = analysis._decided_above(block, shift)
+        assert not decided[:50].any() and decided[50:].all()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 13])
+    def test_the_strict_upper_triangle_is_not_read(self, d, dtype):
+        rng = np.random.default_rng(d)
+        shift = rng.uniform(-0.9, -0.2, size=200)
+        block = _hermitian_stack(rng, len(shift), d, dtype, shift + np.resize(self.OFFSETS, 200))
+        decided = analysis._decided_above(block.copy(), shift)
+        rows, cols = np.triu_indices(d, 1)
+        block[:, rows, cols] = rng.normal(size=(len(block), len(rows))) * 1e3
+        block[::3, rows, cols] = np.nan
+        block[1::3, rows, cols] = np.inf
+        assert np.array_equal(analysis._decided_above(block, shift), decided)
 
 
 class TestUniformMinimizer:
